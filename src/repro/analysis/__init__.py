@@ -3,37 +3,23 @@
 Two halves live here:
 
 * **result analysis** — curve metrics (:mod:`repro.analysis.curves`) and
-  exports (:mod:`repro.analysis.export`) over finished experiments;
+  JSON exports (:mod:`repro.analysis.export`) over finished experiments;
 * **correctness tooling** — the determinism/unit-safety/dataflow linter
-  (:mod:`repro.analysis.linter` + :mod:`repro.analysis.passes`, with SARIF
-  export in :mod:`repro.analysis.export` and the suppression baseline in
-  :mod:`repro.analysis.baseline`), the runtime determinism sanitizer
-  (:mod:`repro.analysis.sanitizer`) and its schedule-perturbation
-  counterpart (:mod:`repro.analysis.perturb`), surfaced as ``repro lint``
-  / ``repro sanitize [--perturb]`` and as the pytest session gate
-  (:mod:`repro.analysis.pytest_plugin`).
+  (:mod:`repro.analysis.linter` + :mod:`repro.analysis.passes`; inline
+  ``# repro: noqa=<RULE>`` pragmas are the only suppression), the runtime
+  determinism sanitizer (:mod:`repro.analysis.sanitizer`) and its
+  schedule-perturbation counterpart (:mod:`repro.analysis.perturb`),
+  surfaced as ``repro lint`` / ``repro sanitize [--perturb]`` and as the
+  pytest session gate (:mod:`repro.analysis.pytest_plugin`).
 """
 
-from repro.analysis.baseline import (
-    BaselineEntry,
-    BaselineError,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.analysis.curves import (
     crossover_size,
     half_bandwidth_size,
     plateau_bandwidth,
     relative_series,
 )
-from repro.analysis.export import (
-    experiment_to_dict,
-    experiment_to_json,
-    render_sarif,
-    sarif_report,
-    validate_sarif,
-)
+from repro.analysis.export import experiment_to_dict, experiment_to_json
 from repro.analysis.linter import (
     RULE_CATALOG,
     Linter,
@@ -45,8 +31,6 @@ from repro.analysis.perturb import PerturbReport, perturb, perturbation_ranker
 from repro.analysis.sanitizer import SanitizeReport, sanitize, trace_experiment
 
 __all__ = [
-    "BaselineEntry",
-    "BaselineError",
     "Linter",
     "PerturbReport",
     "RULE_CATALOG",
@@ -58,16 +42,10 @@ __all__ = [
     "half_bandwidth_size",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "partition",
     "perturb",
     "perturbation_ranker",
     "plateau_bandwidth",
     "relative_series",
-    "render_sarif",
     "sanitize",
-    "sarif_report",
     "trace_experiment",
-    "validate_sarif",
-    "write_baseline",
 ]

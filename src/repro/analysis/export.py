@@ -1,20 +1,11 @@
-"""Structured export: experiment results (JSON) and lint findings (SARIF).
-
-The SARIF half serialises :class:`~repro.analysis.passes.base.Violation`
-records as a SARIF 2.1.0 log so CI can upload them as a code-scanning
-artifact.  Baseline-matched findings are included with an ``external``
-suppression carrying the baseline justification, matching how SARIF
-consumers expect triaged results to round-trip.
-"""
+"""Structured export: experiment results as JSON."""
 
 from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any
 
-from repro import __version__ as _VERSION
 from repro.experiments.base import ExperimentResult
 
 
@@ -48,176 +39,3 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
 
 def experiment_to_json(result: ExperimentResult, indent: int = 2) -> str:
     return json.dumps(experiment_to_dict(result), indent=indent)
-
-
-# --- SARIF 2.1.0 -------------------------------------------------------------
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def sarif_report(
-    violations: Sequence[Any],
-    baseline_matches: Sequence[tuple[Any, Any]] = (),
-    catalog: Optional[dict[str, str]] = None,
-) -> dict:
-    """A SARIF 2.1.0 log for lint findings.
-
-    ``violations`` are fresh findings; ``baseline_matches`` are
-    ``(violation, BaselineEntry)`` pairs included with an ``external``
-    suppression so triaged results stay visible to SARIF consumers
-    without failing the run.
-    """
-    from repro.analysis.baseline import canonical_path
-
-    if catalog is None:
-        from repro.analysis.linter import RULE_CATALOG
-
-        catalog = RULE_CATALOG
-    rule_ids = sorted(catalog)
-    rule_index = {rule: i for i, rule in enumerate(rule_ids)}
-
-    def result_for(violation: Any, entry: Any = None) -> dict:
-        message = violation.message
-        if violation.hint:
-            message += f" ({violation.hint})"
-        region: dict[str, Any] = {"startLine": max(1, violation.line)}
-        if violation.snippet:
-            region["snippet"] = {"text": violation.snippet}
-        result: dict[str, Any] = {
-            "ruleId": violation.rule,
-            "level": "error",
-            "message": {"text": message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": canonical_path(violation.path),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": region,
-                    }
-                }
-            ],
-        }
-        if violation.rule in rule_index:
-            result["ruleIndex"] = rule_index[violation.rule]
-        if entry is not None:
-            result["suppressions"] = [
-                {"kind": "external", "justification": entry.justification}
-            ]
-        return result
-
-    results = [result_for(v) for v in violations]
-    results.extend(result_for(v, entry) for v, entry in baseline_matches)
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "version": _VERSION,
-                        "informationUri": "https://example.invalid/repro",
-                        "rules": [
-                            {
-                                "id": rule,
-                                "shortDescription": {"text": catalog[rule]},
-                            }
-                            for rule in rule_ids
-                        ],
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
-    }
-
-
-def render_sarif(report: dict, indent: int = 2) -> str:
-    return json.dumps(report, indent=indent, sort_keys=False) + "\n"
-
-
-def write_sarif(report: dict, path: "str | Path") -> Path:
-    path = Path(path)
-    path.write_text(render_sarif(report), encoding="utf-8")
-    return path
-
-
-def validate_sarif(report: Any) -> list[str]:
-    """Structural validation against the SARIF 2.1.0 shape.
-
-    Checks the invariants consumers rely on (version, runs, tool.driver
-    with name and rules, result ruleIds resolving through ruleIndex,
-    physical locations with positive startLine).  Returns a list of
-    problems; empty means valid.  This is a vendored subset of the OASIS
-    JSON schema — full-schema validation needs the 1.3 MB upstream file,
-    which is not bundled.
-    """
-    problems: list[str] = []
-    if not isinstance(report, dict):
-        return ["document is not an object"]
-    if report.get("version") != SARIF_VERSION:
-        problems.append(f"version must be {SARIF_VERSION!r}")
-    runs = report.get("runs")
-    if not isinstance(runs, list) or not runs:
-        return problems + ["runs must be a non-empty array"]
-    for run_no, run in enumerate(runs):
-        where = f"runs[{run_no}]"
-        if not isinstance(run, dict):
-            problems.append(f"{where} is not an object")
-            continue
-        driver = run.get("tool", {}).get("driver") if isinstance(run.get("tool"), dict) else None
-        rules: list = []
-        if not isinstance(driver, dict) or not driver.get("name"):
-            problems.append(f"{where}.tool.driver.name is required")
-        else:
-            rules = driver.get("rules", [])
-            if not isinstance(rules, list):
-                problems.append(f"{where}.tool.driver.rules must be an array")
-                rules = []
-            for rule_no, rule in enumerate(rules):
-                if not isinstance(rule, dict) or not rule.get("id"):
-                    problems.append(f"{where}.tool.driver.rules[{rule_no}].id is required")
-        results = run.get("results", [])
-        if not isinstance(results, list):
-            problems.append(f"{where}.results must be an array")
-            continue
-        for res_no, result in enumerate(results):
-            rwhere = f"{where}.results[{res_no}]"
-            if not isinstance(result, dict):
-                problems.append(f"{rwhere} is not an object")
-                continue
-            if not isinstance(result.get("message"), dict) or "text" not in result["message"]:
-                problems.append(f"{rwhere}.message.text is required")
-            index = result.get("ruleIndex")
-            if index is not None:
-                if not isinstance(index, int) or not (0 <= index < len(rules)):
-                    problems.append(f"{rwhere}.ruleIndex {index!r} out of range")
-                elif rules and rules[index].get("id") != result.get("ruleId"):
-                    problems.append(
-                        f"{rwhere}.ruleIndex does not resolve to ruleId "
-                        f"{result.get('ruleId')!r}"
-                    )
-            for loc_no, loc in enumerate(result.get("locations", [])):
-                physical = loc.get("physicalLocation", {}) if isinstance(loc, dict) else {}
-                region = physical.get("region", {})
-                start = region.get("startLine")
-                if start is not None and (not isinstance(start, int) or start < 1):
-                    problems.append(
-                        f"{rwhere}.locations[{loc_no}].region.startLine must be >= 1"
-                    )
-            for sup_no, sup in enumerate(result.get("suppressions", [])):
-                if not isinstance(sup, dict) or sup.get("kind") not in (
-                    "inSource",
-                    "external",
-                ):
-                    problems.append(
-                        f"{rwhere}.suppressions[{sup_no}].kind must be "
-                        "'inSource' or 'external'"
-                    )
-    return problems

@@ -1,25 +1,21 @@
 """Determinism & unit-safety linter over ``src/repro/**``.
 
 The driver parses each module once, hands the :class:`ModuleContext` to
-every registered pass, applies ``# repro: noqa=<rule>`` pragmas (legacy
-spelling ``# lint: disable=``), reports pragmas that no longer suppress
+every registered pass, applies ``# repro: noqa=<rule>`` pragmas (the only
+way to suppress a finding), reports pragmas that no longer suppress
 anything (NOQA001), and returns sorted, de-duplicated :class:`Violation`
-records with the violating source line attached as a snippet.
+records.
 
 Used three ways:
 
 * ``repro lint [paths...]`` (CLI, exit 1 on violations),
 * the pytest session gate (``repro.analysis.pytest_plugin``),
-* programmatically: ``lint_source(...)`` in the rule unit tests.
-
-Suppression baselines (``analysis/baseline.json``) are applied by the
-callers above via :func:`repro.analysis.baseline.partition`, not here —
-the driver always reports the full truth.
+* programmatically: ``lint_source(...)`` in the rule unit tests and the
+  mutation corpus (``tests/test_lint_corpus.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -77,10 +73,6 @@ class Linter:
                     "file must parse before it can be linted",
                 )
             ]
-        lines = source.splitlines()
-
-        def snippet(lineno: int) -> str:
-            return lines[lineno - 1].strip() if 0 < lineno <= len(lines) else ""
 
         # Suppression usage is tracked on the *unfiltered* stream so a
         # pragma for a deselected rule still counts as used when the rule
@@ -93,11 +85,10 @@ class Linter:
                 if anchor is not None:
                     used.add((anchor, violation.rule))
                     continue
-                found.add(dataclasses.replace(violation, snippet=snippet(violation.line)))
+                found.add(violation)
 
         if self.check_pragmas:
-            for violation in self._stale_pragmas(ctx, used):
-                found.add(dataclasses.replace(violation, snippet=snippet(violation.line)))
+            found.update(self._stale_pragmas(ctx, used))
 
         selected = [
             v

@@ -4,7 +4,7 @@ A pass receives a fully-parsed :class:`ModuleContext` — the AST, the raw
 source lines, the resolved import aliases and the per-line pragma table —
 and yields :class:`Violation` records.  Pragma suppression is applied by
 the driver, not by the passes, so a pass never needs to know about
-``# lint: disable=...`` comments.
+``# repro: noqa=...`` comments.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-#: ``# repro: noqa=<RULE>`` (canonical) or the legacy spelling
-#: ``# lint: disable=<RULE>``; both accept comma lists (``=<RULE>,<RULE>``)
-_PRAGMA = re.compile(r"#\s*(?:repro:\s*noqa|lint:\s*disable)=([A-Za-z0-9_,\s]+)")
+#: ``# repro: noqa=<RULE>``, or a comma list ``# repro: noqa=<RULE>,<RULE>``
+_PRAGMA = re.compile(r"#\s*repro:\s*noqa=([A-Za-z0-9_,\s]+)")
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,6 @@ class Violation:
     rule: str
     message: str
     hint: str = ""
-    #: stripped source text of the violating line; excluded from equality so
-    #: dedup/sorting ignore it.  Filled by the driver, used for baseline
-    #: matching (entries survive line-number drift) and SARIF snippets.
-    snippet: str = field(default="", compare=False)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}: {self.rule} {self.message}"

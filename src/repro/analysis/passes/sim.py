@@ -23,7 +23,8 @@ from repro.analysis.passes.base import (
 
 #: factory methods whose result is a pending Event
 _EVENT_FACTORIES = {"timeout", "event", "process"}
-_EVENT_CLASSES = {"Event", "Timeout", "Process", "Initialize", "AllOf", "AnyOf"}
+#: plain names whose call returns a pending Event (classes and ``any_of``)
+_EVENT_CLASSES = {"Event", "Timeout", "Process", "Initialize", "AllOf", "any_of"}
 _TRIGGER_METHODS = {"succeed", "fail"}
 
 

@@ -35,20 +35,11 @@ def pytest_sessionstart(session) -> None:
         return
     setattr(config, _SESSION_FLAG, True)
 
-    from repro.analysis.baseline import load_baseline, partition
     from repro.analysis.linter import render_report, lint_paths
 
-    fresh, _matched, stale = partition(lint_paths(), load_baseline())
-    problems = []
-    if fresh:
-        problems.append(render_report(fresh))
-    if stale:
-        problems.append(
-            "stale baseline entries (finding fixed -> delete the entry):\n"
-            + "\n".join(f"  {e.path}:{e.line}: {e.rule} {e.snippet}" for e in stale)
-        )
-    if problems:
+    violations = lint_paths()
+    if violations:
         raise pytest.UsageError(
             "repro lint gate failed (run `repro lint` to reproduce, "
-            "`--no-repro-lint` to bypass):\n" + "\n".join(problems)
+            "`--no-repro-lint` to bypass):\n" + render_report(violations)
         )

@@ -26,7 +26,6 @@ Examples::
     repro faults list               # the named fault scenarios
     repro lint                      # lint src/repro for determinism hazards
     repro lint --rules              # print the rule catalog
-    repro lint --sarif lint.sarif   # write findings as a SARIF 2.1.0 log
     repro sanitize fig3             # double-run trace-hash determinism check
     repro sanitize fig7 --perturb   # adversarial same-timestamp reordering
     repro cache prune --max-size 256MB   # bound .repro-cache/, oldest first
@@ -162,32 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--rules", action="store_true", help="print the rule catalog and exit"
-    )
-    lint.add_argument(
-        "--sarif",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write findings as a SARIF 2.1.0 log to PATH ('-' or no value: stdout)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="suppression baseline to subtract (default: the checked-in "
-        "analysis/baseline.json)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the suppression baseline",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings: rewrite the baseline file and exit 0 "
-        "(each entry still needs its justification filled in)",
     )
 
     explain = sub.add_parser(
@@ -418,12 +391,6 @@ def _split_rules(text: "str | None") -> "list[str] | None":
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis.baseline import (
-        BaselineError,
-        load_baseline,
-        partition,
-        write_baseline,
-    )
     from repro.analysis.linter import RULE_CATALOG, lint_paths, render_report
 
     if args.rules:
@@ -435,45 +402,8 @@ def _cmd_lint(args) -> int:
         select=_split_rules(args.select),
         ignore=_split_rules(args.ignore),
     )
-    if args.write_baseline:
-        path = write_baseline(violations, path=args.baseline)
-        print(f"wrote {len(violations)} entr{'y' if len(violations) == 1 else 'ies'} "
-              f"to {path}; fill in each justification")
-        return 0
-
-    matched: list = []
-    stale: list = []
-    if not args.no_baseline:
-        try:
-            entries = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        # Stale entries are only meaningful on a full-tree run: a partial
-        # lint legitimately misses entries for files it did not visit.
-        violations, matched, stale = partition(violations, entries)
-        if args.paths:
-            stale = []
-
-    if args.sarif is not None:
-        from repro.analysis.export import render_sarif, sarif_report
-
-        text = render_sarif(sarif_report(violations, baseline_matches=matched))
-        if args.sarif == "-":
-            print(text, end="")
-        else:
-            from pathlib import Path
-
-            Path(args.sarif).write_text(text, encoding="utf-8")
-            print(f"[sarif: {args.sarif}]", file=sys.stderr)
-    if args.sarif != "-":
-        print(render_report(violations))
-        for entry in stale:
-            print(
-                f"stale baseline entry: {entry.path}:{entry.line}: {entry.rule} "
-                "no longer fires — delete it"
-            )
-    return 1 if (violations or stale) else 0
+    print(render_report(violations))
+    return 1 if violations else 0
 
 
 def _cmd_sanitize(args) -> int:

@@ -62,14 +62,14 @@ def waitall(env: Environment, requests: list[Request]):
 def waitany(env: Environment, requests: list[Request]):
     """Generator: wait until at least one request completes; returns the
     index and result of the first completed one (by list order)."""
-    from repro.sim.sync import AnyOf
+    from repro.sim.sync import any_of
 
     if not requests:
         raise MpiError("waitany of no requests")
     pending = [r for r in requests if not r.complete]
     if pending:
-        yield AnyOf(env, [r.event for r in pending])
+        yield any_of(env, [r.event for r in pending])
     for i, req in enumerate(requests):
         if req.complete:
             return i, req.event.value
-    raise MpiError("waitany: AnyOf fired but nothing complete")
+    raise MpiError("waitany: any_of fired but nothing complete")

@@ -31,7 +31,7 @@ from repro.net.topology import Network, Node
 from repro.obs import runtime as _obs
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import AllOf, AnyOf
+from repro.sim.sync import AllOf, any_of
 from repro.tcp.connection import Fabric
 from repro.tcp.sysctl import DEFAULT_SYSCTLS, SysctlConfig
 
@@ -173,7 +173,7 @@ class MpiJob:
             env.run(until=done)
             timed_out = False
         else:
-            env.run(until=AnyOf(env, [done, env.timeout(timeout)]))
+            env.run(until=any_of(env, [done, env.timeout(timeout)]))
             timed_out = not done.triggered
             if timed_out:
                 # Keep draining nothing further; report what finished.

@@ -26,17 +26,15 @@ for flows whose rate materially changed (version tokens make stale timers
 inert), so an arrival or departure leaves the timers of unaffected flows
 untouched.
 
-The pre-rewrite full-network solver is kept verbatim as the oracle: set
-``REPRO_FLUID=legacy`` to route every recomputation through it (the
-differential property test in ``tests/test_net_fluid.py`` drives both
-engines over randomized workloads).
+The differential test in ``tests/test_net_fluid.py`` checks this solver
+against a whole-network progressive-filling oracle after every mutation
+of randomized workloads.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Iterable, Optional
 
 from repro.errors import NetworkConfigError
@@ -49,10 +47,6 @@ _EPS = 1e-12
 _RESIDUE_BITS = 1.0
 #: Never schedule a completion closer than this (guards clock stagnation).
 _MIN_ETA = 1e-12
-
-
-def _use_legacy_allocator() -> bool:
-    return os.environ.get("REPRO_FLUID", "") == "legacy"
 
 
 class Pipe:
@@ -249,11 +243,9 @@ class FluidNetwork:
         self.flows: set[Flow] = set()
         #: number of rate recomputations, exposed for performance tests
         self.recomputations = 0
-        #: number of component solves actually run across all recomputations;
-        #: with the legacy allocator this equals ``recomputations``
+        #: number of component solves actually run across all recomputations
         self.solve_rounds = 0
         self._flow_counter = 0
-        self._legacy = _use_legacy_allocator()
         #: cached component plan, patched in place across membership
         #: changes and rebuilt only when a mutation falls outside it
         self._plan: Optional[_ComponentPlan] = None
@@ -292,7 +284,7 @@ class FluidNetwork:
         for pipe in route:
             pipe.flows[flow] = None
         plan = self._plan
-        if plan is not None and not plan.stale and not self._legacy:
+        if plan is not None and not plan.stale:
             plan.try_extend(flow)
         self._recompute(route)
         return flow
@@ -368,11 +360,6 @@ class FluidNetwork:
         are re-armed at most once per mutation.
         """
         self.recomputations += 1
-        if self._legacy:
-            self.solve_rounds += 1
-            self._recompute_legacy()
-            return
-
         plan = self._plan
         if plan is None or plan.stale or not all(
             pipe in plan.pipe_index for pipe in dirty_pipes
@@ -473,8 +460,8 @@ class FluidNetwork:
         ]
         heapq.heapify(pipe_events)
         # Cap events sorted once: flows freeze at their cap in cap order
-        # ((cap, flow index) matches the legacy (cap, uid) order because
-        # ``flows`` is uid-sorted).
+        # ((cap, flow index) is (cap, uid) order because ``flows`` is
+        # uid-sorted).
         _inf = math.inf
         capped = [
             (cap, fidx)
@@ -605,82 +592,3 @@ class FluidNetwork:
 
         timer = self.env.timeout(eta)
         timer.callbacks.append(on_timer)
-
-    # -- the pre-rewrite global solver (the differential oracle) ---------------------
-    def _recompute_legacy(self) -> None:
-        """Re-allocate rates for all active flows and reschedule completions.
-
-        Flows are visited in creation (uid) order: iterating the raw set
-        would schedule completion timers in id()-dependent order, giving
-        same-time events different queue sequence numbers from run to run.
-        """
-        ordered = sorted(self.flows, key=lambda f: f.uid)
-        for flow in ordered:
-            self._settle(flow)
-
-        rates = self._progressive_filling(ordered)
-
-        for flow, rate in rates.items():
-            if abs(rate - flow.rate_bps) <= _EPS * max(rate, flow.rate_bps, 1.0):
-                continue
-            flow.rate_bps = rate
-            flow._version += 1
-            if rate <= _EPS:
-                continue
-            eta = flow.remaining_bits / rate
-            self._schedule_completion(flow, eta, flow._version)
-
-    @staticmethod
-    def _progressive_filling(flows: "list[Flow]") -> dict[Flow, float]:
-        """Max-min fair allocation with per-flow rate caps (global solve).
-
-        ``flows`` arrives in uid order and the returned dict preserves it,
-        so callers iterate deterministically.  The sets used internally
-        only feed order-independent arithmetic (min/sum/membership).
-        """
-        if not flows:
-            return {}
-        level: dict[Flow, float] = {f: 0.0 for f in flows}
-        active: set[Flow] = set(flows)
-        pipes: set[Pipe] = {p for f in flows for p in f.pipes}
-        remaining: dict[Pipe, float] = {p: p.capacity_bps for p in pipes}
-
-        while active:
-            # Equal-increment step: how much can every active flow still grow?
-            increment = math.inf
-            for pipe in pipes:
-                n_active = sum(1 for f in pipe.flows if f in active)
-                if n_active:
-                    increment = min(increment, remaining[pipe] / n_active)
-            for flow in active:
-                increment = min(increment, flow.rate_cap_bps - level[flow])
-            if not math.isfinite(increment):
-                # Only uncapped flows on unconstrained pipes — impossible,
-                # every flow crosses at least one finite pipe.
-                raise NetworkConfigError("progressive filling diverged")
-
-            for flow in active:
-                level[flow] += increment
-            for pipe in pipes:
-                n_active = sum(1 for f in pipe.flows if f in active)
-                remaining[pipe] -= increment * n_active
-
-            # Freeze flows that hit their cap or sit on a saturated pipe.
-            # The cap test is relative, like the pipe test: ``level +=
-            # (cap - level)`` can undershoot the cap by an ulp of the cap
-            # (~1e-7 at Gbps scale), and an absolute 1e-12 tolerance would
-            # miss that, dropping into the freeze-everything corner below
-            # and pinning unrelated flows at this level.  (inf caps stay
-            # unfreezable: ``inf * (1 - eps) - eps`` is still inf.)
-            saturated = {p for p in pipes if remaining[p] <= _EPS * p.capacity_bps + _EPS}
-            newly_frozen = {
-                f
-                for f in active
-                if level[f] >= f.rate_cap_bps * (1.0 - _EPS) - _EPS
-                or any(p in saturated for p in f.pipes)
-            }
-            if not newly_frozen:
-                # Numerical corner: freeze everything to guarantee progress.
-                break
-            active -= newly_frozen
-        return level

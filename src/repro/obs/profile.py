@@ -61,13 +61,13 @@ def profile_report(
     profiler = cProfile.Profile()
     # Host-side wall clock: profiling output is a development artifact and
     # never feeds a simulation result.
-    start = time.perf_counter()  # lint: disable=DET002
+    start = time.perf_counter()  # repro: noqa=DET002
     profiler.enable()
     try:
         result = run_experiment(experiment_id, fast=fast)
     finally:
         profiler.disable()
-    wall_s = time.perf_counter() - start  # lint: disable=DET002
+    wall_s = time.perf_counter() - start  # repro: noqa=DET002
 
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)

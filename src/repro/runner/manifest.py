@@ -30,7 +30,7 @@ def campaign_entry(campaign: "CampaignResult", label: str = "") -> dict[str, Any
     entry: dict[str, Any] = {
         # Host-side bookkeeping of when the campaign ran; the simulation
         # itself never reads this.
-        "unix_time": round(time.time(), 1),  # lint: disable=DET002
+        "unix_time": round(time.time(), 1),  # repro: noqa=DET002
         "label": label,
         "jobs": campaign.jobs,
         "cache_enabled": campaign.cache_enabled,
@@ -164,7 +164,7 @@ def record_profile(
         profiles = document["profiles"] = {}
     profiles[f"{experiment_id}|fast={fast}"] = {
         # Host-side bookkeeping, like campaign entries' unix_time.
-        "unix_time": round(time.time(), 1),  # lint: disable=DET002
+        "unix_time": round(time.time(), 1),  # repro: noqa=DET002
         "experiment_id": experiment_id,
         "fast": fast,
         "wall_s": round(wall_s, 3),

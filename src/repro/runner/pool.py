@@ -269,7 +269,7 @@ def _shard_worker(
     source digest (computed once per campaign), and a completed shard
     survives even if the parent dies before collecting it.
     """
-    started = time.monotonic()  # host-side timing, not sim state  # lint: disable=DET002
+    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
     config = TelemetryConfig.from_tuple(telemetry)
     sess = None
     with trace_capture() as hasher:
@@ -280,7 +280,7 @@ def _shard_worker(
             # task_id — the same track the serial path switches to.
             with telemetry_session(config, default_track=task_id) as sess:
                 payload = _resolve(runner)(fast=fast, **params)
-    elapsed = time.monotonic() - started  # lint: disable=DET002
+    elapsed = time.monotonic() - started  # repro: noqa=DET002
     artifact = {
         "kind": "shard",
         "payload": payload,
@@ -304,7 +304,7 @@ def _experiment_worker(
     """Execute one whole experiment under trace capture."""
     from repro.experiments import run_experiment
 
-    started = time.monotonic()  # host-side timing, not sim state  # lint: disable=DET002
+    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
     config = TelemetryConfig.from_tuple(telemetry)
     sess = None
     with trace_capture() as hasher:
@@ -315,7 +315,7 @@ def _experiment_worker(
                 config, default_track=f"experiment/{experiment_id}"
             ) as sess:
                 result = run_experiment(experiment_id, fast=fast)
-    elapsed = time.monotonic() - started  # lint: disable=DET002
+    elapsed = time.monotonic() - started  # repro: noqa=DET002
     # Same convention as the sanitizer: fold the rendered text so
     # value-level divergence changes the hash too.
     hasher.update_text(result.text)
@@ -411,7 +411,7 @@ def _run_tasks(
         process.start()
         child_conn.close()  # the parent only reads
         deadline = (
-            time.monotonic() + policy.timeout_s  # lint: disable=DET002
+            time.monotonic() + policy.timeout_s  # repro: noqa=DET002
             if policy.timeout_s is not None
             else None
         )
@@ -431,7 +431,7 @@ def _run_tasks(
         if task.attempts <= policy.retries:
             n_retries += 1
             delay = policy.backoff_s * (2 ** (task.attempts - 1))
-            not_before = time.monotonic() + delay  # lint: disable=DET002
+            not_before = time.monotonic() + delay  # repro: noqa=DET002
             delayed.append((not_before, task))
         else:
             outcomes[task.key] = (
@@ -441,7 +441,7 @@ def _run_tasks(
             )
 
     while ready or delayed or running:
-        now = time.monotonic()  # lint: disable=DET002
+        now = time.monotonic()  # repro: noqa=DET002
 
         still_delayed: list[tuple[float, _Task]] = []
         for not_before, task in delayed:
@@ -827,7 +827,7 @@ def run_campaign(
     campaigns bypass the result cache entirely — cached artifacts carry no
     telemetry, and a half-cached campaign would return half-empty traces.
     """
-    started = time.monotonic()  # host-side timing, not sim state  # lint: disable=DET002
+    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
     if telemetry is not None:
         cache = ResultCache(enabled=False, digest="")
     elif cache is None:
@@ -877,7 +877,7 @@ def run_campaign(
         for run in ordered:
             if run.telemetry is not None:
                 run.rollup = span_rollup(run.telemetry)
-    elapsed = time.monotonic() - started  # lint: disable=DET002
+    elapsed = time.monotonic() - started  # repro: noqa=DET002
     campaign = CampaignResult(
         runs=ordered,
         wall_s=elapsed,

@@ -12,7 +12,7 @@ Public surface:
 - :class:`Environment` — event queue and clock; ``env.process(gen)``,
   ``env.timeout(delay)``, ``env.run(until=...)``.
 - :class:`Process` — a running coroutine; also an event (its termination).
-- :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf`,
+- :class:`Event`, :class:`Timeout`, :class:`AllOf`, :func:`any_of`,
   :class:`Interrupt`.
 - :class:`Store` / :class:`Channel` / :class:`Resource` — waitable queues.
 - :class:`RngRegistry` — named deterministic random streams.
@@ -21,11 +21,10 @@ Public surface:
 from repro.sim.core import Environment, Event, Interrupt, Process, Timeout
 from repro.sim.queues import Channel, PriorityStore, Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import AllOf, AnyOf
+from repro.sim.sync import AllOf, any_of
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Channel",
     "Environment",
     "Event",
@@ -36,4 +35,5 @@ __all__ = [
     "RngRegistry",
     "Store",
     "Timeout",
+    "any_of",
 ]

@@ -38,8 +38,8 @@ class RngRegistry:
             key = zlib.crc32(name.encode("utf-8"))
             # This registry is the one sanctioned RNG construction site; all
             # other modules must come through stream().
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))  # lint: disable=DET005
-            gen = np.random.default_rng(seq)  # lint: disable=DET005
+            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))  # repro: noqa=DET005
+            gen = np.random.default_rng(seq)  # repro: noqa=DET005
             self._streams[name] = gen
         return gen
 

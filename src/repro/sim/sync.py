@@ -4,8 +4,8 @@
 a dict mapping each child event to its value (insertion-ordered, so
 ``list(result.values())`` matches the order the events were passed in).
 
-``yield AnyOf(env, events)`` resumes as soon as one child triggers; its value
-is a dict of the children that have triggered so far.
+``yield any_of(env, events)`` resumes as soon as one child triggers; its
+value is that first child's value.
 
 A failing child fails the combinator with the child's exception.
 """
@@ -18,8 +18,8 @@ from repro.errors import SimulationError
 from repro.sim.core import Event
 
 
-class Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf`."""
+class AllOf(Event):
+    """Triggers when every child event has triggered."""
 
     __slots__ = ("_events", "_done")
 
@@ -39,9 +39,6 @@ class Condition(Event):
         if not self._events and not self.triggered:
             self.succeed({})
 
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             if not event._ok:
@@ -52,44 +49,37 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._done.add(event)
-        if self._satisfied(len(self._done), len(self._events)):
+        if len(self._done) == len(self._events):
             self.succeed(self._collect())
 
     def _collect(self) -> dict[Event, Any]:
-        # Insertion-ordered by the original event tuple, restricted to the
-        # children that have actually completed.
-        return {ev: ev._value for ev in self._events if ev in self._done}
+        # Insertion-ordered by the original event tuple.
+        return {ev: ev._value for ev in self._events}
 
 
-class AllOf(Condition):
-    """Triggers when every child event has triggered."""
+def any_of(env, events: Iterable[Event]) -> Event:
+    """A plain :class:`Event` that triggers when the first child does.
 
-    __slots__ = ()
+    Its value is the first child's value (or its exception).  A child that
+    was already processed fires it at once; a child that fails after the
+    race is decided is defused, so its exception is not re-raised.
+    """
+    race = Event(env)
 
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total
+    def fire(child: Event) -> None:
+        if not child._ok:
+            child._defused = True
+            if not race.triggered:
+                race.fail(child._value)
+        elif not race.triggered:
+            race.succeed(child._value)
 
-
-class AnyOf(Condition):
-    """Triggers when the first child event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]):
-        events = tuple(events)
-        if not events:
-            raise SimulationError("AnyOf of no events would never trigger")
-        super().__init__(env, events)
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1
-
-
-def wait_all(env, events: Iterable[Event]) -> AllOf:
-    """Convenience alias: ``yield wait_all(env, [a, b, c])``."""
-    return AllOf(env, events)
-
-
-def wait_any(env, events: Iterable[Event]) -> AnyOf:
-    """Convenience alias: ``yield wait_any(env, [a, b])``."""
-    return AnyOf(env, events)
+    children = tuple(events)
+    if not children:
+        raise SimulationError("any_of of no events would never trigger")
+    for child in children:
+        if child.callbacks is None:  # already processed
+            fire(child)
+        else:
+            child.callbacks.append(fire)
+    return race

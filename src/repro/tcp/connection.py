@@ -54,9 +54,10 @@ from repro.obs import runtime as _obs
 from repro.faults.profile import FaultProfile
 from repro.net.fluid import FluidNetwork
 from repro.net.topology import Network, Node, Route
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment
 from repro.sim.queues import Resource
 from repro.sim.rng import RngRegistry
+from repro.sim.sync import any_of
 from repro.tcp.buffers import BufferPolicy, effective_buffers
 from repro.tcp.congestion import CongestionState
 from repro.tcp.sysctl import DEFAULT_SYSCTLS, SysctlConfig
@@ -86,33 +87,6 @@ DEFAULT_PROBE_LOSS_ROUNDS = 50
 
 #: Minimum retransmission timeout (Linux): bounds the idle-restart check.
 RTO_MIN = 0.2
-
-
-def _race(env: Environment, first: Event, second: Event) -> Event:
-    """Trigger once either child triggers — a slim two-event ``AnyOf``.
-
-    The per-RTT driver loop in :meth:`_Direction.transmit` waits on
-    *flow finished or window tick* once per round and then inspects
-    ``flow.done`` itself, so the general combinator's tuple/set/result
-    dict bookkeeping is pure overhead on the hottest wait in the
-    simulator.  Scheduling behaviour is identical to ``AnyOf``: the
-    race event triggers (priority NORMAL, same callback position) when
-    the first child fires, and a late-failing child is defused exactly
-    as ``AnyOf._check`` would.
-    """
-    race = Event(env)
-
-    def fire(child: Event) -> None:
-        if not child._ok:
-            child._defused = True
-            if not race.triggered:
-                race.fail(child._value)
-        elif not race.triggered:
-            race.succeed(child._value)
-
-    first.callbacks.append(fire)
-    second.callbacks.append(fire)
-    return race
 
 
 @dataclass(frozen=True)
@@ -379,7 +353,7 @@ class _Direction:
                     # have been pushed yet.
                     window_limited = flow.rate_bps >= 0.98 * sent_cap
                     tick = env.timeout(self.rtt if window_limited else 8 * self.rtt)
-                    yield _race(env, flow.done, tick)
+                    yield any_of(env, (flow.done, tick))
                     if flow.done.triggered:
                         break
                     if window_limited:

@@ -138,7 +138,7 @@ class TestDetRules:
             import numpy as np
 
             def data():
-                return np.random.default_rng(42).uniform(size=8)  # lint: disable=DET005
+                return np.random.default_rng(42).uniform(size=8)  # repro: noqa=DET005
             """
         ) == []
 
@@ -149,7 +149,7 @@ class TestDetRules:
             import numpy as np
 
             def data():
-                return np.random.default_rng(42).uniform(size=8)  # lint: disable=DET001
+                return np.random.default_rng(42).uniform(size=8)  # repro: noqa=DET001
             """
         )
 
@@ -251,7 +251,7 @@ class TestUnitRules:
         assert rules_of(
             """
             def build(net):
-                return net.add_link(capacity_bps=1000000000)  # lint: disable=UNIT001
+                return net.add_link(capacity_bps=1000000000)  # repro: noqa=UNIT001
             """
         ) == []
 
@@ -441,7 +441,8 @@ class TestPragmas:
         )
         assert Linter(select=["NOQA001"]).lint_source(source) == []
 
-    def test_legacy_spelling_still_works(self):
+    def test_legacy_spelling_no_longer_suppresses(self):
+        # `# repro: noqa=` is the only pragma spelling
         assert rules_of(
             """
             import random
@@ -449,7 +450,7 @@ class TestPragmas:
             def f():
                 return random.random()  # lint: disable=DET001
             """
-        ) == []
+        ) == ["DET001"]
 
 
 # ---------------------------------------------------------------------------

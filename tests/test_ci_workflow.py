@@ -134,20 +134,6 @@ def test_fast_goldens_exist_for_the_ci_diff():
     assert committed == sorted(f"{eid}.txt" for eid in EXPERIMENTS)
 
 
-def test_check_job_exports_and_uploads_sarif(workflow):
-    check = workflow["jobs"]["check"]
-    commands = _run_commands(check)
-    # findings are exported as a SARIF log and structurally validated...
-    assert "repro lint --sarif lint-results.sarif" in commands
-    assert "validate_sarif" in commands
-    # ...and uploaded as a workflow artifact (fail loudly if missing)
-    upload = next(
-        step for step in check["steps"] if "upload-artifact" in step.get("uses", "")
-    )
-    assert upload["with"]["path"] == "lint-results.sarif"
-    assert upload["with"]["if-no-files-found"] == "error"
-
-
 def test_experiments_job_runs_the_perturbation_smoke(workflow):
     experiments = workflow["jobs"]["experiments"]
     commands = _run_commands(experiments)

@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -110,41 +112,11 @@ def test_lint_dirty_file_exits_one(tmp_path, capsys):
     assert "DET001" in capsys.readouterr().out
 
 
-def test_lint_sarif_stdout_is_valid(tmp_path, capsys):
-    import json as _json
-
-    from repro.analysis import validate_sarif
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
-    # --sarif with no value streams the log to stdout
-    assert main(["lint", str(dirty), "--sarif"]) == 1
-    report = _json.loads(capsys.readouterr().out)
-    assert validate_sarif(report) == []
-    assert [r["ruleId"] for r in report["runs"][0]["results"]] == ["DET001"]
-
-
-def test_lint_sarif_to_file(tmp_path, capsys):
-    import json as _json
-
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
-    out = tmp_path / "lint.sarif"
-    assert main(["lint", "--sarif", str(out), str(dirty)]) == 1
-    assert _json.loads(out.read_text())["version"] == "2.1.0"
-
-
-def test_lint_write_then_apply_baseline(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--baseline", str(baseline), "--write-baseline", str(dirty)]) == 0
-    capsys.readouterr()
-    # the finding is now suppressed by the baseline...
-    assert main(["lint", "--baseline", str(baseline), str(dirty)]) == 0
-    assert "clean" in capsys.readouterr().out
-    # ...but --no-baseline still reports it
-    assert main(["lint", "--baseline", str(baseline), "--no-baseline", str(dirty)]) == 1
+def test_lint_help_lists_only_select_ignore_rules(capsys):
+    with pytest.raises(SystemExit):
+        main(["lint", "--help"])
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"--help", "--select", "--ignore", "--rules"}
 
 
 def test_sanitize_perturb_passes_on_real_experiment(tmp_path, capsys):

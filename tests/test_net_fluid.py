@@ -199,33 +199,103 @@ def test_many_sequential_flows_cleanup(env, net):
     assert env.now == pytest.approx(100 * 1024 * 8 / 1e9)
 
 
-# -- differential oracle: incremental allocator vs the legacy global solve ----
+# -- differential oracle: incremental allocator vs a global solve -------------
 #
-# The incremental allocator must agree with the pre-rewrite full-network
-# progressive filling (kept behind REPRO_FLUID=legacy) on arbitrary workload
-# histories: flow starts and finishes, rate cap moves, capacity changes and
-# link flaps.  Rates may differ by float ulps (the two solvers associate the
-# fill arithmetic differently); completion times must match exactly, since
-# they are what the reports are built from.
+# The incremental allocator must agree with a whole-network progressive
+# filling on arbitrary workload histories: flow starts and finishes, rate cap
+# moves, capacity changes and link flaps.  The oracle below is the solver the
+# incremental one replaced, rewritten as a pure function of flow and pipe
+# snapshots.  Rates may differ by float ulps (the two solvers associate the
+# fill arithmetic differently, and the incremental one keeps a rate whose
+# change is within 1e-12 relative).
+
+_EPS = 1e-12
 
 
-def _drive_workload(seed, legacy):
-    """Run a randomized flow history; return (rate snapshots, completions)."""
+def progressive_filling(flows, capacities):
+    """Max-min fair rates with per-flow caps, solved over the whole network.
+
+    ``flows`` holds ``(uid, pipe indices, rate cap)`` snapshots and
+    ``capacities`` the pipe capacities by index; returns ``{uid: rate}``.
+    All flows grow by the same increment until a pipe saturates or a flow
+    hits its cap, which freezes them; repeat until every flow is frozen.
+    """
+    route = {uid: pipes for uid, pipes, _ in flows}
+    cap = {uid: rate_cap for uid, _, rate_cap in flows}
+    level = dict.fromkeys(route, 0.0)
+    active = set(route)
+    members = {}
+    for uid, pipes, _ in flows:
+        for pipe in pipes:
+            members.setdefault(pipe, []).append(uid)
+    remaining = {pipe: capacities[pipe] for pipe in members}
+
+    while active:
+        counts = {
+            pipe: sum(1 for uid in uids if uid in active) for pipe, uids in members.items()
+        }
+        increment = min(
+            [remaining[pipe] / n for pipe, n in counts.items() if n]
+            + [cap[uid] - level[uid] for uid in active]
+        )
+        assert math.isfinite(increment), "every flow crosses a finite pipe"
+        for uid in active:
+            level[uid] += increment
+        for pipe, n in counts.items():
+            remaining[pipe] -= increment * n
+        # The cap test is relative, like the pipe test: ``level += (cap -
+        # level)`` can undershoot the cap by an ulp of the cap.
+        saturated = {
+            pipe
+            for pipe in members
+            if remaining[pipe] <= _EPS * capacities[pipe] + _EPS
+        }
+        frozen = {
+            uid
+            for uid in active
+            if level[uid] >= cap[uid] * (1.0 - _EPS) - _EPS
+            or any(pipe in saturated for pipe in route[uid])
+        }
+        if not frozen:
+            break  # numerical corner: freeze everything to guarantee progress
+        active -= frozen
+    return level
+
+
+def _check_against_oracle(network, pipes, when):
+    index = {pipe: i for i, pipe in enumerate(pipes)}
+    live = sorted(network.flows, key=lambda f: f.uid)
+    expected = progressive_filling(
+        [(f.uid, tuple(index[p] for p in f.pipes), f.rate_cap_bps) for f in live],
+        [pipe.capacity_bps for pipe in pipes],
+    )
+    for flow in live:
+        assert flow.rate_bps == pytest.approx(
+            expected[flow.uid], rel=1e-12, abs=1e-9
+        ), f"rate of flow {flow.uid} diverges from the oracle {when}"
+
+
+def _drive_workload(seed):
+    """Run a randomized flow history, checking every rate against the
+    oracle after every operation and every completion; returns the
+    number of checks."""
     env = Environment()
     network = FluidNetwork(env)
-    network._legacy = legacy
     rng = random.Random(seed)
     pipes = [
         Pipe(f"p{i}", rng.choice([1e8, 2.5e8, 9.37e8, 1e9, 1e10]))
         for i in range(rng.randint(3, 7))
     ]
     started = []
-    completions = {}
-    snapshots = []
+    checks = []
+
+    def check(when):
+        _check_against_oracle(network, pipes, when)
+        checks.append(when)
 
     def script():
         counter = 0
-        for _ in range(60):
+        for step in range(60):
             yield env.timeout(rng.uniform(1e-4, 5e-3))
             dice = rng.random()
             live = [f for f in started if f in network.flows]
@@ -238,9 +308,7 @@ def _drive_workload(seed, legacy):
                     f"w{counter}", route, nbytes, rate_cap_bps=cap
                 )
                 flow.done.callbacks.append(
-                    lambda _ev, name=flow.name: completions.__setitem__(
-                        name, env.now
-                    )
+                    lambda _ev, name=flow.name: check(f"after {name} completed")
                 )
                 started.append(flow)
             elif dice < 0.75:
@@ -255,48 +323,20 @@ def _drive_workload(seed, legacy):
                 flow = live[rng.randrange(len(live))]
                 flow.done._defused = True  # the abort is the point
                 network.abort_flow(flow, RuntimeError("link flap"))
-            snapshots.append(
-                sorted((f.uid, f.rate_bps) for f in network.flows)
-            )
+            check(f"after op {step}")
 
     env.process(script())
     # Generous horizon: a 1 Mbps cap on a 20 MB flow needs ~160 s of
     # virtual time, and virtual seconds are cheap once the churn stops.
     env.run(until=300.0)
     assert not network.flows, "workload must drain within the horizon"
-    return snapshots, completions
+    return len(checks)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_incremental_allocator_matches_legacy_oracle(seed):
-    legacy_snaps, legacy_done = _drive_workload(seed, legacy=True)
-    incr_snaps, incr_done = _drive_workload(seed, legacy=False)
-
-    # Same flows complete, at exactly the same virtual times.
-    assert incr_done == legacy_done
-
-    # After every operation, the same flows are live with the same rates.
-    assert len(incr_snaps) == len(legacy_snaps)
-    for step, (legacy_snap, incr_snap) in enumerate(
-        zip(legacy_snaps, incr_snaps)
-    ):
-        assert [uid for uid, _ in incr_snap] == [
-            uid for uid, _ in legacy_snap
-        ], f"live flow sets diverge at op {step}"
-        for (uid, legacy_rate), (_, incr_rate) in zip(legacy_snap, incr_snap):
-            assert incr_rate == pytest.approx(
-                legacy_rate, rel=1e-12, abs=1e-9
-            ), f"rate of flow {uid} diverges at op {step}"
-
-
-def test_legacy_env_var_routes_to_global_solver(env, monkeypatch):
-    monkeypatch.setenv("REPRO_FLUID", "legacy")
-    network = FluidNetwork(env)
-    assert network._legacy
-    pipe = Pipe("p", Gbps(1))
-    flow = network.start_flow("f", [pipe], MB)
-    env.run(until=flow.done)
-    assert network.solve_rounds == network.recomputations
+    # 60 operations, plus one check per flow that finished or aborted
+    assert _drive_workload(seed) > 60
 
 
 def test_incremental_reuses_component_plan(env, net):

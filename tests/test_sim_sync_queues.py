@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Channel, Environment, PriorityStore, Resource, Store
+from repro.sim import AllOf, Channel, Environment, PriorityStore, Resource, Store, any_of
 
 
-# --- AllOf / AnyOf -------------------------------------------------------------
+# --- AllOf / any_of ------------------------------------------------------------
 def test_all_of_waits_for_every_event():
     env = Environment()
     seen = []
@@ -42,18 +42,50 @@ def test_any_of_first_wins():
     def proc():
         slow = env.timeout(9.0, value="slow")
         fast = env.timeout(1.0, value="fast")
-        result = yield AnyOf(env, [slow, fast])
-        seen.append((list(result.values()), env.now))
+        result = yield any_of(env, [slow, fast])
+        seen.append((result, env.now))
 
     env.process(proc())
     env.run()
-    assert seen == [(["fast"], 1.0)]
+    assert seen == [("fast", 1.0)]
 
 
 def test_any_of_empty_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
-        AnyOf(env, [])
+        any_of(env, [])
+
+
+def test_any_of_with_processed_child_fires_at_once():
+    env = Environment()
+    seen = []
+
+    def proc():
+        early = env.timeout(1.0, value="early")
+        yield env.timeout(5.0)
+        result = yield any_of(env, [env.timeout(1.0, value="late"), early])
+        seen.append((result, env.now))
+
+    env.process(proc())
+    env.run()
+    assert seen == [("early", 5.0)]
+
+
+def test_any_of_defuses_a_late_failure():
+    env = Environment()
+    seen = []
+
+    def failer():
+        yield env.timeout(2.0)
+        raise RuntimeError("lost the race, then died")
+
+    def proc():
+        result = yield any_of(env, [env.timeout(1.0, value="won"), env.process(failer())])
+        seen.append(result)
+
+    env.process(proc())
+    env.run()  # the late failure must not surface from step()
+    assert seen == ["won"]
 
 
 def test_all_of_child_failure_propagates():

@@ -22,7 +22,7 @@ from repro.analysis.passes.base import (
 )
 
 #: factory methods whose result is a pending Event
-_EVENT_FACTORIES = {"timeout", "event", "process"}
+_EVENT_FACTORIES = {"timeout", "timeout_at", "event", "process"}
 #: plain names whose call returns a pending Event (classes and ``any_of``)
 _EVENT_CLASSES = {"Event", "Timeout", "Process", "Initialize", "AllOf", "any_of"}
 _TRIGGER_METHODS = {"succeed", "fail"}

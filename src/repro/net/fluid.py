@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import NetworkConfigError
 from repro.sim.core import Environment, Event
@@ -80,6 +80,7 @@ class Flow:
         "rate_cap_bps",
         "rate_bps",
         "done",
+        "on_rate_change",
         "_last_update",
         "_version",
         "started_at",
@@ -104,9 +105,19 @@ class Flow:
         self.rate_cap_bps = float(rate_cap_bps)
         self.rate_bps = 0.0
         self.done = done
+        #: called with the flow whenever a solve assigns it a new rate (the
+        #: TCP window driver sleeps across rounds and re-arms on it)
+        self.on_rate_change: Optional[Callable[["Flow"], None]] = None
         self._last_update = 0.0
         self._version = 0
         self.started_at = 0.0
+
+    def finish_estimate(self) -> float:
+        """When the flow finishes if its rate never changes again (seconds;
+        ``inf`` while it is starved)."""
+        if self.rate_bps <= 0.0:
+            return math.inf
+        return self._last_update + self.remaining_bits / self.rate_bps
 
     def __repr__(self) -> str:
         return (
@@ -567,6 +578,8 @@ class FluidNetwork:
                 continue
             flow.rate_bps = rate
             flow._version += 1
+            if flow.on_rate_change is not None:
+                flow.on_rate_change(flow)
             if rate <= _EPS:
                 # Fully capped out or starved; cannot finish until the next
                 # recomputation changes its rate.

@@ -361,6 +361,26 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def timeout_at(self, tick: int, value: Any = None) -> Event:
+        """An event that fires at the absolute engine tick ``tick``.
+
+        The tick-exact counterpart of :meth:`timeout` for callers that keep
+        their schedule in integer ticks: the TCP window driver sleeps to a
+        round ``k`` RTT ticks ahead, and ``now + delay_to_ticks(k * rtt)``
+        need not equal ``now + k * delay_to_ticks(rtt)``.
+        """
+        if tick < self._now:
+            raise SimulationError(
+                f"cannot schedule a timeout at tick {tick} (now={self._now}); "
+                "events cannot fire in the past"
+            )
+        event = Event(self)
+        event._value = value
+        self._seq += 1
+        seq = self._seq if _TIE_RANKER is None else _TIE_RANKER(self._seq)
+        heapq.heappush(self._queue, (tick, NORMAL, seq, event))
+        return event
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a new process starting now."""
         return Process(self, generator, name=name)

@@ -11,8 +11,8 @@ application goodput).  The sender computes its effective window::
 * ``wire <= W`` — the message fits in one window: it is sent as one
   uncapped fluid flow (bursts at line rate / fair share).
 * ``wire > W`` — the transfer is **window-limited**: the flow is capped at
-  ``W / RTT`` and a driver wakes up every RTT to evolve the congestion
-  window (growth, or a loss event) and adjust the cap.
+  ``W / RTT`` and the congestion window evolves once per RTT (growth, or a
+  loss event) while the window is the binding limit.
 
 Loss events are deterministic and happen in three situations, all on
 window growth (the window only evolves while it is the binding limit):
@@ -35,6 +35,25 @@ The returned timestamp of :meth:`TcpConnection.transmit` is the *arrival*
 of the last byte at the receiver: sender-side completion plus one-way
 propagation plus the receive-side stack crossing.
 
+The window rounds
+-----------------
+Rounds fall on a grid of engine ticks from the flow's start: the next grid
+tick is one RTT ahead while the flow runs at its cap (``rate >= 0.98 *
+cap``, the window binds) and eight RTTs ahead while the path share limits
+it instead; only a tick that follows a window-limited one runs a round.
+Between cap pushes a round changes nothing the rest of the simulation can
+see, so the driver does not wake for it.  It evolves a copy of the
+congestion state to find the first round that pushes a cap (growth above
+5 % or any shrink) or takes a loss, sleeps once to exactly that tick, and
+on waking replays the skipped rounds in order, each stamped with its own
+time.  Injected-loss draws are taken ahead in stream order and consumed
+one per round, as if drawn then.  The fluid solver calls the driver back
+whenever it changes the flow's rate; a change that flips the ``0.98 *
+cap`` test re-arms the wake-up at the first grid tick after it.  Ties: a
+completion at a grid tick cancels that tick's round, and the test at a
+grid tick the driver sleeps through sees every rate change made at that
+tick.
+
 Calibration
 -----------
 ``TCP_STACK_ONEWAY`` = 12 µs makes Table 4 exact: the cluster's 41 µs TCP
@@ -45,6 +64,8 @@ latency = 29 µs wire one-way + 12 µs stack, and the grid's 5812 µs =
 from __future__ import annotations
 
 import math
+from collections import deque
+from copy import copy
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -52,16 +73,15 @@ from repro import faults as _faults
 from repro.errors import TcpError
 from repro.obs import runtime as _obs
 from repro.faults.profile import FaultProfile
-from repro.net.fluid import FluidNetwork
+from repro.net.fluid import Flow, FluidNetwork
 from repro.net.topology import Network, Node, Route
-from repro.sim.core import Environment
+from repro.sim.core import Environment, Event
 from repro.sim.queues import Resource
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import any_of
 from repro.tcp.buffers import BufferPolicy, effective_buffers
 from repro.tcp.congestion import CongestionState
 from repro.tcp.sysctl import DEFAULT_SYSCTLS, SysctlConfig
-from repro.units import KB, usec
+from repro.units import KB, TICKS_PER_SECOND, delay_to_ticks, usec
 
 #: Ethernet + IP + TCP framing per 1448-byte segment (1538 wire bytes per
 #: MSS): 1 Gbps carries ~941 Mbps of goodput, the paper's plateau.
@@ -87,6 +107,19 @@ DEFAULT_PROBE_LOSS_ROUNDS = 50
 
 #: Minimum retransmission timeout (Linux): bounds the idle-restart check.
 RTO_MIN = 0.2
+
+#: A flow running at this share of its pushed cap is window-limited.
+WINDOW_LIMITED_SHARE = 0.98
+
+#: Grid spacing, in RTTs, while the path share rather than the window binds.
+LAZY_POLL_RTTS = 8
+
+
+def _pushes(new_cap: float, sent_cap: float) -> bool:
+    """Whether a window round's cap reaches the fluid layer: only material
+    changes do (growth steps are a few percent); shrinks (losses) always
+    propagate."""
+    return new_cap < sent_cap or new_cap > 1.05 * sent_cap
 
 
 @dataclass(frozen=True)
@@ -127,6 +160,96 @@ class TransferStats:
     #: subset of ``losses`` that were injected by a fault profile
     injected_losses: int = 0
     idle_restarts: int = 0
+
+
+class _Alarm:
+    """The single pending wake-up of one window-limited transfer's driver.
+
+    The driver sleeps on :attr:`event` from the grid tick ``anchor``; later
+    grid ticks are ``anchor + k * step``.  The event fires on the first of:
+    the flow's completion, the timer at :attr:`tick` (``None``: no timer),
+    or an earlier grid tick re-armed by :meth:`on_rate_change`.  Each path
+    fires it through one extra event hop, as the per-RTT ``any_of`` race it
+    replaces did, so the driver resumes after everything already queued
+    for its tick.  The flow's ``done`` event carries one callback per
+    transfer, however many times the driver sleeps.
+    """
+
+    __slots__ = ("env", "flow", "event", "timer", "tick", "anchor", "step",
+                 "limited", "threshold")
+
+    def __init__(self, env: Environment, flow: Flow):
+        self.env = env
+        self.flow = flow
+        #: what the driver sleeps on; ``None`` while it runs
+        self.event: Optional[Event] = None
+        self.timer: Optional[Event] = None
+        self.tick: Optional[int] = None
+        self.anchor = 0
+        self.step = 1
+        #: the window-limited test assumed for the grid ticks ahead
+        self.limited = False
+        #: the rate at or above which the flow is window-limited
+        self.threshold = 0.0
+        flow.done.callbacks.append(self._on_done)
+        flow.on_rate_change = self.on_rate_change
+
+    def sleep(
+        self, anchor: int, step: int, limited: bool, sent_cap: float, tick: Optional[int]
+    ) -> Event:
+        """Arm the wake-up; returns the event to yield."""
+        self.anchor = anchor
+        self.step = step
+        self.limited = limited
+        self.threshold = WINDOW_LIMITED_SHARE * sent_cap
+        self.event = Event(self.env)
+        self._arm(tick)
+        return self.event
+
+    def close(self) -> None:
+        """Detach from the flow: later timers and rate changes are ignored."""
+        self.event = None
+        self.timer = None
+        self.flow.on_rate_change = None
+
+    def on_rate_change(self, flow: Flow) -> None:
+        """Fluid-solver hook: re-arm at the first grid tick whose
+        window-limited test the new rate flips."""
+        event = self.event
+        if event is None or event.triggered:
+            return  # the driver is running, or about to: it tests afresh
+        limited = flow.rate_bps >= self.threshold
+        if limited == self.limited:
+            return
+        self.limited = limited
+        # The anchor's own test is already taken; a change at a later grid
+        # tick is seen by that tick's test.
+        ahead = max(1, -((self.anchor - self.env.now_ticks) // self.step))
+        tick = self.anchor + ahead * self.step
+        if self.tick is None or tick < self.tick:
+            self._arm(tick)
+
+    def _arm(self, tick: Optional[int]) -> None:
+        self.tick = tick
+        if tick is None:
+            self.timer = None
+            return
+        self.timer = timer = self.env.timeout_at(tick)
+        timer.callbacks.append(self._on_timer)
+
+    def _on_timer(self, timer: Event) -> None:
+        if timer is self.timer:
+            self._wake()
+
+    def _on_done(self, done: Event) -> None:
+        if not done._ok:
+            done._defused = True  # the driver re-raises it
+        self._wake()
+
+    def _wake(self) -> None:
+        event = self.event
+        if event is not None and not event.triggered:
+            event.succeed()
 
 
 class _Direction:
@@ -186,6 +309,9 @@ class _Direction:
             self._rtt_scale = 1.0
             self._loss_rng = None
             self._jitter_rng = None
+        #: loss draws taken from ``_loss_rng`` ahead of the rounds they
+        #: belong to (oldest first)
+        self._draws: deque[float] = deque()
 
         sess = _obs.ACTIVE
         if sess is not None and sess.metrics:
@@ -226,8 +352,9 @@ class _Direction:
     def _cwnd_limited(self) -> bool:
         return self.cc.cwnd <= min(self.sndbuf, self.rcvbuf)
 
-    def _on_window_round(self) -> None:
-        """Evolve the congestion window after one window-limited RTT."""
+    def _on_window_round(self, now: float) -> None:
+        """Evolve the congestion window after the window-limited RTT that
+        ends at ``now`` (seconds; telemetry is stamped with it)."""
         self.stats.window_rounds += 1
         was_slow_start = self.cc.in_slow_start
         loss_kind = self._evolve_window()
@@ -235,7 +362,6 @@ class _Direction:
         sess = _obs.ACTIVE
         if sess is None:
             return
-        now = self.env.now
         exited_slow_start = was_slow_start and not self.cc.in_slow_start
         if sess.spans:
             sess.sample(now, "tcp.cwnd", self.name, self.cc.cwnd)
@@ -255,44 +381,145 @@ class _Direction:
 
     def _evolve_window(self) -> Optional[str]:
         """One window-evolution step; returns the loss kind (or ``None``)."""
-        if (
-            self._loss_rng is not None
-            and self.faults is not None
-            and float(self._loss_rng.random()) < self.faults.loss_prob
-        ):
+        draw = None
+        if self._loss_rng is not None:
+            draw = self._draw(0)
+            self._draws.popleft()
+        kind, self._probe_rounds = self._round_kind(self.cc, self._probe_rounds, draw)
+        if kind is not None:
+            self.cc.on_loss()
+            self.stats.losses += 1
+            if kind == "injected":
+                self.stats.injected_losses += 1
+        elif self._cwnd_limited():
+            self.cc.on_round()
+        return kind
+
+    def _draw(self, ahead: int) -> float:
+        """The injected-loss draw of the round ``ahead`` rounds from now
+        (0: the next one).  A draw is taken from the stream on first use and
+        kept until its round consumes it, so looking ahead never reorders
+        the stream."""
+        draws = self._draws
+        while len(draws) <= ahead:
+            draws.append(float(self._loss_rng.random()))
+        return draws[ahead]
+
+    def _round_kind(
+        self, cc: CongestionState, probe_rounds: int, draw: Optional[float]
+    ) -> tuple[Optional[str], int]:
+        """Classify one window round of ``cc`` without applying it.
+
+        Returns the loss the round ends in (``None``: no loss) and the
+        probing-round count after it.  A lossless round grows the window
+        when it is cwnd-limited and leaves it alone when the buffers bind.
+        """
+        if draw is not None and self.faults is not None and draw < self.faults.loss_prob:
             # Injected WAN loss: indistinguishable from a congestion signal
             # to the sender, so it composes with the deterministic overflow
             # / overshoot / probing losses below.
-            self.cc.on_loss()
-            self.stats.losses += 1
-            self.stats.injected_losses += 1
-            self._probe_rounds = 0
-            return "injected"
-        if not self._cwnd_limited():
-            return None  # buffer-limited: the window must not evolve
-        cc = self.cc
+            return "injected", 0
+        if cc.cwnd > min(self.sndbuf, self.rcvbuf):
+            return None, probe_rounds  # buffer-limited: the window must not evolve
         if cc.in_slow_start:
             if cc.cwnd >= self.ss_cap:
-                cc.on_loss()
-                self.stats.losses += 1
-                self._probe_rounds = 0
-                return "overshoot"
-            cc.on_round()
-            return None
+                return "overshoot", 0
+            return None, probe_rounds
         if cc.cwnd >= self.loss_threshold:
-            cc.on_loss()
-            self.stats.losses += 1
-            self._probe_rounds = 0
-            return "overflow"
+            return "overflow", 0
         if cc.cwnd >= cc.last_max:
-            self._probe_rounds += 1
-            if self._probe_rounds >= self.options.probe_loss_rounds:
-                cc.on_loss()
-                self.stats.losses += 1
-                self._probe_rounds = 0
-                return "probe"
-        cc.on_round()
-        return None
+            probe_rounds += 1
+            if probe_rounds >= self.options.probe_loss_rounds:
+                return "probe", 0
+        return None, probe_rounds
+
+    def _rounds_to_visible(self, sent_cap: float, horizon: int) -> Optional[int]:
+        """Rounds until the first one the rest of the simulation can see.
+
+        Evolves a copy of the congestion state: a round is visible when it
+        takes a loss or moves the window enough to push a new cap.  Looks
+        at most ``horizon`` rounds ahead and returns ``horizon`` when none
+        of those is visible; returns ``None`` when no round ever will be
+        (the buffers bind and no loss can be injected).
+        """
+        cc = copy(self.cc)
+        probe_rounds = self._probe_rounds
+        buffers = min(self.sndbuf, self.rcvbuf)
+        lossy = self._loss_rng is not None
+        for ahead in range(horizon):
+            draw = self._draw(ahead) if lossy else None
+            kind, probe_rounds = self._round_kind(cc, probe_rounds, draw)
+            if kind is not None:
+                return ahead + 1
+            if cc.cwnd <= buffers:
+                cc.on_round()
+            elif not lossy:
+                return None
+            window = min(cc.cwnd, self.sndbuf, self.rcvbuf)
+            if _pushes(window * 8.0 / self.rtt, sent_cap):
+                return ahead + 1
+        return horizon
+
+    def _drive(self, flow: Flow, sent_cap: float):
+        """Carry a window-limited flow to completion (generator).
+
+        ``sent_cap`` is the cap the flow started with.  See the module
+        docstring for the round grid, the skip-ahead and the tie rules.
+        """
+        env = self.env
+        rtt = self.rtt
+        round_ticks = delay_to_ticks(rtt)
+        poll_ticks = delay_to_ticks(LAZY_POLL_RTTS * rtt)
+        alarm = _Alarm(env, flow)
+        anchor = env.now_ticks
+        try:
+            while True:
+                # The congestion window only evolves while it is the binding
+                # constraint (congestion window validation); when the path
+                # share limits the flow instead, the grid spaces out.
+                # Compare against the cap the fluid layer actually has
+                # (sent_cap): small growth steps may not have been pushed.
+                limited = flow.rate_bps >= WINDOW_LIMITED_SHARE * sent_cap
+                step = round_ticks if limited else poll_ticks
+                tick = None
+                if limited:
+                    # Stop looking one round past the flow's expected end:
+                    # if it finishes then, its completion wakes the driver.
+                    finish = math.ceil(flow.finish_estimate() * TICKS_PER_SECOND)
+                    horizon = max(1, -((anchor - finish) // round_ticks)) + 1
+                    rounds = self._rounds_to_visible(sent_cap, horizon)
+                    if rounds is not None:
+                        tick = anchor + rounds * round_ticks
+                yield alarm.sleep(anchor, step, limited, sent_cap, tick)
+                alarm.event = None
+                done = flow.done.triggered
+                # Grid ticks passed since the anchor; a completion at a grid
+                # tick cancels that tick's round.
+                last = env.now_ticks - 1 if done else env.now_ticks
+                passed = (last - anchor) // step
+                if limited:
+                    for k in range(1, passed + 1):
+                        sent_cap = self._replay_round(
+                            flow, sent_cap, (anchor + k * step) / TICKS_PER_SECOND
+                        )
+                if done:
+                    break
+                anchor += passed * step
+        finally:
+            alarm.close()
+        if not flow.done.ok:
+            raise flow.done.value
+
+    def _replay_round(self, flow: Flow, sent_cap: float, now: float) -> float:
+        """One window round ending at ``now``; returns the flow's cap after
+        it (pushed to the fluid layer when it moved materially)."""
+        self._on_window_round(now)
+        window = self.window()
+        new_cap = window * 8.0 / self.rtt
+        if _pushes(new_cap, sent_cap):
+            self.fluid.set_rate_cap(flow, new_cap)
+            return new_cap
+        return sent_cap
 
     # -- the transfer ----------------------------------------------------------------
     def transmit(self, nbytes: int):
@@ -344,27 +571,7 @@ class _Direction:
                 )
                 sent_cap = window * 8.0 / self.rtt
                 losses_before = self.stats.losses
-                while not flow.done.triggered:
-                    # The congestion window only evolves while it is the
-                    # binding constraint (congestion window validation);
-                    # when the path share limits the flow instead, check
-                    # back lazily.  Compare against the cap the fluid layer
-                    # actually has (sent_cap): small growth steps may not
-                    # have been pushed yet.
-                    window_limited = flow.rate_bps >= 0.98 * sent_cap
-                    tick = env.timeout(self.rtt if window_limited else 8 * self.rtt)
-                    yield any_of(env, (flow.done, tick))
-                    if flow.done.triggered:
-                        break
-                    if window_limited:
-                        self._on_window_round()
-                        window = self.window()
-                        new_cap = window * 8.0 / self.rtt
-                        # Push only material changes (growth steps are a
-                        # few percent); shrinks (losses) always propagate.
-                        if new_cap < sent_cap or new_cap > 1.05 * sent_cap:
-                            self.fluid.set_rate_cap(flow, new_cap)
-                            sent_cap = new_cap
+                yield from self._drive(flow, sent_cap)
                 if sess is not None and sess.spans:
                     # Window-limited transfers only: one span per segment
                     # of an NPB run would swamp the trace, but the large

@@ -232,8 +232,8 @@ def test_window_never_exceeds_buffer_caps_under_faults(monkeypatch):
     observed: list[tuple[float, float]] = []
     original = conn_mod._Direction._on_window_round
 
-    def checked(self):
-        original(self)
+    def checked(self, now):
+        original(self, now)
         observed.append((self.window(), min(self.sndbuf, self.rcvbuf)))
 
     monkeypatch.setattr(conn_mod._Direction, "_on_window_round", checked)

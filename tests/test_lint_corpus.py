@@ -84,18 +84,10 @@ CORPUS: tuple[Bug, ...] = (
     Bug(
         "DET001",
         "tcp/connection.py",
-        """        if (
-            self._loss_rng is not None
-            and self.faults is not None
-            and float(self._loss_rng.random()) < self.faults.loss_prob
-        ):""",
-        """        import random
+        "            draws.append(float(self._loss_rng.random()))",
+        """            import random
 
-        if (
-            self._loss_rng is not None
-            and self.faults is not None
-            and random.random() < self.faults.loss_prob
-        ):""",
+            draws.append(random.random())""",
         "faults_pingpong",
         ("DET001", "golden"),
         "injected-loss draw taken from the stdlib `random` module",

@@ -16,6 +16,7 @@ import multiprocessing
 
 import pytest
 
+from repro import faults
 from repro.obs import (
     TelemetryConfig,
     merge_payloads,
@@ -28,6 +29,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import TelemetrySession, session
 from repro.runner import ExperimentSpec, ResultCache, run_campaign
 from repro.sim.core import trace_capture
+from repro.tcp.connection import _Direction
 
 from tests.conftest import make_cluster_job, make_grid_job
 
@@ -125,6 +127,64 @@ def test_tcp_layer_records_cwnd_samples_and_window_rounds():
     assert all(value > 0 for _, value in cwnd)
     assert sess.counter_total("tcp.window_rounds") > 0
     assert sess.counter_total("tcp.transfers") > 0
+
+
+def _lossy_grid_job():
+    """A two-rank GridMPI job whose WAN connections take injected losses."""
+    with faults.activated("lossy-wan"):
+        return make_grid_job(impl_name="gridmpi", nprocs=2)
+
+
+def _tcp_records(sess):
+    """Per lane, the ``tcp.cwnd`` samples and TCP instants, record order."""
+    lanes: dict[str, list] = {}
+    for track in sess.tracks.values():
+        for kind, ts, _dur, name, cat, lane, value in track.events:
+            if name == "tcp.cwnd" or (kind == "i" and cat == "tcp"):
+                lanes.setdefault(lane, []).append((ts, name, value))
+    return lanes
+
+
+def test_window_rounds_record_at_their_own_time(monkeypatch):
+    """The driver replays skipped rounds on waking, yet every round still
+    records one ``tcp.cwnd`` sample (and its loss / slow-start instants)
+    at the round's own time: exactly what the per-RTT polling driver
+    recorded, in time order within each lane."""
+    from tests.test_tcp_window_driver import polling_drive
+
+    def record(drive):
+        with monkeypatch.context() as patch:
+            if drive is not None:
+                patch.setattr(_Direction, "_drive", drive)
+            job = _lossy_grid_job()
+            with session(TelemetryConfig()) as sess:
+                job.run(_pingpong(8 * 1024 * 1024, repeats=2))
+        return sess, _tcp_records(sess)
+
+    sess, lanes = record(None)
+    _, reference = record(polling_drive)
+    assert lanes == reference
+    samples = [r for records in lanes.values() for r in records if r[1] == "tcp.cwnd"]
+    assert len(samples) == sess.counter_total("tcp.window_rounds") > 0
+    assert sess.counter_value("tcp.losses", kind="injected", wan=True) > 0
+    for records in lanes.values():
+        times = [ts for ts, _, _ in records]
+        assert times == sorted(times)
+
+
+def test_telemetry_does_not_perturb_a_lossy_window_limited_transfer():
+    def run_once(telemetry):
+        job = _lossy_grid_job()
+        with trace_capture() as hasher:
+            if telemetry:
+                with session(TelemetryConfig()) as sess:
+                    job.run(_pingpong(8 * 1024 * 1024, repeats=2))
+                assert sess.counter_total("tcp.losses") > 0
+            else:
+                job.run(_pingpong(8 * 1024 * 1024, repeats=2))
+        return hasher.hexdigest()
+
+    assert run_once(False) == run_once(True)
 
 
 def test_metrics_only_config_skips_spans():

@@ -449,3 +449,20 @@ def test_now_ticks_is_integer():
     assert isinstance(env.now_ticks, int)
     assert env.now_ticks == 2_500_000_000
     assert env.now == 2.5
+
+
+def test_timeout_at_fires_on_its_exact_tick():
+    from repro.units import delay_to_ticks
+
+    env = Environment()
+    rtt = 0.0232000004  # not tick-representable: 23,200,000.4 ticks
+    tick = 8 * delay_to_ticks(rtt)
+    assert tick != delay_to_ticks(8 * rtt)
+    fired = []
+    env.timeout_at(tick, value="round").callbacks.append(
+        lambda ev: fired.append((env.now_ticks, ev.value))
+    )
+    env.run()
+    assert fired == [(tick, "round")]
+    with pytest.raises(SimulationError):
+        env.timeout_at(tick - 1)

@@ -54,7 +54,10 @@ _NUMPY_RNG = {
 
 #: method names whose invocation inside a loop body means the loop is
 #: feeding the event queue
-_SCHEDULING_ATTRS = {"timeout", "process", "succeed", "fail", "_schedule", "interrupt"}
+_SCHEDULING_ATTRS = {
+    "timeout", "timeout_at", "call_at", "process", "succeed", "fail", "_schedule",
+    "interrupt",
+}
 
 
 class DeterminismPass(LintPass):

@@ -10,8 +10,8 @@ counterpart to these static rules is ``repro sanitize --perturb``
 tie-breaking and checks byte-identity.
 
 * SCHED001 — chains of zero-delay ``timeout(0)`` / ``schedule(..., 0)``
-  calls with no explicit priority: which chain runs first is decided by
-  ``seq`` alone.
+  calls with no explicit priority, or ``call_at``/``timeout_at`` at the
+  current tick: which chain runs first is decided by ``seq`` alone.
 * SCHED002 — iterating a *set-typed variable* (tracked by dataflow, so a
   ``set()`` built three statements earlier is caught) while scheduling
   events or feeding a trace hasher.  Complements DET006, which only
@@ -219,10 +219,16 @@ class SchedulePass(LintPass):
 
 
 def _is_zero_delay_schedule(node: ast.Call) -> bool:
-    """``.timeout(0)`` or ``schedule(..., 0)`` with no explicit priority."""
+    """``.timeout(0)``, ``schedule(..., 0)`` with no explicit priority, or
+    ``.call_at(<...>.now_ticks, ...)`` / ``.timeout_at(<...>.now_ticks)``."""
     if not isinstance(node.func, ast.Attribute):
         return False
     attr = node.func.attr
+    if attr in ("call_at", "timeout_at"):
+        tick = node.args[0] if node.args else _keyword(node, "tick")
+        return (isinstance(tick, ast.Attribute) and tick.attr == "now_ticks") or (
+            isinstance(tick, ast.Name) and tick.id == "now_ticks"
+        )
     if attr == "timeout":
         delay = node.args[0] if node.args else _keyword(node, "delay")
     elif attr == "schedule":

@@ -13,11 +13,12 @@ must still produce
 
 The projection folds, per timestamp, the sorted multiset of completed
 public ``Process`` events (names not starting with ``_``).  Engine-internal
-helper processes — e.g. ``Protocol._at``'s ``_deliver`` — are excluded
-because *how many* of them exist at a timestamp legitimately depends on
-execution order (a message delivered by helper A may let helper B be
-spawned one event earlier or later), while the observable computation must
-not.  The raw order-sensitive :class:`EventTraceHasher` digest is expected
+entries — private helper processes, and plain ``call_at`` callbacks such
+as ``Protocol._at``'s deliveries or a fluid network's completion timer —
+are excluded because *how many* of them exist at a timestamp legitimately
+depends on execution order (one completion callback may finish two flows
+due at the same tick, or two callbacks one each), while the observable
+computation must not.  The raw order-sensitive :class:`EventTraceHasher` digest is expected
 to differ under perturbation; byte-identical *results* with a stable
 projection are the contract the goldens rely on.
 

@@ -26,7 +26,8 @@ NPB_ORDER = ("ep", "cg", "mg", "lu", "sp", "bt", "is", "ft")
 _cache: dict[tuple, float] = {}
 
 
-def clear_cache() -> None:
+def clear_memo() -> None:
+    """Sanitizer hook (see ``registry.clear_memos``): force cold NPB runs."""
     _cache.clear()
 
 

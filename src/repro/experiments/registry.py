@@ -18,6 +18,7 @@ from repro.experiments import (
     fig11,
     fig12,
     fig13,
+    npb_runs,
     table1,
     table2,
     table3,
@@ -27,6 +28,7 @@ from repro.experiments import (
     table7,
 )
 from repro.experiments.base import ExperimentResult, ShardSpec
+from repro.npb import suite as npb_suite
 
 #: id -> defining module (or module-like namespace: ``experiments.faults``
 #: hosts two experiments); the entry's ``run`` is the experiment, and its
@@ -91,7 +93,8 @@ def run_experiment(experiment_id: str, fast: bool = False) -> ExperimentResult:
 
 
 def clear_memos() -> None:
-    """Drop every experiment module's in-process memo (``clear_memo`` hook).
+    """Drop every in-process memo: each experiment module's and the shared
+    NPB ones (``clear_memo`` hooks).
 
     The sanitizers call this before each instrumented run: a warm memo
     replays no simulation, so a trace or schedule projection captured over
@@ -99,7 +102,7 @@ def clear_memos() -> None:
     (see ``table6.ray2mesh_results``).  Campaign runners never call this —
     serial table7 reusing table6's memo is intentional.
     """
-    for module in MODULES.values():
+    for module in (*MODULES.values(), npb_runs, npb_suite):
         clear = getattr(module, "clear_memo", None)
         if clear is not None:
             clear()

@@ -35,6 +35,7 @@ from repro.errors import MpiError, MpiTruncationError
 from repro.mpi.message import Envelope, Status
 from repro.mpi.request import Request
 from repro.sim.core import Environment
+from repro.units import delay_to_ticks
 
 
 @dataclass
@@ -168,14 +169,12 @@ class Mailbox:
             # copied out (Fig. 4 arrow 2).
             copy_time = envelope.nbytes / self.copy_bandwidth
             self.stats.copies_bytes += envelope.nbytes
-
-            def copier():
-                yield self.env.timeout(copy_time)
-                request._finish(
+            self.env.call_at(
+                self.env.now_ticks + delay_to_ticks(copy_time),
+                lambda: request._finish(
                     (envelope.payload, Status(envelope.src, envelope.tag, envelope.nbytes))
-                )
-
-            self.env.process(copier())
+                ),
+            )
         else:
             if envelope.on_matched is None:
                 raise MpiError("rendezvous announce without continuation")

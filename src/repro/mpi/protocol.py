@@ -31,6 +31,7 @@ from repro.mpi.request import Request
 from repro.mpi.tracing import MessageTrace
 from repro.mpi.transport import Transport
 from repro.sim.core import Environment
+from repro.units import delay_to_ticks
 
 #: wire size of the eager header prepended to the payload
 EAGER_HEADER_BYTES = 40
@@ -60,20 +61,15 @@ class Protocol:
 
     # -- helpers -------------------------------------------------------------------
     def _at(self, when: float, fn) -> None:
-        """Run ``fn()`` at absolute simulation time ``when``."""
+        """Run ``fn()`` at absolute simulation time ``when``.
+
+        One engine callback, on the tick a ``timeout(when - now)`` would
+        fire: the arrival needs no process of its own.
+        """
         delay = when - self.env.now
         if delay < 0:
             raise MpiError(f"delivery scheduled {delay}s in the past")
-
-        def _deliver():
-            # The leading underscore marks this as an engine-internal helper:
-            # the schedule-perturbation sanitizer's trace projection skips
-            # private processes, whose spawn count legitimately depends on
-            # same-timestamp execution order.
-            yield self.env.timeout(delay)
-            fn()
-
-        self.env.process(_deliver())
+        self.env.call_at(self.env.now_ticks + delay_to_ticks(delay), fn)
 
     def _next_seq(self, src: int, dst: int, context: str) -> int:
         key = (src, dst, context)
@@ -237,7 +233,7 @@ class Protocol:
             if overhead > 0:
                 yield self.env.timeout(overhead)
             ack_arrival = yield from rlink.transmit(RNDV_CONTROL_BYTES)
-            self._at(ack_arrival, lambda: ack.succeed())
+            self._at(ack_arrival, ack.succeed)
             sess = _obs.ACTIVE
             if sess is not None and sess.spans:
                 sess.complete(

@@ -115,7 +115,8 @@ class FabricLink(Link):
 
     def transmit(self, nbytes: int):
         grant = self._lock.request()
-        yield grant
+        if not grant.processed:
+            yield grant
         try:
             flow = self._fluid.start_flow(self._name, self._pipes, nbytes)
             yield flow.done
@@ -135,7 +136,8 @@ class LocalLink(Link):
 
     def transmit(self, nbytes: int):
         grant = self._lock.request()
-        yield grant
+        if not grant.processed:
+            yield grant
         try:
             yield self.env.timeout(LOCAL_LATENCY + nbytes * 8.0 / LOCAL_BANDWIDTH_BPS)
             return self.env.now

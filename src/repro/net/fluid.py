@@ -21,10 +21,20 @@ their other pipes, and so on) and exactly that component is re-solved —
 flows outside it share no constraint with the mutation and provably keep
 their rates.  The component solve itself maintains per-pipe active-flow
 counts incrementally, replacing the old per-iteration membership scans
-over every pipe's whole population.  Completion timers are re-armed only
-for flows whose rate materially changed (version tokens make stale timers
-inert), so an arrival or departure leaves the timers of unaffected flows
-untouched.
+over every pipe's whole population.  A component of zero or one live
+flow skips progressive filling altogether: a lone flow gets
+``min(rate cap, smallest pipe capacity)``, which is exactly what filling
+computes (``capacity / 1`` is exact).
+
+Completion timer
+----------------
+Each flow's exact completion tick is kept in a network-local heap of
+``(tick, arm order, flow)``; the network queues one engine callback
+(:meth:`~repro.sim.core.Environment.call_at`) at the heap minimum and,
+when it fires, finishes every flow due at that tick in arm order.  Only
+flows whose rate materially changed are re-armed; their older entries go
+stale (the flow's ``_arm`` no longer names them) and are dropped lazily,
+and the heap is rebuilt once stale entries outnumber live flows.
 
 The differential test in ``tests/test_net_fluid.py`` checks this solver
 against a whole-network progressive-filling oracle after every mutation
@@ -39,7 +49,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.errors import NetworkConfigError
 from repro.sim.core import Environment, Event
-from repro.units import Rate
+from repro.units import Rate, delay_to_ticks
 
 _EPS = 1e-12
 #: Residues below one bit are float noise from ``(t + eta) - t`` round-trips,
@@ -82,7 +92,7 @@ class Flow:
         "done",
         "on_rate_change",
         "_last_update",
-        "_version",
+        "_arm",
         "started_at",
     )
 
@@ -109,7 +119,8 @@ class Flow:
         #: TCP window driver sleeps across rounds and re-arms on it)
         self.on_rate_change: Optional[Callable[["Flow"], None]] = None
         self._last_update = 0.0
-        self._version = 0
+        #: arm order of the flow's live completion-heap entry (0: none)
+        self._arm = 0
         self.started_at = 0.0
 
     def finish_estimate(self) -> float:
@@ -260,6 +271,14 @@ class FluidNetwork:
         #: cached component plan, patched in place across membership
         #: changes and rebuilt only when a mutation falls outside it
         self._plan: Optional[_ComponentPlan] = None
+        #: completion heap of ``(tick, arm order, flow)``, stale entries
+        #: included (see the module docstring)
+        self._due: list[tuple[int, int, Flow]] = []
+        self._arm_order = 0
+        #: ticks at which a ``_on_timer`` callback is queued in the engine
+        self._timer_ticks: set[int] = set()
+        #: set while ``_on_timer`` finishes flows: it re-arms once at the end
+        self._firing = False
 
     # -- public API -------------------------------------------------------------
     def start_flow(
@@ -353,6 +372,7 @@ class FluidNetwork:
 
     def _detach(self, flow: Flow) -> None:
         self.flows.discard(flow)
+        flow._arm = 0
         for pipe in flow.pipes:
             pipe.flows.pop(flow, None)
         plan = self._plan
@@ -382,6 +402,7 @@ class FluidNetwork:
         elif plan.n_dead > 64 and plan.n_dead * 2 > len(plan.flows):
             plan.compact()
         self._solve_component(plan)
+        self._arm_timer()
 
     def _build_plan(self, dirty_pipes: Iterable[Pipe]) -> "Optional[_ComponentPlan]":
         """Close ``dirty_pipes`` transitively and index the component."""
@@ -425,26 +446,23 @@ class FluidNetwork:
         )
 
     def _solve_component(self, plan: "_ComponentPlan") -> None:
-        """Progressive filling over one closed component, in uid order.
+        """Re-solve one closed component and re-arm the flows whose rate
+        moved.
 
         Every flow sharing a pipe with the component is itself in it, so
-        pipe capacities need no adjustment for external traffic.  The solve
-        is event-driven: while a pipe's active count is stable its
-        predicted saturation level ``fill + remaining/count`` is invariant,
-        so a lazy heap of saturation predictions replaces the classic
-        per-increment scan over every pipe (entries are invalidated by
-        count changes and re-pushed).  All bookkeeping runs over the plan's
-        integer indices; freezes at a saturating pipe are batched so each
-        affected pipe gets one heap push per event, not one per flow.
+        pipe capacities need no adjustment for external traffic.  Zero or
+        one live flow takes the closed form (:meth:`_closed_form`), larger
+        components progressive filling (:meth:`_fill`).
         """
         self.solve_rounds += 1
         env_now = self.env.now
         flows = plan.flows
-        flow_pipes = plan.flow_pipes
-        members = plan.members
-        dead = plan.dead
-        n_flows = len(flows)
-        live = [fidx for fidx in range(n_flows) if not dead[fidx]]
+        rates = self._closed_form(plan) if len(plan.flow_index) < 2 else None
+        if rates is not None:
+            live = list(rates)
+        else:
+            dead = plan.dead
+            live = [fidx for fidx in range(len(flows)) if not dead[fidx]]
         for fidx in live:
             flow = flows[fidx]
             # Rates are about to be reassigned: account traffic sent at the
@@ -455,7 +473,74 @@ class FluidNetwork:
                 rb = flow.remaining_bits - flow.rate_bps * elapsed
                 flow.remaining_bits = rb if rb >= _RESIDUE_BITS else 0.0
                 flow._last_update = env_now
+        if rates is None:
+            rates = self._fill(plan, live)
 
+        for fidx in live:
+            flow = flows[fidx]
+            rate = rates[fidx]
+            # Re-arm only flows whose rate actually moved: a completion
+            # elsewhere in the network usually leaves most flows untouched,
+            # and their pending completion timers stay valid.  (The spelled
+            # out abs/max keep this hot loop free of function calls; the
+            # tolerance is abs(rate - old) <= _EPS * max(rate, old, 1.0).)
+            old = flow.rate_bps
+            if rate == old:
+                continue
+            hi = rate if rate > old else old
+            diff = rate - old if rate > old else old - rate
+            if diff <= _EPS * (hi if hi > 1.0 else 1.0):
+                continue
+            flow.rate_bps = rate
+            if flow.on_rate_change is not None:
+                flow.on_rate_change(flow)
+            if rate <= _EPS:
+                # Fully capped out or starved; cannot finish until the next
+                # recomputation changes its rate.
+                flow._arm = 0
+                continue
+            self._arm_completion(flow, flow.remaining_bits / rate)
+
+    def _closed_form(self, plan: "_ComponentPlan") -> "Optional[dict[int, float]]":
+        """Rates of a component with at most one live flow, ``{flow index:
+        rate}``; ``None`` when its route lists a pipe twice (that pipe then
+        splits between two slots, so :meth:`_fill` must solve it).
+
+        A lone flow fills every pipe on its route at once: its rate is
+        ``min(rate cap, smallest capacity)``, bit for bit what progressive
+        filling computes, since ``capacity / 1`` is exact and a cap equal to
+        the capacity yields the same value either way.
+        """
+        if not plan.flow_index:
+            return {}
+        ((flow, fidx),) = plan.flow_index.items()
+        live_count = plan.live_count
+        pipes = plan.pipes
+        rate = flow.rate_cap_bps
+        for q in plan.flow_pipes[fidx]:
+            if live_count[q] != 1:
+                return None
+            capacity = pipes[q].capacity_bps
+            if capacity < rate:
+                rate = capacity
+        return {fidx: rate}
+
+    def _fill(self, plan: "_ComponentPlan", live: "list[int]") -> "list[float]":
+        """Progressive filling over the component's ``live`` flow indices,
+        in uid order; returns the rates by flow index.
+
+        The solve is event-driven: while a pipe's active count is stable its
+        predicted saturation level ``fill + remaining/count`` is invariant,
+        so a lazy heap of saturation predictions replaces the classic
+        per-increment scan over every pipe (entries are invalidated by
+        count changes and re-pushed).  All bookkeeping runs over the plan's
+        integer indices; freezes at a saturating pipe are batched so each
+        affected pipe gets one heap push per event, not one per flow.
+        """
+        flows = plan.flows
+        flow_pipes = plan.flow_pipes
+        members = plan.members
+        n_flows = len(flows)
         # Per-pipe state: residual capacity as of fill level ``fillstamp``.
         remaining = [pipe.capacity_bps for pipe in plan.pipes]
         n_pipes = len(remaining)
@@ -483,7 +568,7 @@ class FluidNetwork:
         cap_idx = 0
         n_caps = len(capped)
         # Dead slots start out frozen so both event loops skip them.
-        frozen = bytearray(dead)
+        frozen = bytearray(plan.dead)
         rates = [0.0] * n_flows
         n_active = len(live)
         fill = 0.0
@@ -560,48 +645,54 @@ class FluidNetwork:
                     count[q] = c
                     if c > 0:
                         heappush(pipe_events, (fill + remaining[q] / c, q, c))
+        return rates
 
-        for fidx in live:
-            flow = flows[fidx]
-            rate = rates[fidx]
-            # Re-arm only flows whose rate actually moved: a completion
-            # elsewhere in the network usually leaves most flows untouched,
-            # and their pending completion timers stay valid.  (The spelled
-            # out abs/max keep this hot loop free of function calls; the
-            # tolerance is abs(rate - old) <= _EPS * max(rate, old, 1.0).)
-            old = flow.rate_bps
-            if rate == old:
-                continue
-            hi = rate if rate > old else old
-            diff = rate - old if rate > old else old - rate
-            if diff <= _EPS * (hi if hi > 1.0 else 1.0):
-                continue
-            flow.rate_bps = rate
-            flow._version += 1
-            if flow.on_rate_change is not None:
-                flow.on_rate_change(flow)
-            if rate <= _EPS:
-                # Fully capped out or starved; cannot finish until the next
-                # recomputation changes its rate.
-                continue
-            eta = flow.remaining_bits / rate
-            self._schedule_completion(flow, eta, flow._version)
+    def _arm_completion(self, flow: Flow, eta: float) -> None:
+        """Due ``flow`` to finish ``eta`` seconds from now, on the tick a
+        ``timeout(eta)`` would fire; supersedes its previous entry."""
+        self._arm_order += 1
+        order = flow._arm = self._arm_order
+        due = self._due
+        heapq.heappush(due, (self.env.now_ticks + delay_to_ticks(eta), order, flow))
+        if len(due) > 2 * len(self.flows) + 64:
+            # Stale entries outnumber live flows: drop them all at once so
+            # the heap stays proportional to the live population.
+            due[:] = [entry for entry in due if entry[2]._arm == entry[1]]
+            heapq.heapify(due)
 
-    def _schedule_completion(self, flow: Flow, eta: float, version: int) -> None:
-        def on_timer(_event: Event, flow: Flow = flow, version: int = version) -> None:
-            if version != flow._version or flow not in self.flows:
-                return  # superseded by a later recomputation
+    def _arm_timer(self) -> None:
+        """Queue the engine callback at the earliest live completion (once
+        per tick: a callback already queued there covers it)."""
+        if self._firing:
+            return
+        due = self._due
+        while due and due[0][2]._arm != due[0][1]:
+            heapq.heappop(due)
+        if due:
+            tick = due[0][0]
+            if tick not in self._timer_ticks:
+                self._timer_ticks.add(tick)
+                self.env.call_at(tick, self._on_timer)
+
+    def _on_timer(self) -> None:
+        """Finish every flow due now, in arm order, then re-arm once."""
+        now = self.env.now_ticks
+        self._timer_ticks.discard(now)
+        due = self._due
+        self._firing = True
+        while due and due[0][0] <= now:
+            _, arm, flow = heapq.heappop(due)
+            if arm != flow._arm:
+                continue  # superseded by a later solve, or already finished
             self._settle(flow)
             if flow.remaining_bits > 0.0:
-                # A rate change between scheduling and firing left real
-                # payload; reschedule the tail (never with a zero delay).
-                flow._version += 1
+                # A rate change between arming and firing left real
+                # payload; re-arm the tail (never with a zero delay).
                 eta = max(flow.remaining_bits / flow.rate_bps, _MIN_ETA)
-                self._schedule_completion(flow, eta, flow._version)
-                return
+                self._arm_completion(flow, eta)
+                continue
             self._detach(flow)
             flow.done.succeed(flow)
             self._recompute(flow.pipes)
-
-        timer = self.env.timeout(eta)
-        timer.callbacks.append(on_timer)
+        self._firing = False
+        self._arm_timer()

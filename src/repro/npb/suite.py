@@ -127,7 +127,8 @@ class NpbResult:
 _failure_memo: dict[tuple, KnownFailure] = {}
 
 
-def clear_failure_memo() -> None:
+def clear_memo() -> None:
+    """Sanitizer hook (see ``registry.clear_memos``): force cold probes."""
     _failure_memo.clear()
 
 

@@ -1,9 +1,11 @@
 """Content-addressed result cache under ``.repro-cache/``.
 
 Cache keys are ``blake2b(task id | fast flag | source digest | shard
-spec | salt)``.  The source digest is *dependency-aware*: when the task's
-root module is known (every registry experiment and every shard runner),
-only the module's import closure is digested
+spec | salt | runtime)``, the runtime being the interpreter's minor
+version and numpy's version (:func:`runtime_salt`).  The source digest
+is *dependency-aware*: when the task's root module is known (every
+registry experiment and every shard runner), only the module's import
+closure is digested
 (:class:`repro.analysis.imports.DependencyDigests`), so touching
 ``obs/report.py`` leaves every simulation shard warm while touching
 ``tcp/congestion.py`` — which every simulated byte flows through —
@@ -25,6 +27,7 @@ import hashlib
 import json
 import logging
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +61,18 @@ def source_digest(package_root: Optional[Path] = None) -> str:
         hasher.update(path.read_bytes())
         hasher.update(b"\0")
     return hasher.hexdigest()
+
+
+def runtime_salt() -> str:
+    """The interpreter minor version and the numpy version.
+
+    Results depend on both: numpy draws every RNG stream and verifies the
+    NPB kernels.  An entry stored under one runtime must miss under
+    another.
+    """
+    import numpy
+
+    return f"py={sys.version_info[0]}.{sys.version_info[1]}|numpy={numpy.__version__}"
 
 
 def spec_material(runner: str, params: dict[str, Any]) -> str:
@@ -95,7 +110,9 @@ class ResultCache:
     result down).  Without a pin, per-task digests come from ``deps``
     (built by default) via each task's ``module=`` root, falling back to
     the whole-tree :func:`source_digest`.  ``salt`` joins every key — the
-    CLI uses it to segregate faulted campaigns from clean ones.
+    CLI uses it to segregate faulted campaigns from clean ones — and so
+    does :func:`runtime_salt` unless the digest is pinned (a worker's pin
+    already carries its parent's).
 
     The instance counts its ``hits`` / ``misses`` / ``stores``;
     :meth:`write_stats` persists them to ``<root>/stats.json`` so
@@ -120,7 +137,9 @@ class ResultCache:
             # Pinned digest: closures off unless deps is passed explicitly.
             self.digest = digest
             self.deps = deps
+            self.runtime = ""
         else:
+            self.runtime = runtime_salt()
             # Computing the digest walks ~200 files once per cache instance;
             # the dependency graph parses them once more (ASTs, memoized).
             self.digest = source_digest()
@@ -142,6 +161,8 @@ class ResultCache:
             digest += f"|spec={spec}"
         if self.salt:
             digest += f"|{self.salt}"
+        if self.runtime:
+            digest += f"|{self.runtime}"
         return digest
 
     def key(

@@ -10,7 +10,7 @@ multi-second NAS phases) costs nothing.
 Public surface:
 
 - :class:`Environment` — event queue and clock; ``env.process(gen)``,
-  ``env.timeout(delay)``, ``env.run(until=...)``.
+  ``env.timeout(delay)``, ``env.call_at(tick, fn)``, ``env.run(until=...)``.
 - :class:`Process` — a running coroutine; also an event (its termination).
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :func:`any_of`,
   :class:`Interrupt`.

@@ -18,6 +18,11 @@ Design notes
 * Process resumptions are scheduled at priority :data:`URGENT` so that a
   process continues before same-time timeouts of other processes fire,
   matching the intuition that a coroutine runs until it blocks.
+* :meth:`Environment.call_at` schedules a plain callback: a heap entry
+  that runs ``fn()`` when popped, with no event, generator or process.
+  Deliveries and completion timers that nobody waits on use it, so a
+  message pays one queue entry for its arrival instead of a spawned
+  process (Initialize, Timeout and the process's own completion).
 * A failed event whose exception nobody consumed is re-raised by
   :meth:`Environment.step` — silent failures in rank programs would
   otherwise corrupt experiment results.
@@ -45,7 +50,7 @@ PENDING = object()  # sentinel: event value not yet decided
 #: globally (not per-Environment) so the determinism sanitizer can observe
 #: experiments that build their own Environments internally.  Empty in
 #: normal operation — ``step()`` pays one truthiness check.
-_TRACE_SINKS: list[Callable[[int, int, int, "Event"], None]] = []
+_TRACE_SINKS: list[Callable[[int, int, int, "Event | Call"], None]] = []
 
 #: Optional tie ranker: maps the monotonically increasing sequence number to
 #: the tie-breaking key actually pushed onto the heap.  ``None`` in normal
@@ -74,12 +79,12 @@ def tie_ranker(ranker: Optional[Callable[[int], int]]) -> Any:
         _TIE_RANKER = previous
 
 
-def install_trace_sink(sink: Callable[[int, int, int, "Event"], None]) -> None:
+def install_trace_sink(sink: Callable[[int, int, int, "Event | Call"], None]) -> None:
     """Register ``sink`` to observe every scheduled event as it is processed."""
     _TRACE_SINKS.append(sink)
 
 
-def remove_trace_sink(sink: Callable[[int, int, int, "Event"], None]) -> None:
+def remove_trace_sink(sink: Callable[[int, int, int, "Event | Call"], None]) -> None:
     """Unregister a sink previously installed (no-op if absent)."""
     try:
         _TRACE_SINKS.remove(sink)
@@ -324,6 +329,20 @@ class Process(Event):
             next_event.callbacks.append(self._resume)
 
 
+class Call:
+    """A callback queued by :meth:`Environment.call_at`.
+
+    Not an :class:`Event`: nothing can wait on it, and :meth:`Environment.step`
+    runs ``fn()`` instead of callbacks.  Trace sinks see it like any other
+    queue entry.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], Any]):
+        self.fn = fn
+
+
 class Environment:
     """Holds the clock and the event queue, and drives the simulation.
 
@@ -336,7 +355,7 @@ class Environment:
     def __init__(self, initial_time: float = 0.0):
         self._now = round(float(initial_time) * TICKS_PER_SECOND)
         self._now_s = self._now / TICKS_PER_SECOND
-        self._queue: list[tuple[int, int, int, Event]] = []
+        self._queue: list[tuple[int, int, int, "Event | Call"]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
 
@@ -380,6 +399,23 @@ class Environment:
         seq = self._seq if _TIE_RANKER is None else _TIE_RANKER(self._seq)
         heapq.heappush(self._queue, (tick, NORMAL, seq, event))
         return event
+
+    def call_at(self, tick: int, fn: Callable[[], Any]) -> None:
+        """Run ``fn()`` at the absolute engine tick ``tick``.
+
+        Ordered like a :class:`Timeout` firing at that tick (``NORMAL``
+        priority, then sequence number or the installed tie ranker), but
+        without an event: an exception raised by ``fn`` propagates out of
+        :meth:`step`.
+        """
+        if tick < self._now:
+            raise SimulationError(
+                f"cannot call {fn!r} at tick {tick} (now={self._now}); "
+                "events cannot fire in the past"
+            )
+        self._seq += 1
+        seq = self._seq if _TIE_RANKER is None else _TIE_RANKER(self._seq)
+        heapq.heappush(self._queue, (tick, NORMAL, seq, Call(fn)))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Register ``generator`` as a new process starting now."""
@@ -428,6 +464,9 @@ class Environment:
             # Sparse queue-depth sampling; records only, never schedules,
             # so telemetry cannot perturb the event stream it observes.
             sess.sim_step(self._now_s, len(self._queue))
+        if type(event) is Call:
+            event.fn()
+            return
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} processed twice")

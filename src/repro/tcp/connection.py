@@ -533,7 +533,8 @@ class _Direction:
             raise TcpError(f"cannot transmit {nbytes} bytes")
         t_post = self.env.now
         grant = self._lock.request()
-        yield grant
+        if not grant.processed:
+            yield grant
         try:
             env = self.env
             sess = _obs.ACTIVE

@@ -170,3 +170,30 @@ class TestMemoClearing:
         report = perturb(seeded_experiment, seeds=(1,))
         assert report.passed
         assert table6._cache == {}
+
+    def test_clear_memos_empties_the_npb_memos(self):
+        from repro.experiments import npb_runs
+        from repro.experiments.registry import clear_memos
+        from repro.npb import suite
+
+        npb_runs._cache[("sentinel",)] = 1.0
+        suite._failure_memo[("sentinel",)] = object()
+        clear_memos()
+        assert npb_runs._cache == {} and suite._failure_memo == {}
+
+    def test_perturbed_npb_runs_replay_their_simulation(self):
+        """Each perturbed run folds as many public events as the baseline:
+        a memo hit (a timed run, or a known-failure probe) would fold none."""
+        from repro.analysis.perturb import perturb
+        from repro.experiments.npb_runs import npb_time
+
+        def npb_pair(fast=True):
+            return repr([
+                npb_time("cg", "mpich2", "grid4", cls="S"),
+                npb_time("bt", "madeleine", "cluster4", cls="S"),
+            ])
+
+        report = perturb(npb_pair, seeds=(1, 2))
+        assert report.baseline_events > 0
+        assert [run.events for run in report.runs] == [report.baseline_events] * 2
+        assert report.passed

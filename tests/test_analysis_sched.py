@@ -60,6 +60,23 @@ class TestZeroDelayChains:
             """
         ) == []
 
+    def test_callbacks_at_the_current_tick_flagged(self):
+        assert rules_of(
+            """
+            def f(env, fn):
+                env.call_at(env.now_ticks, lambda: env.call_at(env.now_ticks, fn))
+            """
+        ) == ["SCHED001"]
+
+    def test_callbacks_at_a_later_tick_not_flagged(self):
+        assert rules_of(
+            """
+            def f(env, fn, ticks):
+                env.call_at(env.now_ticks + ticks, fn)
+                env.call_at(env.now_ticks + ticks, fn)
+            """
+        ) == []
+
     def test_engine_internal_schedule_exempt(self):
         # _schedule's signature carries the priority explicitly
         assert rules_of(

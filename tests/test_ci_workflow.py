@@ -142,10 +142,14 @@ def test_experiments_job_runs_the_perturbation_smoke(workflow):
     # CI slice of the full-scale run)...
     assert "repro sanitize" in commands and "--perturb" in commands
     assert "fig7" in commands and "faults_pingpong" in commands
-    # the slow-start/BIC figures, byte-exact like fig7
-    for figure in ("fig9", "fig6", "fig3"):
-        assert f"repro sanitize {figure} --perturb --seeds 3 --write-result" in commands
-    assert "for id in fig7 faults_pingpong fig9 fig6 fig3" in commands
+    # the slow-start/BIC figures and the NPB per-message path, byte-exact
+    # like fig7 (no --result-only: the schedule projection gates too)
+    for figure in ("fig9", "fig6", "fig3", "fig10"):
+        assert (
+            f"repro sanitize {figure} --perturb --seeds 3 --write-result /tmp/perturb/{figure}.txt"
+            in commands
+        )
+    assert "for id in fig7 faults_pingpong fig9 fig6 fig3 fig10" in commands
     assert "repro sanitize table6 --perturb" in commands
     # table6 gates on result byte-identity only: its merge-phase timing
     # tail legitimately depends on same-timestamp matching order

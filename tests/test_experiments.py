@@ -13,7 +13,7 @@ from repro.experiments.environments import (
     grid_placement,
     pingpong_pair,
 )
-from repro.experiments.npb_runs import clear_cache, npb_time
+from repro.experiments.npb_runs import clear_memo, npb_time
 from repro.units import MB
 
 
@@ -145,7 +145,7 @@ def test_fig9_fast():
 # --- NPB figures (class A fast mode, shared cache) -----------------------------------------
 @pytest.fixture(scope="module")
 def npb_results():
-    clear_cache()
+    clear_memo()
     fig10 = run_experiment("fig10", fast=True)
     fig12 = run_experiment("fig12", fast=True)
     fig13 = run_experiment("fig13", fast=True)

@@ -221,13 +221,14 @@ CORPUS: tuple[Bug, ...] = (
     Bug(
         "SIM003",
         "mpi/protocol.py",
-        """            yield self.env.timeout(delay)
-            fn()""",
-        """            yield self.env.timeout(delay)
+        "        self.env.call_at(self.env.now_ticks + delay_to_ticks(delay), fn)",
+        """        def guarded():
             try:
                 fn()
             except:  # noqa: E722
-                pass""",
+                pass
+
+        self.env.call_at(self.env.now_ticks + delay_to_ticks(delay), guarded)""",
         "fig7",
         ("SIM003",),
         "delivery callbacks wrapped in a bare `except: pass` that hides their errors",
@@ -309,12 +310,12 @@ CORPUS: tuple[Bug, ...] = (
     Bug(
         "SCHED001",
         "mpi/protocol.py",
-        """            yield self.env.timeout(delay)
-            fn()""",
-        """            yield self.env.timeout(delay)
-            yield self.env.timeout(0)
-            yield self.env.timeout(0)
-            fn()""",
+        "        self.env.call_at(self.env.now_ticks + delay_to_ticks(delay), fn)",
+        """        env = self.env
+        env.call_at(
+            env.now_ticks + delay_to_ticks(delay),
+            lambda: env.call_at(env.now_ticks, lambda: env.call_at(env.now_ticks, fn)),
+        )""",
         "fig7",
         ("SCHED001",),
         "deliveries deferred by two zero-delay hops so same-instant receives post first",

@@ -275,23 +275,44 @@ def _check_against_oracle(network, pipes, when):
         ), f"rate of flow {flow.uid} diverges from the oracle {when}"
 
 
-def _drive_workload(seed):
+def _drive_workload(seed, sparse=False):
     """Run a randomized flow history, checking every rate against the
     oracle after every operation and every completion; returns the
-    number of checks."""
+    number of checks.
+
+    ``sparse`` spreads short routes over many pipes, so most components
+    hold zero or one live flow (the closed-form solve); caps then often
+    equal a route pipe's capacity exactly, and some routes list a pipe
+    twice."""
     env = Environment()
     network = FluidNetwork(env)
     rng = random.Random(seed)
+    capacities = [1e8, 2.5e8, 9.37e8, 1e9, 1e10]
     pipes = [
-        Pipe(f"p{i}", rng.choice([1e8, 2.5e8, 9.37e8, 1e9, 1e10]))
-        for i in range(rng.randint(3, 7))
+        Pipe(f"p{i}", rng.choice(capacities))
+        for i in range(rng.randint(10, 14) if sparse else rng.randint(3, 7))
     ]
     started = []
     checks = []
 
     def check(when):
         _check_against_oracle(network, pipes, when)
+        # stale completion entries never outgrow the live population
+        assert len(network._due) <= 2 * len(network.flows) + 65
         checks.append(when)
+
+    def pick_route():
+        if not sparse:
+            return rng.sample(pipes, rng.randint(1, min(3, len(pipes))))
+        route = rng.sample(pipes, rng.randint(1, 2))
+        if rng.random() < 0.15:
+            route.append(route[0])  # the route crosses one pipe twice
+        return route
+
+    def pick_cap(route):
+        if sparse and rng.random() < 0.4:
+            return rng.choice(route).capacity_bps  # cap == capacity tie
+        return math.inf if rng.random() < 0.3 else rng.uniform(1e6, 2e9)
 
     def script():
         counter = 0
@@ -301,8 +322,8 @@ def _drive_workload(seed):
             live = [f for f in started if f in network.flows]
             if dice < 0.5 or not live:
                 counter += 1
-                route = rng.sample(pipes, rng.randint(1, min(3, len(pipes))))
-                cap = math.inf if rng.random() < 0.3 else rng.uniform(1e6, 2e9)
+                route = pick_route()
+                cap = pick_cap(route)
                 nbytes = rng.uniform(1e3, 2e7)
                 flow = network.start_flow(
                     f"w{counter}", route, nbytes, rate_cap_bps=cap
@@ -313,12 +334,10 @@ def _drive_workload(seed):
                 started.append(flow)
             elif dice < 0.75:
                 flow = live[rng.randrange(len(live))]
-                network.set_rate_cap(flow, rng.uniform(1e6, 2e9))
+                network.set_rate_cap(flow, pick_cap(flow.pipes))
             elif dice < 0.9:
                 pipe = pipes[rng.randrange(len(pipes))]
-                network.set_pipe_capacity(
-                    pipe, rng.choice([1e8, 2.5e8, 9.37e8, 1e9, 1e10])
-                )
+                network.set_pipe_capacity(pipe, rng.choice(capacities))
             else:
                 flow = live[rng.randrange(len(live))]
                 flow.done._defused = True  # the abort is the point
@@ -337,6 +356,70 @@ def _drive_workload(seed):
 def test_incremental_allocator_matches_legacy_oracle(seed):
     # 60 operations, plus one check per flow that finished or aborted
     assert _drive_workload(seed) > 60
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_small_components_match_legacy_oracle(seed):
+    assert _drive_workload(seed, sparse=True) > 60
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_closed_form_is_bit_identical_to_progressive_filling(seed):
+    """A lone flow's closed-form rate equals what filling computes, to
+    the bit, including a cap equal to the smallest capacity."""
+    rng = random.Random(seed)
+    env = Environment()
+    net = FluidNetwork(env)
+    route = [
+        Pipe(f"p{i}", rng.choice([1e8, 9.37e8, 1e9, 2.5e10 / 3]))
+        for i in range(rng.randint(1, 4))
+    ]
+    narrowest = min(p.capacity_bps for p in route)
+    cap = rng.choice([math.inf, narrowest, rng.uniform(1e7, 2e10)])
+    flow = net.start_flow("f", route, MB, rate_cap_bps=cap)
+    plan = net._plan
+    live = [plan.flow_index[flow]]
+    assert net._closed_form(plan) == {live[0]: flow.rate_bps}
+    assert net._fill(plan, live)[live[0]] == flow.rate_bps
+    assert flow.rate_bps == min(cap, narrowest)
+
+
+def test_route_listing_a_pipe_twice_takes_the_full_solve(env, net):
+    pipe = Pipe("p", Gbps(1))
+    flow = net.start_flow("f", [pipe, Pipe("q", Gbps(10)), pipe], MB)
+    assert net._closed_form(net._plan) is None
+    assert flow.rate_bps == Gbps(1) / 2  # two slots on one pipe
+
+
+def test_completion_pops_bounded_by_recomputations_plus_flows():
+    """One engine callback per network: rate churn on many flows must not
+    cost one queue entry per re-armed completion."""
+    from repro.sim.core import Call, install_trace_sink, remove_trace_sink
+
+    env = Environment()
+    net = FluidNetwork(env)
+    rng = random.Random(7)
+    pipes = [Pipe(f"p{i}", rng.choice([1e8, 1e9])) for i in range(4)]
+    timer_pops = []
+
+    def sink(tick, priority, seq, entry):
+        if type(entry) is Call and entry.fn == net._on_timer:
+            timer_pops.append(tick)
+
+    def arrivals():
+        for i in range(120):
+            yield env.timeout(rng.uniform(1e-5, 2e-3))
+            route = rng.sample(pipes, rng.randint(1, 3))
+            net.start_flow(f"f{i}", route, rng.uniform(1e4, 5e6))
+
+    env.process(arrivals())
+    install_trace_sink(sink)
+    try:
+        env.run()
+    finally:
+        remove_trace_sink(sink)
+    assert not net.flows
+    assert 0 < len(timer_pops) <= net.recomputations + 120
 
 
 def test_incremental_reuses_component_plan(env, net):

@@ -10,7 +10,7 @@ from repro.mpi import MpiJob
 from repro.mpi.constants import COLLECTIVE_CONTEXT, POINT_TO_POINT_CONTEXT
 from repro.net import build_pair_testbed
 from repro.npb import BENCHMARK_NAMES, COMM_TYPE, run_npb, run_suite, validate_config
-from repro.npb.suite import clear_failure_memo
+from repro.npb.suite import clear_memo
 from repro.npb.common import (
     DEFAULT_SAMPLE_ITERS,
     FLOP_COUNTS,
@@ -223,7 +223,7 @@ def test_known_failure_records_the_hang_point():
     result carries a KnownFailure locating the collective the documented
     hang cannot get past (BT/SP's only collective: the final residual
     allreduce)."""
-    clear_failure_memo()
+    clear_memo()
     net, placement = grid_8_8()
     impl = get_implementation("madeleine")
     for name in ("bt", "sp"):
@@ -241,7 +241,7 @@ def test_known_failure_records_the_hang_point():
 
 
 def test_known_failure_probe_is_memoized():
-    clear_failure_memo()
+    clear_memo()
     net, placement = grid_8_8()
     impl = get_implementation("madeleine")
     first = run_npb("bt", "B", net, impl, placement, sysctls=TUNED_SYSCTLS)

@@ -724,6 +724,23 @@ def test_salt_segregates_entries(tmp_path, tiny):
     assert not faulted.runs[0].cached  # the clean entry must not replay
 
 
+@pytest.mark.parametrize("change", ["python", "numpy"])
+def test_runtime_change_misses(tmp_path, monkeypatch, change):
+    import numpy
+
+    cache = ResultCache(root=tmp_path)
+    cache.store("experiment/tiny", True, {"ok": True})
+    assert ResultCache(root=tmp_path).load("experiment/tiny", True) == {"ok": True}
+    if change == "python":
+        major, minor = sys.version_info[:2]
+        monkeypatch.setattr(sys, "version_info", (major, minor + 1, 0, "final", 0))
+    else:
+        monkeypatch.setattr(numpy, "__version__", numpy.__version__ + ".post1")
+    other = ResultCache(root=tmp_path)
+    monkeypatch.undo()
+    assert other.load("experiment/tiny", True) is None
+
+
 # --- dependency-aware invalidation (end to end through the campaign runner) --------
 def _deps_with_touch(module=None):
     from repro.analysis.imports import DependencyDigests, ImportGraph

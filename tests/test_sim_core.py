@@ -466,3 +466,71 @@ def test_timeout_at_fires_on_its_exact_tick():
     assert fired == [(tick, "round")]
     with pytest.raises(SimulationError):
         env.timeout_at(tick - 1)
+
+
+# --- call_at: callbacks without events or processes --------------------------------
+def test_call_at_runs_on_its_tick_and_rejects_the_past():
+    env = Environment()
+    fired = []
+    env.call_at(1_500, lambda: fired.append(env.now_ticks))
+    env.run()
+    assert fired == [1_500]
+    with pytest.raises(SimulationError):
+        env.call_at(1_499, lambda: None)
+
+
+def test_call_at_same_tick_is_fifo_and_ordered_like_timeouts():
+    env = Environment()
+    order = []
+    env.call_at(10, lambda: order.append("a"))
+    env.timeout_at(10).callbacks.append(lambda _ev: order.append("b"))
+    env.call_at(10, lambda: order.append("c"))
+    env.call_at(9, lambda: order.append("early"))
+    env.run()
+    assert order == ["early", "a", "b", "c"]
+
+
+def test_tie_ranker_permutes_same_tick_calls():
+    from repro.sim.core import tie_ranker
+
+    def run(ranker):
+        with tie_ranker(ranker):
+            env = Environment()
+            order = []
+            for name in "abcd":
+                env.call_at(5, lambda name=name: order.append(name))
+            env.run()
+        return order
+
+    assert run(None) == list("abcd")
+    assert run(lambda seq: -seq) == list("dcba")
+
+
+def test_trace_sinks_see_calls():
+    from repro.sim.core import Call, install_trace_sink, remove_trace_sink
+
+    seen = []
+
+    def sink(tick, priority, seq, entry):
+        seen.append((tick, type(entry)))
+
+    env = Environment()
+    env.call_at(7, lambda: None)
+    install_trace_sink(sink)
+    try:
+        env.run()
+    finally:
+        remove_trace_sink(sink)
+    assert seen == [(7, Call)]
+
+
+def test_call_at_exception_propagates_out_of_step():
+    env = Environment()
+
+    def boom():
+        raise RuntimeError("delivery failed")
+
+    env.call_at(3, boom)
+    with pytest.raises(RuntimeError, match="delivery failed"):
+        env.step()
+    assert env.now_ticks == 3

@@ -286,6 +286,48 @@ def test_resource_capacity_two():
     assert trace == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
 
 
+def test_uncontended_request_is_granted_without_an_event():
+    from repro.sim.core import install_trace_sink, remove_trace_sink
+
+    env = Environment()
+    res = Resource(env, capacity=1)
+    popped = []
+
+    def sink(tick, priority, seq, entry):
+        popped.append(entry)
+
+    install_trace_sink(sink)
+    try:
+        req = res.request()
+        assert req.processed and req.ok and req.value is req
+        assert res.count == 1
+        env.run()
+    finally:
+        remove_trace_sink(sink)
+    assert popped == []  # the grant spent no queue entry
+    res.release(req)
+    assert res.count == 0
+
+
+def test_requests_queue_fifo_behind_waiters():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    first = res.request()
+    waiting = [res.request(), res.request()]
+    assert not any(req.triggered for req in waiting)
+    res.release(first)
+    assert waiting[0].triggered and not waiting[1].triggered
+    # a unit is held (by the granted waiter), so a new request queues last
+    late = res.request()
+    assert not late.triggered
+    res.release(waiting[0])
+    assert waiting[1].triggered and not late.triggered
+    res.release(waiting[1])
+    assert late.triggered
+    env.run()
+    assert late.processed
+
+
 def test_resource_double_release_rejected():
     env = Environment()
     res = Resource(env)

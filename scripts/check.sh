@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local CI gate: ruff + mypy (when installed) + repro lint + pytest.
+# Full local CI gate: ruff + mypy (when installed) + repro lint + pytest
+# (tests/ and the benchmark harness's bench/tests).
 #
 # Locally, ruff and mypy are optional dev tools — the container image does
 # not bake them in, and the repo must not pip-install at check time — so
@@ -66,5 +67,7 @@ fi
 
 run_step "repro lint" python -m repro lint
 run_step "pytest" python -m pytest -x -q
+# The benchmark harness keeps its own tests; `testpaths` does not reach them.
+run_step "pytest bench/tests" python -m pytest bench/tests -q
 
 exit $status

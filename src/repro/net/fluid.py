@@ -14,17 +14,17 @@ Incremental allocation
 ----------------------
 The max-min allocation decomposes over connected components of the
 shares-a-pipe relation, so it can be repaired locally instead of recomputed
-globally.  Every mutation (flow arrival, completion, abort, rate cap
-change, pipe capacity change) seeds a *dirty-pipe worklist*; the worklist
-is closed transitively (a dirtied pipe pulls in its flows, those flows
-their other pipes, and so on) and exactly that component is re-solved —
-flows outside it share no constraint with the mutation and provably keep
-their rates.  The component solve itself maintains per-pipe active-flow
-counts incrementally, replacing the old per-iteration membership scans
-over every pipe's whole population.  A component of zero or one live
-flow skips progressive filling altogether: a lone flow gets
-``min(rate cap, smallest pipe capacity)``, which is exactly what filling
-computes (``capacity / 1`` is exact).
+globally.  Each pipe that carries live flows maps to the plan of exactly
+their component.  An arriving flow extends the one plan its route touches,
+or builds a new plan (no plan touched) or a merged one (several); a
+departing flow is dropped from its plan, which splits when the flow was
+the only link between what is left.  Every mutation re-solves only the
+component(s) it touched: flows outside share no constraint with it and
+provably keep their rates.  A flow's bytes are settled only when its rate
+changes, so a solve writes nothing to the flows it leaves alone.  A
+component of one live flow skips progressive filling altogether: the flow
+gets ``min(rate cap, smallest pipe capacity)``, which is exactly what
+filling computes (``capacity / 1`` is exact).
 
 Completion timer
 ----------------
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from repro.errors import NetworkConfigError
@@ -111,6 +112,8 @@ class Flow:
         #: run-to-run — see DET006 in repro.analysis)
         self.uid = uid
         self.pipes = pipes
+        #: bits still to send as of ``_last_update`` (settled only when the
+        #: rate changes, and at completion or abort)
         self.remaining_bits = float(nbytes) * 8.0
         self.rate_cap_bps = float(rate_cap_bps)
         self.rate_bps = 0.0
@@ -138,15 +141,16 @@ class Flow:
 
 
 class _ComponentPlan:
-    """Indexed view of one shares-a-pipe component, cached between solves.
+    """Indexed view of one connected component of live flows.
 
     Rate caps and capacities may change freely between solves (the solve
-    re-reads them); membership changes are patched in place — an arriving
-    flow whose route stays inside the component is appended (its uid is
-    the largest yet, so ``flows`` stays uid sorted), a departing flow is
-    dead-marked and skipped, and only an arrival that would *merge* two
-    components marks the plan stale.  ``flows`` is uid sorted, ``pipes``
-    in first-touch order over that flow order — both deterministic.
+    re-reads them).  An arriving flow whose route touches only this
+    component is appended in place (its uid is the largest yet, so
+    ``flows`` stays uid sorted); a departing flow is dead-marked and
+    skipped.  A merge or a split builds new plans instead.  ``flows`` is
+    uid sorted, ``pipes`` in first-touch order over that flow order —
+    both deterministic.  ``pipes`` may keep pipes that no longer carry a
+    live flow; their live count is 0.
     """
 
     __slots__ = (
@@ -159,54 +163,33 @@ class _ComponentPlan:
         "live_count",
         "dead",
         "n_dead",
-        "stale",
     )
 
-    def __init__(
-        self,
-        flows: "list[Flow]",
-        pipes: "list[Pipe]",
-        pipe_index: "dict[Pipe, int]",
-        flow_pipes: "list[list[int]]",
-        members: "list[list[int]]",
-    ):
-        self.flows = flows
-        self.pipes = pipes
-        #: pipe -> index into ``pipes`` (also the component's pipe set)
-        self.pipe_index = pipe_index
-        #: flow -> index into ``flows``, live flows only
-        self.flow_index = {flow: fidx for fidx, flow in enumerate(flows)}
+    def __init__(self, scope: Iterable[Flow]):
+        self.flows: list[Flow] = []
+        self.pipes: list[Pipe] = []
+        #: pipe -> index into ``pipes``
+        self.pipe_index: dict[Pipe, int] = {}
+        #: flow -> index into ``flows``, live flows only, in uid order
+        self.flow_index: dict[Flow, int] = {}
         #: per flow index, the pipe indices on its route
-        self.flow_pipes = flow_pipes
+        self.flow_pipes: list[list[int]] = []
         #: per pipe index, the flow indices crossing it (may include dead)
-        self.members = members
+        self.members: list[list[int]] = []
         #: per pipe index, the number of *live* flows crossing it; patched
         #: on every extend/drop so each solve starts from a plain copy
-        self.live_count = [len(m) for m in members]
-        self.dead = bytearray(len(flows))
+        self.live_count: list[int] = []
+        self.dead = bytearray()
         self.n_dead = 0
-        self.stale = False
+        flows = sorted(scope, key=lambda f: f.uid)
+        for flow in flows:
+            self.extend(flow)
 
-    def try_extend(self, flow: Flow) -> None:
-        """Patch ``flow`` into the component if its route allows it.
-
-        A route entirely outside the component leaves the plan untouched
-        (the flow lives in another component).  A route pipe that is
-        outside the component but already carries other flows would merge
-        two components — that is the one structural change we cannot
-        patch, so the plan goes stale.  Otherwise the flow (and any brand
-        new pipes it brings) is appended in place.
-        """
-        pipe_index = self.pipe_index
-        inside = 0
-        for pipe in flow.pipes:
-            if pipe in pipe_index:
-                inside += 1
-            elif len(pipe.flows) > 1:
-                self.stale = True
-                return
-        if inside == 0:
-            return
+    def extend(self, flow: Flow) -> None:
+        """Append ``flow`` (and any pipe new to the plan) in place."""
+        pipe_index, pipes, members, live_count = (
+            self.pipe_index, self.pipes, self.members, self.live_count
+        )
         fidx = len(self.flows)
         self.flows.append(flow)
         self.dead.append(0)
@@ -215,23 +198,23 @@ class _ComponentPlan:
         for pipe in flow.pipes:
             pidx = pipe_index.get(pipe)
             if pidx is None:
-                pidx = pipe_index[pipe] = len(self.pipes)
-                self.pipes.append(pipe)
-                self.members.append([])
-                self.live_count.append(0)
+                pidx = pipe_index[pipe] = len(pipes)
+                pipes.append(pipe)
+                members.append([fidx])
+                live_count.append(1)
+            else:
+                members[pidx].append(fidx)
+                live_count[pidx] += 1
             indices.append(pidx)
-            self.members[pidx].append(fidx)
-            self.live_count[pidx] += 1
         self.flow_pipes.append(indices)
 
     def drop(self, flow: Flow) -> None:
-        """Dead-mark a departing flow (no-op if it is another component's)."""
-        fidx = self.flow_index.pop(flow, None)
-        if fidx is not None:
-            self.dead[fidx] = 1
-            self.n_dead += 1
-            for pidx in self.flow_pipes[fidx]:
-                self.live_count[pidx] -= 1
+        """Dead-mark a departing flow."""
+        fidx = self.flow_index.pop(flow)
+        self.dead[fidx] = 1
+        self.n_dead += 1
+        for pidx in self.flow_pipes[fidx]:
+            self.live_count[pidx] -= 1
 
     def compact(self) -> None:
         """Rebuild the index arrays without the dead slots.
@@ -263,14 +246,15 @@ class FluidNetwork:
     def __init__(self, env: Environment):
         self.env = env
         self.flows: set[Flow] = set()
-        #: number of rate recomputations, exposed for performance tests
+        #: number of mutations that may move a rate (starts, cap and
+        #: capacity changes, completions, aborts), exposed for performance
+        #: tests
         self.recomputations = 0
         #: number of component solves actually run across all recomputations
         self.solve_rounds = 0
         self._flow_counter = 0
-        #: cached component plan, patched in place across membership
-        #: changes and rebuilt only when a mutation falls outside it
-        self._plan: Optional[_ComponentPlan] = None
+        #: each pipe carrying live flows -> the plan of their component
+        self._plans: dict[Pipe, _ComponentPlan] = {}
         #: completion heap of ``(tick, arm order, flow)``, stale entries
         #: included (see the module docstring)
         self._due: list[tuple[int, int, Flow]] = []
@@ -311,12 +295,25 @@ class FluidNetwork:
             flow.done.succeed(flow)
             return flow
         self.flows.add(flow)
+        plans = self._plans
+        joined: list[_ComponentPlan] = []
         for pipe in route:
             pipe.flows[flow] = None
-        plan = self._plan
-        if plan is not None and not plan.stale:
-            plan.try_extend(flow)
-        self._recompute(route)
+            plan = plans.get(pipe)
+            if plan is not None and plan not in joined:
+                joined.append(plan)
+        if len(joined) == 1:
+            plan = joined[0]
+            plan.extend(flow)
+            covered: Iterable[Pipe] = route
+        else:
+            # A new component, or the flow bridges several into one.
+            plan = _ComponentPlan([flow, *(f for p in joined for f in p.flow_index)])
+            covered = plan.pipe_index
+        for pipe in covered:
+            plans[pipe] = plan
+        self.recomputations += 1
+        self._solve([plan])
         return flow
 
     def set_rate_cap(self, flow: Flow, rate_cap_bps: float) -> None:
@@ -337,7 +334,8 @@ class FluidNetwork:
         was_cap_limited = rate >= old_cap * (1.0 - 1e-9)
         if not was_cap_limited and rate_cap_bps >= rate - _EPS:
             return
-        self._recompute(flow.pipes)
+        self.recomputations += 1
+        self._solve([self._plans[flow.pipes[0]]])
 
     def set_pipe_capacity(self, pipe: Pipe, capacity_bps: "Rate | float") -> None:
         """Change a pipe's capacity mid-simulation (fault injection: link
@@ -349,16 +347,18 @@ class FluidNetwork:
         if abs(float(capacity_bps) - pipe.capacity_bps) < _EPS:
             return
         pipe.capacity_bps = float(capacity_bps)
-        self._recompute((pipe,))
+        self.recomputations += 1
+        plan = self._plans.get(pipe)
+        if plan is not None:
+            self._solve([plan])
 
     def abort_flow(self, flow: Flow, exc: BaseException) -> None:
         """Fail a flow's completion event and release its capacity."""
         if flow not in self.flows:
             return
         self._settle(flow)
-        self._detach(flow)
         flow.done.fail(exc)
-        self._recompute(flow.pipes)
+        self._depart(flow)
 
     # -- internals ------------------------------------------------------------------
     def _settle(self, flow: Flow) -> None:
@@ -370,120 +370,95 @@ class FluidNetwork:
                 flow.remaining_bits = 0.0
         flow._last_update = self.env.now
 
-    def _detach(self, flow: Flow) -> None:
-        self.flows.discard(flow)
-        flow._arm = 0
-        for pipe in flow.pipes:
-            pipe.flows.pop(flow, None)
-        plan = self._plan
-        if plan is not None and not plan.stale:
-            plan.drop(flow)
+    def _depart(self, flow: Flow) -> None:
+        """Remove a finished or aborted flow and re-solve what it leaves.
 
-    def _recompute(self, dirty_pipes: Iterable[Pipe]) -> None:
-        """Repair the allocation after a mutation touching ``dirty_pipes``.
-
-        The re-solved scope is the transitive closure of the dirtied pipes
-        over the shares-a-pipe relation: a flow outside the closure shares
-        no constraint (directly or through intermediaries) with any flow
-        inside it, so its max-min rate provably cannot change.  Solving the
-        closed component from scratch therefore reproduces the global
-        allocation exactly — no fixpoint iteration, and completion timers
-        are re-armed at most once per mutation.
+        Pipes left without a live flow leave the map.  The flows still on
+        its other pipes ("anchors") stay one component unless the flow was
+        their only link: with two or more anchors, a walk from the first
+        checks that it reaches the rest, and the plan splits if not.
         """
         self.recomputations += 1
-        plan = self._plan
-        if plan is None or plan.stale or not all(
-            pipe in plan.pipe_index for pipe in dirty_pipes
-        ):
-            plan = self._build_plan(dirty_pipes)
-            if plan is None:
-                return
-            self._plan = plan
-        elif plan.n_dead > 64 and plan.n_dead * 2 > len(plan.flows):
-            plan.compact()
-        self._solve_component(plan)
-        self._arm_timer()
+        self.flows.discard(flow)
+        flow._arm = 0
+        plans = self._plans
+        plan = plans[flow.pipes[0]]
+        plan.drop(flow)
+        anchors: list[Pipe] = []
+        for pipe in flow.pipes:
+            pipe.flows.pop(flow, None)
+            if not pipe.flows:
+                plans.pop(pipe, None)
+            elif pipe not in anchors:
+                anchors.append(pipe)
+        if len(anchors) > 1:
+            self._solve(self._split(plan, anchors))
+        elif anchors:
+            self._solve([plan])
+        else:
+            self._arm_timer()  # the flow was alone: nothing left to solve
 
-    def _build_plan(self, dirty_pipes: Iterable[Pipe]) -> "Optional[_ComponentPlan]":
-        """Close ``dirty_pipes`` transitively and index the component."""
+    def _split(self, plan: _ComponentPlan, anchors: "list[Pipe]") -> "list[_ComponentPlan]":
+        """``[plan]`` if its live flows still connect every anchor, else
+        the new plans of its components (each holds an anchor: whatever
+        the departed flow linked was linked through one of its pipes)."""
+        seen = {anchors[0]}
+        stack = [anchors[0]]
+        unreached = len(anchors) - 1
+        scopes: list[dict[Flow, None]] = []
         scope: dict[Flow, None] = {}
-        seen: set[Pipe] = set(dirty_pipes)
-        worklist: list[Pipe] = list(seen)
-        while worklist:
-            pipe = worklist.pop()
-            for flow in pipe.flows:
-                if flow not in scope:
+        while True:
+            while stack:
+                for flow in stack.pop().flows:
+                    if flow in scope:
+                        continue
                     scope[flow] = None
                     for other in flow.pipes:
-                        if other not in seen:
-                            seen.add(other)
-                            worklist.append(other)
-        if not scope:
-            return None
-        flows = sorted(scope, key=lambda f: f.uid)
-        pipe_index: dict[Pipe, int] = {}
-        pipes: list[Pipe] = []
-        flow_pipes: list[list[int]] = []
-        for flow in flows:
-            indices = []
-            for pipe in flow.pipes:
-                idx = pipe_index.get(pipe)
-                if idx is None:
-                    idx = pipe_index[pipe] = len(pipes)
-                    pipes.append(pipe)
-                indices.append(idx)
-            flow_pipes.append(indices)
-        members: list[list[int]] = [[] for _ in pipes]
-        for fidx, indices in enumerate(flow_pipes):
-            for pidx in indices:
-                members[pidx].append(fidx)
-        return _ComponentPlan(
-            flows=flows,
-            pipes=pipes,
-            pipe_index=pipe_index,
-            flow_pipes=flow_pipes,
-            members=members,
-        )
+                        if other in seen:
+                            continue
+                        seen.add(other)
+                        stack.append(other)
+                        if other in anchors:
+                            unreached -= 1
+                            if not unreached and not scopes:
+                                return [plan]
+            scopes.append(scope)
+            rest = [pipe for pipe in anchors if pipe not in seen]
+            if not rest:
+                break
+            seen.add(rest[0])
+            stack = [rest[0]]
+            scope = {}
+        parts = [_ComponentPlan(scope) for scope in scopes]
+        for part in parts:
+            for pipe in part.pipe_index:
+                self._plans[pipe] = part
+        return parts
 
-    def _solve_component(self, plan: "_ComponentPlan") -> None:
-        """Re-solve one closed component and re-arm the flows whose rate
-        moved.
+    def _solve(self, plans: "list[_ComponentPlan]") -> None:
+        """Re-solve whole components and re-arm the flows whose rate moved.
 
-        Every flow sharing a pipe with the component is itself in it, so
-        pipe capacities need no adjustment for external traffic.  Zero or
-        one live flow takes the closed form (:meth:`_closed_form`), larger
-        components progressive filling (:meth:`_fill`).
+        Every flow sharing a pipe with a component is itself in it, so
+        pipe capacities need no adjustment for external traffic.  A lone
+        live flow takes the closed form (:meth:`_closed_form`), larger
+        components progressive filling (:meth:`_fill`).  The parts of a
+        split re-arm in uid order, as one solve over their union would.
         """
-        self.solve_rounds += 1
-        env_now = self.env.now
-        flows = plan.flows
-        rates = self._closed_form(plan) if len(plan.flow_index) < 2 else None
-        if rates is not None:
-            live = list(rates)
+        self.solve_rounds += len(plans)
+        if len(plans) == 1:
+            moves = self._rates(plans[0])
         else:
-            dead = plan.dead
-            live = [fidx for fidx in range(len(flows)) if not dead[fidx]]
-        for fidx in live:
-            flow = flows[fidx]
-            # Rates are about to be reassigned: account traffic sent at the
-            # old rate first.  Out-of-component flows keep their rate, so
-            # their byte accounting stays linear and needs no settling.
-            elapsed = env_now - flow._last_update
-            if elapsed > 0.0:
-                rb = flow.remaining_bits - flow.rate_bps * elapsed
-                flow.remaining_bits = rb if rb >= _RESIDUE_BITS else 0.0
-                flow._last_update = env_now
-        if rates is None:
-            rates = self._fill(plan, live)
-
-        for fidx in live:
-            flow = flows[fidx]
-            rate = rates[fidx]
+            moves = sorted(
+                chain.from_iterable(map(self._rates, plans)), key=lambda move: move[0].uid
+            )
+        env_now = self.env.now
+        for flow, rate in moves:
             # Re-arm only flows whose rate actually moved: a completion
-            # elsewhere in the network usually leaves most flows untouched,
-            # and their pending completion timers stay valid.  (The spelled
-            # out abs/max keep this hot loop free of function calls; the
-            # tolerance is abs(rate - old) <= _EPS * max(rate, old, 1.0).)
+            # elsewhere in the component usually leaves most flows
+            # untouched, and their pending completion entries stay valid.
+            # (The spelled out abs/max keep this hot loop free of function
+            # calls; the tolerance is abs(rate - old) <= _EPS * max(rate,
+            # old, 1.0).)
             old = flow.rate_bps
             if rate == old:
                 continue
@@ -491,6 +466,13 @@ class FluidNetwork:
             diff = rate - old if rate > old else old - rate
             if diff <= _EPS * (hi if hi > 1.0 else 1.0):
                 continue
+            # Settle the bytes sent at the old rate before writing the new
+            # one; a flow whose rate holds keeps a linear account.
+            elapsed = env_now - flow._last_update
+            if elapsed > 0.0:
+                rb = flow.remaining_bits - flow.rate_bps * elapsed
+                flow.remaining_bits = rb if rb >= _RESIDUE_BITS else 0.0
+                flow._last_update = env_now
             flow.rate_bps = rate
             if flow.on_rate_change is not None:
                 flow.on_rate_change(flow)
@@ -500,19 +482,31 @@ class FluidNetwork:
                 flow._arm = 0
                 continue
             self._arm_completion(flow, flow.remaining_bits / rate)
+        self._arm_timer()
 
-    def _closed_form(self, plan: "_ComponentPlan") -> "Optional[dict[int, float]]":
-        """Rates of a component with at most one live flow, ``{flow index:
-        rate}``; ``None`` when its route lists a pipe twice (that pipe then
-        splits between two slots, so :meth:`_fill` must solve it).
+    def _rates(self, plan: "_ComponentPlan") -> "Iterable[tuple[Flow, float]]":
+        """``(flow, rate)`` for each live flow of ``plan``, in uid order."""
+        if plan.n_dead > 64 and plan.n_dead * 2 > len(plan.flows):
+            plan.compact()
+        if len(plan.flow_index) == 1:
+            moves = self._closed_form(plan)
+            if moves is not None:
+                return moves
+        flows = plan.flows
+        live = list(plan.flow_index.values())
+        rates = self._fill(plan, live)
+        return zip(map(flows.__getitem__, live), map(rates.__getitem__, live))
+
+    def _closed_form(self, plan: "_ComponentPlan") -> "Optional[list[tuple[Flow, float]]]":
+        """``[(flow, rate)]`` for a component with one live flow; ``None``
+        when its route lists a pipe twice (that pipe then splits between
+        two slots, so :meth:`_fill` must solve it).
 
         A lone flow fills every pipe on its route at once: its rate is
         ``min(rate cap, smallest capacity)``, bit for bit what progressive
         filling computes, since ``capacity / 1`` is exact and a cap equal to
         the capacity yields the same value either way.
         """
-        if not plan.flow_index:
-            return {}
         ((flow, fidx),) = plan.flow_index.items()
         live_count = plan.live_count
         pipes = plan.pipes
@@ -523,7 +517,7 @@ class FluidNetwork:
             capacity = pipes[q].capacity_bps
             if capacity < rate:
                 rate = capacity
-        return {fidx: rate}
+        return [(flow, rate)]
 
     def _fill(self, plan: "_ComponentPlan", live: "list[int]") -> "list[float]":
         """Progressive filling over the component's ``live`` flow indices,
@@ -574,6 +568,11 @@ class FluidNetwork:
         fill = 0.0
         heappush = heapq.heappush
         heappop = heapq.heappop
+        # Per batch of freezes, by pipe index: flows removed and the sum of
+        # their caps; ``touched`` lists the pipes in first-touch order.
+        removed = [0] * n_pipes
+        capsum = [0.0] * n_pipes
+        touched: list[int] = []
 
         while n_active:
             while pipe_events and pipe_events[0][2] != count[pipe_events[0][1]]:
@@ -587,8 +586,6 @@ class FluidNetwork:
                 # strictly below the next pipe event can be frozen in one
                 # batch; each touched pipe is then settled and re-predicted
                 # once (per-flow heap churn was the old solver's hot spot).
-                removed: dict[int, int] = {}
-                capsum: dict[int, float] = {}
                 while cap_idx < n_caps and capped[cap_idx][0] < pipe_level:
                     cap, fidx = capped[cap_idx]
                     cap_idx += 1
@@ -600,20 +597,22 @@ class FluidNetwork:
                     if cap > fill:
                         fill = cap
                     for q in flow_pipes[fidx]:
-                        if q in removed:
+                        if removed[q]:
                             removed[q] += 1
                             capsum[q] += cap
                         else:
                             removed[q] = 1
                             capsum[q] = cap
-                for q, rm in removed.items():
+                            touched.append(q)
+                for q in touched:
                     c = count[q]
                     # Account everyone up to ``fill``, then hand back what
                     # the batch's flows did not consume past their caps.
                     remaining[q] -= (fill - fillstamp[q]) * c
-                    remaining[q] += rm * fill - capsum[q]
+                    remaining[q] += removed[q] * fill - capsum[q]
                     fillstamp[q] = fill
-                    c -= rm
+                    c -= removed[q]
+                    removed[q] = 0
                     count[q] = c
                     if c > 0:
                         heappush(pipe_events, (fill + remaining[q] / c, q, c))
@@ -628,7 +627,6 @@ class FluidNetwork:
                 # Batch-freeze every still-active flow on the saturated
                 # pipe, accumulating per-pipe count deltas so each other
                 # pipe is settled and re-predicted once.
-                deltas: dict[int, int] = {}
                 for fidx in members[pidx]:
                     if frozen[fidx]:
                         continue
@@ -636,15 +634,21 @@ class FluidNetwork:
                     rates[fidx] = fill
                     n_active -= 1
                     for q in flow_pipes[fidx]:
-                        deltas[q] = deltas.get(q, 0) + 1
-                for q, rm in deltas.items():
+                        if removed[q]:
+                            removed[q] += 1
+                        else:
+                            removed[q] = 1
+                            touched.append(q)
+                for q in touched:
                     c = count[q]
                     remaining[q] -= (fill - fillstamp[q]) * c
                     fillstamp[q] = fill
-                    c -= rm
+                    c -= removed[q]
+                    removed[q] = 0
                     count[q] = c
                     if c > 0:
                         heappush(pipe_events, (fill + remaining[q] / c, q, c))
+            touched.clear()
         return rates
 
     def _arm_completion(self, flow: Flow, eta: float) -> None:
@@ -691,8 +695,7 @@ class FluidNetwork:
                 eta = max(flow.remaining_bits / flow.rate_bps, _MIN_ETA)
                 self._arm_completion(flow, eta)
                 continue
-            self._detach(flow)
             flow.done.succeed(flow)
-            self._recompute(flow.pipes)
+            self._depart(flow)
         self._firing = False
         self._arm_timer()

@@ -126,6 +126,11 @@ def test_check_sh_is_valid_shell():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_check_sh_runs_the_benchmark_harness_tests():
+    """``testpaths`` stops at ``tests/``, so the gate names ``bench/tests``."""
+    assert "python -m pytest bench/tests -q" in CHECK_SH.read_text()
+
+
 def test_fast_goldens_exist_for_the_ci_diff():
     fast_dir = REPO / "results" / "fast"
     committed = sorted(p.name for p in fast_dir.glob("*.txt"))

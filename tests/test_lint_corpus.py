@@ -211,9 +211,9 @@ CORPUS: tuple[Bug, ...] = (
     Bug(
         "SIM002",
         "net/fluid.py",
-        "            flow.done.succeed(flow)\n            self._recompute(flow.pipes)",
+        "            flow.done.succeed(flow)\n            self._depart(flow)",
         "            flow.done.succeed(flow)\n            flow.done.succeed(flow)\n"
-        "            self._recompute(flow.pipes)",
+        "            self._depart(flow)",
         "table4",
         ("SIM002", "raise"),
         "a finished flow's `done` event succeeded twice",

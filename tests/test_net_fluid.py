@@ -275,6 +275,29 @@ def _check_against_oracle(network, pipes, when):
         ), f"rate of flow {flow.uid} diverges from the oracle {when}"
 
 
+def _check_plans(network, pipes):
+    """The pipe -> plan map holds exact components: each pipe that carries
+    live flows maps to the plan holding exactly its component, each plan's
+    live flows are connected, and the plans partition ``network.flows``."""
+    assert set(network._plans) == {pipe for pipe in pipes if pipe.flows}
+    plans = {id(plan): plan for plan in network._plans.values()}
+    covered = []
+    for plan in plans.values():
+        flows = list(plan.flow_index)
+        assert flows == sorted(flows, key=lambda f: f.uid)
+        reached, stack = {flows[0]}, [flows[0]]
+        while stack:
+            for pipe in stack.pop().pipes:
+                assert network._plans[pipe] is plan
+                for other in pipe.flows:
+                    if other not in reached:
+                        reached.add(other)
+                        stack.append(other)
+        assert reached == set(flows), "a plan holds more than one component"
+        covered += flows
+    assert len(covered) == len(set(covered)) and set(covered) == network.flows
+
+
 def _drive_workload(seed, sparse=False):
     """Run a randomized flow history, checking every rate against the
     oracle after every operation and every completion; returns the
@@ -297,6 +320,7 @@ def _drive_workload(seed, sparse=False):
 
     def check(when):
         _check_against_oracle(network, pipes, when)
+        _check_plans(network, pipes)
         # stale completion entries never outgrow the live population
         assert len(network._due) <= 2 * len(network.flows) + 65
         checks.append(when)
@@ -377,9 +401,9 @@ def test_closed_form_is_bit_identical_to_progressive_filling(seed):
     narrowest = min(p.capacity_bps for p in route)
     cap = rng.choice([math.inf, narrowest, rng.uniform(1e7, 2e10)])
     flow = net.start_flow("f", route, MB, rate_cap_bps=cap)
-    plan = net._plan
+    plan = net._plans[route[0]]
     live = [plan.flow_index[flow]]
-    assert net._closed_form(plan) == {live[0]: flow.rate_bps}
+    assert net._closed_form(plan) == [(flow, flow.rate_bps)]
     assert net._fill(plan, live)[live[0]] == flow.rate_bps
     assert flow.rate_bps == min(cap, narrowest)
 
@@ -387,7 +411,7 @@ def test_closed_form_is_bit_identical_to_progressive_filling(seed):
 def test_route_listing_a_pipe_twice_takes_the_full_solve(env, net):
     pipe = Pipe("p", Gbps(1))
     flow = net.start_flow("f", [pipe, Pipe("q", Gbps(10)), pipe], MB)
-    assert net._closed_form(net._plan) is None
+    assert net._closed_form(net._plans[pipe]) is None
     assert flow.rate_bps == Gbps(1) / 2  # two slots on one pipe
 
 
@@ -426,9 +450,122 @@ def test_incremental_reuses_component_plan(env, net):
     """Steady churn on one component must not rebuild the plan each time."""
     pipe = Pipe("shared", Gbps(1))
     flows = [net.start_flow(f"f{i}", [pipe], 100 * MB) for i in range(8)]
-    plan = net._plan
-    assert plan is not None and not plan.stale
+    plan = net._plans[pipe]
     for i, flow in enumerate(flows):
         net.set_rate_cap(flow, Mbps(50 + i))
-    assert net._plan is plan, "cap churn inside the component rebuilt the plan"
+    assert net._plans[pipe] is plan, "cap churn inside the component rebuilt the plan"
     assert sorted(f.uid for f in plan.flow_index) == [f.uid for f in flows]
+
+
+# -- exact component plans ------------------------------------------------------
+
+
+def test_departing_bridge_splits_and_each_side_solves_alone(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Gbps(1))
+    left = net.start_flow("left", [a], 100 * MB)
+    right = net.start_flow("right", [b], 100 * MB)
+    bridge = net.start_flow("bridge", [b, a], MB)
+    assert net._plans[a] is net._plans[b]
+    env.run(until=bridge.done)
+    assert net._plans[a] is not net._plans[b]
+    assert list(net._plans[a].flow_index) == [left]
+    assert list(net._plans[b].flow_index) == [right]
+    assert left.rate_bps == right.rate_bps == Gbps(1)
+    # the walk starts from ``b``, but the parts re-arm in uid order
+    assert 0 < left._arm < right._arm
+
+    env.run(until=env.now + 0.01)
+    state = (right.remaining_bits, right._last_update, right._arm)
+    rounds = net.solve_rounds
+    net.set_rate_cap(left, Mbps(100))
+    assert net.solve_rounds == rounds + 1
+    assert left.rate_bps == Mbps(100)
+    assert (right.remaining_bits, right._last_update, right._arm) == state
+
+
+def test_departure_that_keeps_the_component_connected_keeps_its_plan(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Gbps(1))
+    net.start_flow("left", [a], 100 * MB)
+    net.start_flow("right", [b], 100 * MB)
+    short = net.start_flow("short", [a, b], MB)
+    net.start_flow("long", [a, b], 100 * MB)
+    plan = net._plans[a]
+    env.run(until=short.done)
+    assert net._plans[a] is plan and net._plans[b] is plan
+    assert short not in plan.flow_index
+
+
+def test_arriving_bridge_merges_two_components(env, net):
+    a, b, c = Pipe("a", Gbps(1)), Pipe("b", Gbps(1)), Pipe("c", Gbps(10))
+    left = net.start_flow("left", [a], 100 * MB)
+    right = net.start_flow("right", [b, c], 100 * MB)
+    assert net._plans[a] is not net._plans[b]
+    bridge = net.start_flow("bridge", [a, b], 100 * MB)
+    plan = net._plans[a]
+    assert net._plans[b] is plan and net._plans[c] is plan
+    assert list(plan.flow_index) == [left, right, bridge]
+    assert left.rate_bps == right.rate_bps == bridge.rate_bps == Gbps(1) / 2
+
+
+def test_solve_leaves_other_components_untouched(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Gbps(1))
+    mine = net.start_flow("mine", [a], 100 * MB)
+    other = net.start_flow("other", [b], 100 * MB)
+    env.run(until=0.01)
+    state = (other.remaining_bits, other._last_update, other._arm)
+    net.start_flow("newcomer", [a], 100 * MB)
+    net.set_rate_cap(mine, Mbps(300))
+    assert mine._last_update == env.now  # settled: its rate moved
+    assert (other.remaining_bits, other._last_update, other._arm) == state
+
+
+def test_only_flows_whose_rate_moves_are_settled(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Mbps(100))
+    held = net.start_flow("held", [a, b], 100 * MB)
+    moved = net.start_flow("moved", [a], 100 * MB, rate_cap_bps=Mbps(300))
+    env.run(until=0.01)
+    state = (held.remaining_bits, held._last_update, held._arm)
+    net.set_rate_cap(moved, Mbps(200))
+    assert moved.rate_bps == Mbps(200) and moved._last_update == env.now
+    assert held.rate_bps == Mbps(100)
+    assert (held.remaining_bits, held._last_update, held._arm) == state
+
+
+def test_completion_tick_holds_under_unrelated_churn():
+    """Other components' solves neither settle nor re-arm a flow, so it
+    completes on the same tick with or without them."""
+
+    def finish(churn):
+        env = Environment()
+        net = FluidNetwork(env)
+        watched = net.start_flow("watched", [Pipe("a", 9.37e8)], 7 * MB)
+        state = (watched.remaining_bits, watched._last_update, watched._arm)
+        others = [Pipe(f"o{i}", Gbps(1)) for i in range(3)]
+        rng = random.Random(3)
+
+        def noise():
+            for i in range(200):
+                yield env.timeout(rng.uniform(1e-5, 3e-4))
+                flow = net.start_flow(f"n{i}", rng.sample(others, 2), rng.uniform(1e3, 1e5))
+                net.set_rate_cap(flow, rng.uniform(1e7, 1e9))
+                assert (watched.remaining_bits, watched._last_update, watched._arm) == state
+
+        if churn:
+            env.process(noise())
+        env.run(until=watched.done)
+        assert net.solve_rounds > (200 if churn else 0)
+        return env.now_ticks
+
+    assert finish(churn=True) == finish(churn=False)
+
+
+def test_capacity_change_on_an_idle_pipe_solves_nothing(env, net):
+    busy, idle = Pipe("busy", Gbps(1)), Pipe("idle", Gbps(1))
+    flow = net.start_flow("f", [busy, idle], MB)
+    env.run(until=flow.done)
+    net.start_flow("g", [busy], 100 * MB)
+    recomputations, rounds = net.recomputations, net.solve_rounds
+    net.set_pipe_capacity(idle, Mbps(10))
+    assert net.recomputations == recomputations + 1
+    assert net.solve_rounds == rounds
+    assert idle not in net._plans

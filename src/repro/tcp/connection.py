@@ -44,15 +44,17 @@ it instead; only a tick that follows a window-limited one runs a round.
 Between cap pushes a round changes nothing the rest of the simulation can
 see, so the driver does not wake for it.  It evolves a copy of the
 congestion state to find the first round that pushes a cap (growth above
-5 % or any shrink) or takes a loss, sleeps once to exactly that tick, and
-on waking replays the skipped rounds in order, each stamped with its own
-time.  Injected-loss draws are taken ahead in stream order and consumed
-one per round, as if drawn then.  The fluid solver calls the driver back
-whenever it changes the flow's rate; a change that flips the ``0.98 *
-cap`` test re-arms the wake-up at the first grid tick after it.  Ties: a
-completion at a grid tick cancels that tick's round, and the test at a
-grid tick the driver sleeps through sees every rate change made at that
-tick.
+5 % or any shrink) or takes a loss, sleeps once to exactly that tick, and on
+waking replays the skipped rounds in order, each stamped with its own
+time.  A *held* round (the buffers bind, no loss can be injected) changes
+nothing, nor does any round after it in the transfer: a run of them is
+counted in one step, each still sampled at its own time.  Injected-loss
+draws are taken ahead in stream order and consumed one per round, as if
+drawn then.  The fluid solver calls the driver back whenever it changes
+the flow's rate; a change that flips the ``0.98 * cap`` test re-arms the
+wake-up at the first grid tick after it.  Ties: a completion at a grid
+tick cancels that tick's round, and the test at a grid tick the driver
+sleeps through sees every rate change made at that tick.
 
 Calibration
 -----------
@@ -352,6 +354,11 @@ class _Direction:
     def _cwnd_limited(self) -> bool:
         return self.cc.cwnd <= min(self.sndbuf, self.rcvbuf)
 
+    def _held(self, cc: CongestionState) -> bool:
+        """Whether a round of ``cc`` is held: the buffers bind and no loss
+        can be injected, so it changes nothing, nor does any later round."""
+        return self._loss_rng is None and cc.cwnd > min(self.sndbuf, self.rcvbuf)
+
     def _on_window_round(self, now: float) -> None:
         """Evolve the congestion window after the window-limited RTT that
         ends at ``now`` (seconds; telemetry is stamped with it)."""
@@ -453,7 +460,7 @@ class _Direction:
                 return ahead + 1
             if cc.cwnd <= buffers:
                 cc.on_round()
-            elif not lossy:
+            elif self._held(cc):
                 return None
             window = min(cc.cwnd, self.sndbuf, self.rcvbuf)
             if _pushes(window * 8.0 / self.rtt, sent_cap):
@@ -499,6 +506,9 @@ class _Direction:
                 passed = (last - anchor) // step
                 if limited:
                     for k in range(1, passed + 1):
+                        if self._held(self.cc):
+                            self._hold_rounds(anchor, step, k, passed)
+                            break
                         sent_cap = self._replay_round(
                             flow, sent_cap, (anchor + k * step) / TICKS_PER_SECOND
                         )
@@ -520,6 +530,21 @@ class _Direction:
             self.fluid.set_rate_cap(flow, new_cap)
             return new_cap
         return sent_cap
+
+    def _hold_rounds(self, anchor: int, step: int, first: int, last: int) -> None:
+        """Count held grid rounds ``first..last`` from ``anchor`` in one step:
+        they move neither window nor cap, so only count and samples remain."""
+        n = last - first + 1
+        self.stats.window_rounds += n
+        sess = _obs.ACTIVE
+        if sess is None:
+            return
+        if sess.spans:
+            for k in range(first, last + 1):
+                now = (anchor + k * step) / TICKS_PER_SECOND
+                sess.sample(now, "tcp.cwnd", self.name, self.cc.cwnd)
+        if sess.metrics:
+            sess.count_key(self._k_window_rounds, inc=n)
 
     # -- the transfer ----------------------------------------------------------------
     def transmit(self, nbytes: int):

@@ -81,8 +81,11 @@ def test_experiments_job_runs_the_telemetry_smoke(workflow):
     assert "scripts/validate_trace.py" in commands
     assert "--require-span rndv.handshake" in commands
     # ...the traced report must stay byte-identical to the committed
-    # golden (telemetry never perturbs the simulation)...
+    # golden (telemetry never perturbs the simulation), also for fig3,
+    # whose buffer-limited rounds are held and counted in one step...
     assert "results/fast/fig7.txt" in commands
+    assert "repro run fig3 --fast --metrics-out /tmp/metrics --out /tmp/traced-fig3" in commands
+    assert "diff -u /tmp/golden-fig3.txt /tmp/traced-fig3.txt" in commands
     # ...the diagnosis reports must render...
     assert "repro explain fig7" in commands
     assert "repro explain fig9" in commands

@@ -145,6 +145,18 @@ def _tcp_records(sess):
     return lanes
 
 
+def _record_rounds(monkeypatch, make_job, drive=None):
+    """Run an 8 MB pingpong of ``make_job()`` traced, under ``drive`` (None:
+    the real window driver); returns the session and its TCP records."""
+    with monkeypatch.context() as patch:
+        if drive is not None:
+            patch.setattr(_Direction, "_drive", drive)
+        job = make_job()
+        with session(TelemetryConfig()) as sess:
+            job.run(_pingpong(8 * 1024 * 1024, repeats=2))
+    return sess, _tcp_records(sess)
+
+
 def test_window_rounds_record_at_their_own_time(monkeypatch):
     """The driver replays skipped rounds on waking, yet every round still
     records one ``tcp.cwnd`` sample (and its loss / slow-start instants)
@@ -152,17 +164,8 @@ def test_window_rounds_record_at_their_own_time(monkeypatch):
     recorded, in time order within each lane."""
     from tests.test_tcp_window_driver import polling_drive
 
-    def record(drive):
-        with monkeypatch.context() as patch:
-            if drive is not None:
-                patch.setattr(_Direction, "_drive", drive)
-            job = _lossy_grid_job()
-            with session(TelemetryConfig()) as sess:
-                job.run(_pingpong(8 * 1024 * 1024, repeats=2))
-        return sess, _tcp_records(sess)
-
-    sess, lanes = record(None)
-    _, reference = record(polling_drive)
+    sess, lanes = _record_rounds(monkeypatch, _lossy_grid_job)
+    _, reference = _record_rounds(monkeypatch, _lossy_grid_job, polling_drive)
     assert lanes == reference
     samples = [r for records in lanes.values() for r in records if r[1] == "tcp.cwnd"]
     assert len(samples) == sess.counter_total("tcp.window_rounds") > 0
@@ -170,6 +173,24 @@ def test_window_rounds_record_at_their_own_time(monkeypatch):
     for records in lanes.values():
         times = [ts for ts, _, _ in records]
         assert times == sorted(times)
+
+
+def test_held_rounds_record_like_the_polling_driver(monkeypatch):
+    """On a clean path with untuned buffers the window soon outgrows the
+    buffers and every later round is held: counted in one step on waking,
+    yet recorded round by round exactly as the per-RTT polling driver
+    recorded them."""
+    from tests.test_tcp_window_driver import polling_drive
+
+    def untuned_job():
+        return make_grid_job(impl_name="gridmpi", nprocs=2, tuned=False)
+
+    sess, lanes = _record_rounds(monkeypatch, untuned_job)
+    ref_sess, reference = _record_rounds(monkeypatch, untuned_job, polling_drive)
+    assert lanes == reference
+    rounds = sess.counter_total("tcp.window_rounds")
+    assert rounds == ref_sess.counter_total("tcp.window_rounds") > 0
+    assert sess.counter_total("tcp.losses") == 0
 
 
 def test_telemetry_does_not_perturb_a_lossy_window_limited_transfer():

@@ -15,7 +15,9 @@ arrival time, the cap pushes so far (tick, flow and value), the
 The cost tests pin what the fast-forward buys: a long window-limited
 transfer pops engine events in proportion to its cap pushes and losses,
 not to its rounds, and its flow's ``done`` event holds a bounded number of
-callbacks.
+callbacks.  Held rounds (the buffers bind on a clean path) are counted in
+one step: a long buffer-limited transfer evolves its window about once per
+cap push.
 """
 
 import dataclasses
@@ -200,7 +202,8 @@ def test_fast_forward_driver_matches_polling_oracle(seed, push_log, monkeypatch)
 
 # --- exact ties -----------------------------------------------------------------------
 # Random workloads almost never put two events on one tick; these three put
-# them there on purpose, to pin the tie rules.
+# them there on purpose, to pin the tie rules.  A fourth breaks held runs
+# mid-transfer with capacity changes at known times.
 def _completion_on_a_round_tick(env, net, fabric):
     """A flow whose last byte leaves exactly on a round's tick: its
     completion cancels that round."""
@@ -255,10 +258,43 @@ def _simultaneous_starts(env, net, fabric):
     return conns[0].direction(rennes[0]), [env.process(sender(i)) for i in range(2)]
 
 
+def _flaps_break_held_runs(env, net, fabric):
+    """Buffer-limited transfers on a clean path hold their window after
+    slow start; uplink flaps in the middle of those held runs stop and
+    restart them.  Each transfer's arrival, stats and congestion state
+    are recorded."""
+    src, dst = net.clusters["rennes"].nodes[0], net.clusters["nancy"].nodes[0]
+    options = TcpOptions(buffer_policy=BufferPolicy.fixed(256 * KB, 256 * KB))
+    conn = fabric.connect(src, dst, options)
+    direction = conn.direction(src)
+    uplink = net.clusters["rennes"].uplink
+
+    def flapper():
+        for at, capacity in ((0.3137, 50e6), (0.4711, 1e9), (1.2345, 100e6), (1.5, 1e9)):
+            yield env.timeout(at - env.now)
+            fabric.fluid.set_pipe_capacity(uplink, capacity)
+
+    def sender():
+        records = []
+        for _ in range(3):
+            arrival = yield from conn.transmit(src, 16 * MB)
+            stats = dataclasses.replace(direction.stats)
+            records.append((arrival, stats, dataclasses.astuple(direction.cc)))
+        return records
+
+    env.process(flapper())
+    return direction, [env.process(sender())]
+
+
 @pytest.mark.parametrize(
     "scenario",
-    [_completion_on_a_round_tick, _flaps_on_round_ticks, _simultaneous_starts],
-    ids=["completion", "flaps", "simultaneous"],
+    [
+        _completion_on_a_round_tick,
+        _flaps_on_round_ticks,
+        _simultaneous_starts,
+        _flaps_break_held_runs,
+    ],
+    ids=["completion", "flaps", "simultaneous", "held-flaps"],
 )
 def test_tie_rules_match_polling_oracle(scenario, push_log, monkeypatch):
     def run():
@@ -283,6 +319,10 @@ def test_tie_rules_match_polling_oracle(scenario, push_log, monkeypatch):
 
 
 # --- engine cost ---------------------------------------------------------------------
+#: a clean grid path whose 512 kB buffers bind well below its BDP
+BUFFER_LIMITED = TcpOptions(buffer_policy=BufferPolicy.fixed(512 * KB, 512 * KB))
+
+
 def _long_transfer(nbytes, options):
     """One window-limited grid transfer; returns its sender's stats, the
     engine events popped, the cap pushes and the largest number of
@@ -326,7 +366,7 @@ def _long_transfer(nbytes, options):
     [
         TcpOptions(),
         TcpOptions(ss_cap_divisor=2.0, probe_loss_rounds=18),
-        TcpOptions(buffer_policy=BufferPolicy.fixed(512 * KB, 512 * KB)),
+        BUFFER_LIMITED,
         TcpOptions(fault_profile=FaultProfile(seed=7, loss_prob=0.02)),
     ],
     ids=["cwnd-limited", "unpaced", "buffer-limited", "lossy"],
@@ -340,3 +380,20 @@ def test_engine_events_scale_with_pushes_not_rounds(options, push_log):
     assert events <= 3 * (len(push_log) + stats.losses) + 20
     # one callback (the driver's) however many times it slept
     assert most_callbacks == 1
+
+
+def test_held_rounds_are_counted_not_evolved(push_log, monkeypatch):
+    """Once the buffers bind on a clean path, the rounds left are counted
+    in one step: the window evolves about once per cap push, not once per
+    round."""
+    evolved = [0]
+    evolve = _Direction._evolve_window
+
+    def counted(self):
+        evolved[0] += 1
+        return evolve(self)
+
+    monkeypatch.setattr(_Direction, "_evolve_window", counted)
+    stats, _, _ = _long_transfer(256 * MB, BUFFER_LIMITED)
+    assert stats.window_rounds > 100
+    assert evolved[0] <= len(push_log) + stats.losses + 5

@@ -219,10 +219,10 @@ class PerturbReport:
 def _run_projected(
     runner: Callable, fast: bool, ranker: Optional[Callable[[int], int]]
 ) -> "tuple[str, int, str]":
-    # A warm experiment memo (table6/table7's shared ray2mesh runs) would
-    # satisfy the perturbed run without replaying the simulation, leaving an
-    # empty projection that "diverges" from the cold baseline.  Every
-    # projected run starts cold so the perturbation actually executes.
+    # A warm known-failure memo (NPB's documented hangs) would satisfy the
+    # perturbed run without replaying the probe, leaving a projection that
+    # "diverges" from the cold baseline.  Every projected run starts cold
+    # so the perturbation actually executes.
     from repro.experiments.registry import clear_memos
 
     clear_memos()

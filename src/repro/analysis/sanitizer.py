@@ -60,9 +60,9 @@ def trace_experiment(
 ) -> tuple[str, int, object]:
     """One instrumented run: ``(trace hash, event count, result)``."""
     experiment_id, runner = _resolve_runner(experiment)
-    # Memoised experiments (table6/table7's shared ray2mesh runs) replay no
-    # simulation on a hit, which would make every run after the first hash
-    # an empty trace — vacuously "deterministic".  Start cold.
+    # A warm known-failure memo (NPB's documented hangs) replays no probe
+    # simulation, so every run after the first would hash fewer events
+    # than the first.  Start cold.
     from repro.experiments.registry import clear_memos
 
     clear_memos()

@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_jobs_count,
         default=1,
         metavar="N",
-        help="worker processes (>= 1); 1 (the default) runs serially "
-        "in-process, N > 1 shards sweep experiments across a pool",
+        help="worker processes (>= 1); 1 (the default) runs every task "
+        "in-process, N > 1 on a pool of worker processes",
     )
     run.add_argument(
         "--faults",

@@ -1,15 +1,15 @@
 """Experiment result container and the sharding protocol.
 
-Every experiment module exposes ``run(fast=False) -> ExperimentResult``.
-Sweep-style experiments additionally expose the *shard hooks* consumed by
-the parallel runner (:mod:`repro.runner`):
+An experiment module exposes either ``run(fast=False) -> ExperimentResult``
+(it runs whole) or the two *shard hooks* below, never both.  A sharded
+experiment *is* its shard plan: the registry and the campaign runner
+(:mod:`repro.runner`, at every ``--jobs``) run the shards and merge them.
 
 ``shards(fast=False) -> list[ShardSpec]``
     Decompose the experiment into independent units of work.  Each shard
     must be reproducible in a fresh process from its picklable ``params``
-    alone, and the decomposition must be *result-preserving*: merging the
-    shard payloads has to rebuild the exact ``ExperimentResult.text`` a
-    plain ``run()`` produces (the runner's tests assert byte-identity).
+    alone: the result may not depend on which process ran which shard,
+    nor in what order.
 
 ``merge(payloads, fast=False) -> ExperimentResult``
     Reassemble the result from ``{shard task_id: payload}``.  Runs in the
@@ -19,15 +19,16 @@ the parallel runner (:mod:`repro.runner`):
 Shard ``task_id``s are global, not per-experiment: two experiments that
 declare a shard with the same ``task_id`` (e.g. table6/table7 both needing
 the ray2mesh run for one master site, or figs 10/12/13 sharing the grid16
-NPB points) are deduplicated by the runner — the shard executes once and
+NPB points) are deduplicated by a campaign — the shard executes once and
 both merges see its payload.  Payloads must be JSON-serialisable so they
 can live in the on-disk result cache.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 @dataclass
@@ -64,6 +65,11 @@ class ShardSpec:
     runner: str
     #: picklable, JSON-serialisable keyword arguments
     params: dict[str, Any] = field(default_factory=dict)
+
+    def resolve(self) -> Callable[..., Any]:
+        """The worker-side runner function named by :attr:`runner`."""
+        module_name, _, func_name = self.runner.partition(":")
+        return getattr(importlib.import_module(module_name), func_name)
 
     @property
     def module(self) -> str:

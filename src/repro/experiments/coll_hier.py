@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment, grid_placement
 from repro.mpi.runtime import MpiJob
-from repro.obs import runtime as _obs
 from repro.report import Table
 from repro.units import KB, MB, fmt_bytes
 
@@ -90,38 +89,35 @@ def run_coll_shard(op: str, algorithm: str, fast: bool = False) -> dict:
     network, placement = cyclic_placement(16)
     impl = env.impl(_IMPL).with_collective(op, algorithm)
     points: dict[str, dict] = {}
-    with _obs.track(_task_id(op, algorithm)):
-        for nbytes in coll_sizes(fast):
+    for nbytes in coll_sizes(fast):
 
-            def timing_program(ctx, nbytes=nbytes):
-                comm = ctx.comm
-                yield from _call(comm, op, nbytes)
-                yield from comm.barrier()
-                t0 = ctx.wtime()
-                yield from _call(comm, op, nbytes)
-                return ctx.wtime() - t0
+        def timing_program(ctx, nbytes=nbytes):
+            comm = ctx.comm
+            yield from _call(comm, op, nbytes)
+            yield from comm.barrier()
+            t0 = ctx.wtime()
+            yield from _call(comm, op, nbytes)
+            return ctx.wtime() - t0
 
-            def counting_program(ctx, nbytes=nbytes):
-                yield from _call(ctx.comm, op, nbytes)
+        def counting_program(ctx, nbytes=nbytes):
+            yield from _call(ctx.comm, op, nbytes)
 
-            timing = MpiJob(
-                network, impl, placement, sysctls=env.sysctls, trace=False
-            ).run(timing_program)
-            counting = MpiJob(
-                network, impl, placement, sysctls=env.sysctls, trace=True
-            ).run(counting_program)
-            points[str(nbytes)] = {
-                "seconds": timing.returns[0],
-                "wan_msgs": counting.trace.inter_site_messages,
-                "wan_bytes": counting.trace.inter_site_bytes,
-            }
+        timing = MpiJob(
+            network, impl, placement, sysctls=env.sysctls, trace=False
+        ).run(timing_program)
+        counting = MpiJob(
+            network, impl, placement, sysctls=env.sysctls, trace=True
+        ).run(counting_program)
+        points[str(nbytes)] = {
+            "seconds": timing.returns[0],
+            "wan_msgs": counting.trace.inter_site_messages,
+            "wan_bytes": counting.trace.inter_site_bytes,
+        }
     return {"points": points}
 
 
 def _result(data: dict, fast: bool) -> ExperimentResult:
-    """Render from ``{op: {algorithm: {size: point}}}`` (shared by the
-    serial path and the shard merge, so both produce byte-identical
-    reports from equal inputs)."""
+    """Render from ``{op: {algorithm: {size: point}}}``."""
     table = Table(
         ["collective", "size", "flat s", "hier s", "speedup", "WAN msgs", "hier WAN"],
         title=(
@@ -186,17 +182,6 @@ def _result(data: dict, fast: bool) -> ExperimentResult:
 
 def _algorithms(op: str) -> tuple[str, str]:
     return (FLAT[op], HIERARCHICAL)
-
-
-def run(fast: bool = False) -> ExperimentResult:
-    data = {
-        op: {
-            algorithm: run_coll_shard(op, algorithm, fast=fast)["points"]
-            for algorithm in _algorithms(op)
-        }
-        for op in OPS
-    }
-    return _result(data, fast)
 
 
 def shards(fast: bool = False) -> list[ShardSpec]:

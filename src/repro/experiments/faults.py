@@ -16,9 +16,8 @@ driven by :mod:`repro.faults` profiles seeded with :data:`FAULTS_SEED`:
     one-way WAN delay jitter, per implementation, with slowdown relative
     to the clean run.
 
-Both experiments shard for the parallel runner (one shard per curve /
-per (implementation, jitter) cell) and merge back byte-identically to a
-serial run, like every other experiment in the registry.
+Both experiments run as shard plans: one shard per curve / per
+(implementation, jitter) cell.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.experiments.npb_runs import npb_fast_config
 from repro.faults import FaultProfile
 from repro.impls import IMPLEMENTATION_ORDER, get_implementation
 from repro.npb import run_npb
-from repro.obs import runtime as _obs
 from repro.report import Table, line_chart
 from repro.tcp.connection import TcpOptions
 from repro.units import MB, fmt_bytes
@@ -91,31 +89,28 @@ def run_loss_curve_shard(curve: str, fast: bool = False) -> dict:
     """
     size, repeats = _pingpong_probe(fast)
     goodput: dict[str, float] = {}
-    # Telemetry track named after the shard task_id, so the serial sweep
-    # records into the same tracks a sharded campaign merges back.
-    with _obs.track(_pingpong_task_id(curve)):
-        for loss in LOSS_RATES:
-            profile = _loss_profile(loss)
-            env = get_environment(_PINGPONG_ENV)
-            net, a, b = pingpong_pair(_PINGPONG_WHERE)
-            if curve == _TCP:
-                result = tcp_pingpong(
-                    net,
-                    a,
-                    b,
-                    sizes=(size,),
-                    repeats=repeats,
-                    sysctls=env.sysctls,
-                    options=TcpOptions(fault_profile=profile),
-                )
-            else:
-                impl = env.impl(curve)
-                if profile is not None:
-                    impl = impl.with_fault_profile(profile)
-                result = mpi_pingpong(
-                    net, impl, a, b, sizes=(size,), repeats=repeats, sysctls=env.sysctls
-                )
-            goodput[f"{loss:g}"] = result.points[0].mean_bandwidth_mbps
+    for loss in LOSS_RATES:
+        profile = _loss_profile(loss)
+        env = get_environment(_PINGPONG_ENV)
+        net, a, b = pingpong_pair(_PINGPONG_WHERE)
+        if curve == _TCP:
+            result = tcp_pingpong(
+                net,
+                a,
+                b,
+                sizes=(size,),
+                repeats=repeats,
+                sysctls=env.sysctls,
+                options=TcpOptions(fault_profile=profile),
+            )
+        else:
+            impl = env.impl(curve)
+            if profile is not None:
+                impl = impl.with_fault_profile(profile)
+            result = mpi_pingpong(
+                net, impl, a, b, sizes=(size,), repeats=repeats, sysctls=env.sysctls
+            )
+        goodput[f"{loss:g}"] = result.points[0].mean_bandwidth_mbps
     return {"goodput": goodput}
 
 
@@ -173,14 +168,6 @@ def _pingpong_task_id(label: str) -> str:
     return f"faults/pingpong/{_PINGPONG_WHERE}/{_PINGPONG_ENV}/{label}"
 
 
-def _run_pingpong(fast: bool = False) -> ExperimentResult:
-    curves = {
-        legend: run_loss_curve_shard(label, fast=fast)["goodput"]
-        for label, legend in _pingpong_labels()
-    }
-    return _pingpong_result(curves, fast)
-
-
 def _pingpong_shards(fast: bool = False) -> list[ShardSpec]:
     return [
         ShardSpec(
@@ -210,10 +197,9 @@ def run_cg_jitter_shard(impl_name: str, jitter: float, fast: bool = False) -> di
     profile = _jitter_profile(jitter)
     if profile is not None:
         impl = impl.with_fault_profile(profile)
-    with _obs.track(_cg_task_id(impl_name, jitter)):
-        result = run_npb(
-            "cg", cls, network, impl, placement, sysctls=env.sysctls, sample_iters=sample
-        )
+    result = run_npb(
+        "cg", cls, network, impl, placement, sysctls=env.sysctls, sample_iters=sample
+    )
     return {"time": result.time}
 
 
@@ -264,17 +250,6 @@ def _cg_result(times: dict[str, dict[str, float]], fast: bool) -> ExperimentResu
     )
 
 
-def _run_cg(fast: bool = False) -> ExperimentResult:
-    times = {
-        name: {
-            f"{jitter:g}": run_cg_jitter_shard(name, jitter, fast=fast)["time"]
-            for jitter in JITTER_FRACS
-        }
-        for name in IMPLEMENTATION_ORDER
-    }
-    return _cg_result(times, fast)
-
-
 def _cg_shards(fast: bool = False) -> list[ShardSpec]:
     return [
         ShardSpec(
@@ -298,9 +273,7 @@ def _merge_cg(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult
     return _cg_result(times, fast)
 
 
-# The registry consumes ``run``/``shards``/``merge`` attributes per
-# experiment id; these namespaces let one module host both sweeps.
-faults_pingpong = SimpleNamespace(
-    run=_run_pingpong, shards=_pingpong_shards, merge=_merge_pingpong
-)
-faults_cg = SimpleNamespace(run=_run_cg, shards=_cg_shards, merge=_merge_cg)
+# The registry consumes ``shards``/``merge`` attributes per experiment id;
+# these namespaces let one module host both sweeps.
+faults_pingpong = SimpleNamespace(shards=_pingpong_shards, merge=_merge_pingpong)
+faults_cg = SimpleNamespace(shards=_cg_shards, merge=_merge_cg)

@@ -7,7 +7,6 @@ import math
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.npb_runs import (
     NPB_ORDER,
-    bench_times,
     npb_fast_config,
     npb_point_shards,
     shard_times,
@@ -27,11 +26,7 @@ def result_from_times(
     fast: bool = False,
     placement_kind: str = "grid16",
 ) -> ExperimentResult:
-    """Render Fig. 10 from a ``{bench: {impl: time}}`` matrix.
-
-    Shared by the serial path and the shard merge, so both produce
-    byte-identical reports from equal inputs.
-    """
+    """Render Fig. 10 from a ``{bench: {impl: time}}`` matrix."""
     cls, _sample = npb_fast_config(fast)
     table = Table(
         ["NAS"] + [ALL_IMPLEMENTATIONS[n].display_name for n in IMPLEMENTATION_ORDER],
@@ -65,13 +60,6 @@ def result_from_times(
         "\n".join([table.render(), "", f"paper: {PAPER_NOTE}"]),
         extra={"times": times},
     )
-
-
-def run(fast: bool = False, placement_kind: str = "grid16") -> ExperimentResult:
-    times_by_bench = {
-        bench: bench_times(bench, placement_kind, fast) for bench in NPB_ORDER
-    }
-    return result_from_times(times_by_bench, fast, placement_kind)
 
 
 def shards(fast: bool = False, placement_kind: str = "grid16") -> list[ShardSpec]:

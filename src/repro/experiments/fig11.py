@@ -19,10 +19,6 @@ def _rebrand(result: ExperimentResult) -> ExperimentResult:
     )
 
 
-def run(fast: bool = False) -> ExperimentResult:
-    return _rebrand(fig10.run(fast=fast, placement_kind=PLACEMENT))
-
-
 def shards(fast: bool = False) -> list[ShardSpec]:
     return fig10.shards(fast=fast, placement_kind=PLACEMENT)
 

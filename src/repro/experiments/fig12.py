@@ -13,7 +13,6 @@ import math
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.npb_runs import (
     NPB_ORDER,
-    bench_times,
     npb_fast_config,
     npb_point_shards,
     shard_times,
@@ -54,12 +53,6 @@ def _result_from_times(
         rows,
         table.render(),
     )
-
-
-def run(fast: bool = False) -> ExperimentResult:
-    cluster_times = {b: bench_times(b, "cluster16", fast) for b in NPB_ORDER}
-    grid_times = {b: bench_times(b, "grid16", fast) for b in NPB_ORDER}
-    return _result_from_times(cluster_times, grid_times, fast)
 
 
 def shards(fast: bool = False) -> list[ShardSpec]:

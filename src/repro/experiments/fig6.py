@@ -19,6 +19,5 @@ FIGURE = PingPongFigure(
     paper_note=PAPER_NOTE,
 )
 
-run = FIGURE.run
 shards = FIGURE.shards
 merge = FIGURE.merge

@@ -1,13 +1,12 @@
-"""Shared, cached NPB executions for the Figure 10-13 experiments.
+"""Shared NPB executions for the Figure 10-13 experiments.
 
-Figures 10, 12 and 13 all consume the same grid-8+8 class-B runs, so the
-results are memoised per (benchmark, class, implementation, placement,
-environment, sampling) within one process.
+Figures 10, 12 and 13 all consume the same grid-8+8 runs: each (benchmark,
+placement) point is one shard whose ``task_id`` the three figures share,
+so a campaign simulates it once.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.experiments.environments import (
@@ -17,18 +16,9 @@ from repro.experiments.environments import (
     grid_placement,
 )
 from repro.npb import run_npb
-from repro.npb.common import BENCHMARK_NAMES
-from repro.obs import runtime as _obs
 
 #: paper order of the NPB bars (Figs. 10-13)
 NPB_ORDER = ("ep", "cg", "mg", "lu", "sp", "bt", "is", "ft")
-
-_cache: dict[tuple, float] = {}
-
-
-def clear_memo() -> None:
-    """Sanitizer hook (see ``registry.clear_memos``): force cold NPB runs."""
-    _cache.clear()
 
 
 def npb_time(
@@ -45,14 +35,6 @@ def npb_time(
     ``placement_kind``: ``grid16`` (8+8), ``grid4`` (2+2), ``cluster16``,
     ``cluster4``.
     """
-    key = (bench, impl_name, placement_kind, cls, env_name, sample_iters)
-    # A memo hit replays no simulation, so it would record no telemetry:
-    # with a session active, always recompute (determinism makes the rerun
-    # byte-identical), keeping serial campaigns' exports equal to parallel
-    # ones where fresh worker processes never hit this cache.
-    if key in _cache and _obs.ACTIVE is None:
-        return _cache[key]
-
     env: GridEnvironment = get_environment(env_name)
     if placement_kind.startswith("grid"):
         nprocs = int(placement_kind.removeprefix("grid"))
@@ -73,7 +55,6 @@ def npb_time(
         sample_iters=sample_iters,
         timeout=timeout,
     )
-    _cache[key] = result.time
     return result.time
 
 
@@ -83,20 +64,6 @@ def npb_fast_config(fast: bool) -> tuple[str, "int | str"]:
     return ("A", 4) if fast else ("B", "default")
 
 
-def bench_times(bench: str, placement_kind: str, fast: bool = False) -> dict[str, float]:
-    """Times for every implementation on one (benchmark, placement) point."""
-    cls, sample = npb_fast_config(fast)
-    from repro.impls import IMPLEMENTATION_ORDER
-
-    # Telemetry track named after the shard task_id, so a serial figure run
-    # records into the same tracks a sharded campaign merges back.
-    with _obs.track(f"npb/{placement_kind}/{bench}"):
-        return {
-            name: npb_time(bench, name, placement_kind, cls=cls, sample_iters=sample)
-            for name in IMPLEMENTATION_ORDER
-        }
-
-
 def run_npb_point_shard(bench: str, placement_kind: str, fast: bool = False) -> dict:
     """Worker-side shard: one NPB benchmark on one placement, all impls.
 
@@ -104,7 +71,15 @@ def run_npb_point_shard(bench: str, placement_kind: str, fast: bool = False) -> 
     figs 10-13, so a campaign computes each point exactly once even though
     three figures consume the grid16 column.
     """
-    return {"times": bench_times(bench, placement_kind, fast)}
+    from repro.impls import IMPLEMENTATION_ORDER
+
+    cls, sample = npb_fast_config(fast)
+    return {
+        "times": {
+            name: npb_time(bench, name, placement_kind, cls=cls, sample_iters=sample)
+            for name in IMPLEMENTATION_ORDER
+        }
+    }
 
 
 def npb_point_shards(placement_kinds: "tuple[str, ...]") -> list:
@@ -126,14 +101,3 @@ def shard_times(payloads: dict, placement_kind: str, bench: str) -> dict[str, fl
     """Extract one point's per-impl times from merged shard payloads."""
     return payloads[f"npb/{placement_kind}/{bench}"]["times"]
 
-
-def relative_to_mpich2(
-    bench: str, impl_name: str, placement_kind: str, cls: str = "B", **kw
-) -> float:
-    """Figs. 10/11: time(MPICH2) / time(impl); > 1 means faster than the
-    reference, ``0`` when the implementation did not finish."""
-    ref = npb_time(bench, "mpich2", placement_kind, cls, **kw)
-    t = npb_time(bench, impl_name, placement_kind, cls, **kw)
-    if math.isinf(t):
-        return 0.0
-    return ref / t

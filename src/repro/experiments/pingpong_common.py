@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.apps.pingpong import PingPongCurve, PingPongPoint, mpi_pingpong, tcp_pingpong
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment, pingpong_pair
 from repro.impls import IMPLEMENTATION_ORDER
-from repro.obs import runtime as _obs
 from repro.report import Table, line_chart
 from repro.units import KB, MB, fmt_bytes, log2_sizes
 
@@ -17,33 +15,6 @@ from repro.units import KB, MB, fmt_bytes, log2_sizes
 FULL_SIZES = tuple(log2_sizes(KB, 64 * MB))
 #: CI subset: one point per decade-ish, keeping the 128 kB dip region
 FAST_SIZES = (KB, 16 * KB, 128 * KB, 256 * KB, MB, 8 * MB, 64 * MB)
-
-
-def bandwidth_curves(
-    where: str,
-    env_name: str,
-    sizes: Sequence[int],
-    repeats: int,
-) -> dict[str, PingPongCurve]:
-    """TCP + the four implementations, in the paper's legend order."""
-    env = get_environment(env_name)
-    net, a, b = pingpong_pair(where)
-    # Each curve records telemetry into the track named after its shard
-    # task_id, so a serial run and a sharded ``--jobs N`` run export
-    # byte-identical telemetry (tracks are the merge unit; see repro.obs).
-    with _obs.track(f"pingpong/{where}/{env_name}/{TCP_SHARD}"):
-        curves: dict[str, PingPongCurve] = {
-            "TCP": tcp_pingpong(
-                net, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls
-            )
-        }
-    for name in IMPLEMENTATION_ORDER:
-        impl = env.impl(name)
-        with _obs.track(f"pingpong/{where}/{env_name}/{name}"):
-            curves[impl.display_name] = mpi_pingpong(
-                net, impl, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls
-            )
-    return curves
 
 
 def figure_result(
@@ -101,29 +72,21 @@ def run_curve_shard(
     """Worker-side shard: one bandwidth curve (``curve`` is ``"tcp"`` or an
     implementation registry name).
 
-    Every curve already runs in its own simulation ``Environment`` inside
-    :func:`bandwidth_curves` — the network topology built by
-    ``pingpong_pair`` is immutable measurement scaffolding — so computing a
-    single curve in a fresh process yields bit-identical points to the
-    serial loop (asserted by ``tests/test_runner.py``).
+    The curve runs in its own simulation ``Environment`` on a fresh
+    ``pingpong_pair`` topology, so its points do not depend on which
+    process computes it, nor on which curves ran before.
     """
     sizes = FAST_SIZES if fast else FULL_SIZES
     repeats = 20 if fast else 100
     env = get_environment(env_name)
     net, a, b = pingpong_pair(where)
-    # Same track name the serial path uses (redundant under the runner,
-    # whose shard session already defaults to this track; load-bearing for
-    # a direct call).
-    with _obs.track(f"pingpong/{where}/{env_name}/{curve}"):
-        if curve == TCP_SHARD:
-            result = tcp_pingpong(
-                net, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls
-            )
-        else:
-            impl = env.impl(curve)
-            result = mpi_pingpong(
-                net, impl, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls
-            )
+    if curve == TCP_SHARD:
+        result = tcp_pingpong(net, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls)
+    else:
+        impl = env.impl(curve)
+        result = mpi_pingpong(
+            net, impl, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls
+        )
     return {
         "label": result.label,
         "points": [[p.nbytes, p.min_rtt, p.max_bandwidth_mbps] for p in result.points],
@@ -139,7 +102,7 @@ def curve_from_payload(payload: dict) -> PingPongCurve:
 
 @dataclass(frozen=True)
 class PingPongFigure:
-    """Descriptor backing one bandwidth figure: serial run + shard hooks."""
+    """Descriptor backing one bandwidth figure: its shard hooks."""
 
     experiment_id: str
     title: str
@@ -147,17 +110,6 @@ class PingPongFigure:
     where: str
     env_name: str
     paper_note: str
-
-    def run(self, fast: bool = False) -> ExperimentResult:
-        curves = bandwidth_curves(
-            where=self.where,
-            env_name=self.env_name,
-            sizes=FAST_SIZES if fast else FULL_SIZES,
-            repeats=20 if fast else 100,
-        )
-        return figure_result(
-            self.experiment_id, self.title, self.paper_ref, curves, self.paper_note
-        )
 
     def shards(self, fast: bool = False) -> list[ShardSpec]:
         labels = (TCP_SHARD, *IMPLEMENTATION_ORDER)
@@ -171,8 +123,7 @@ class PingPongFigure:
         ]
 
     def merge(self, payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
-        # Legend order must match bandwidth_curves: TCP first, then the
-        # implementations in paper order.
+        # Legend order: TCP first, then the implementations in paper order.
         curves: dict[str, PingPongCurve] = {}
         for label in (TCP_SHARD, *IMPLEMENTATION_ORDER):
             task_id = f"pingpong/{self.where}/{self.env_name}/{label}"

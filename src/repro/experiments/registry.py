@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -18,7 +19,6 @@ from repro.experiments import (
     fig11,
     fig12,
     fig13,
-    npb_runs,
     table1,
     table2,
     table3,
@@ -29,10 +29,11 @@ from repro.experiments import (
 )
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.npb import suite as npb_suite
+from repro.obs import runtime as _obs
 
 #: id -> defining module (or module-like namespace: ``experiments.faults``
-#: hosts two experiments); the entry's ``run`` is the experiment, and its
-#: optional ``shards``/``merge`` hooks are the sharding protocol
+#: hosts two experiments).  An entry either defines ``run`` (it runs
+#: whole) or the ``shards``/``merge`` hooks (it runs as its shard plan).
 MODULES: dict[str, Any] = {
     "table1": table1,
     "table2": table2,
@@ -55,10 +56,6 @@ MODULES: dict[str, Any] = {
     "coll_hier": coll_hier,
 }
 
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    experiment_id: module.run for experiment_id, module in MODULES.items()
-}
-
 
 def experiment_module(experiment_id: str) -> Optional[str]:
     """Dotted module defining ``experiment_id`` — the dependency root for
@@ -66,7 +63,7 @@ def experiment_module(experiment_id: str) -> Optional[str]:
     :data:`EXPERIMENTS` (tests), which fall back to whole-tree digests.
 
     Works for both real modules (``fig3``) and module-like namespaces
-    (``experiments.faults`` hosts two experiments whose ``run`` functions
+    (``experiments.faults`` hosts two experiments whose hook functions
     carry the defining module).
     """
     entry = MODULES.get(experiment_id.lower())
@@ -75,8 +72,8 @@ def experiment_module(experiment_id: str) -> Optional[str]:
     name = getattr(entry, "__name__", None)
     if isinstance(name, str) and "." in name:
         return name
-    run = getattr(entry, "run", None)
-    return getattr(run, "__module__", None)
+    hook = getattr(entry, "merge", None) or getattr(entry, "run", None)
+    return getattr(hook, "__module__", None)
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
@@ -93,19 +90,14 @@ def run_experiment(experiment_id: str, fast: bool = False) -> ExperimentResult:
 
 
 def clear_memos() -> None:
-    """Drop every in-process memo: each experiment module's and the shared
-    NPB ones (``clear_memo`` hooks).
+    """Drop the in-process known-failure memo (``npb.suite``).
 
-    The sanitizers call this before each instrumented run: a warm memo
-    replays no simulation, so a trace or schedule projection captured over
-    a memo hit would be vacuously empty and diverge from a cold run's
-    (see ``table6.ray2mesh_results``).  Campaign runners never call this —
-    serial table7 reusing table6's memo is intentional.
+    The sanitizers call this before each instrumented run: a memo hit
+    replays no probe simulation, so a trace or schedule projection
+    captured over it would miss the probe's events and diverge from a
+    cold run's.  Campaign runners never call this.
     """
-    for module in (*MODULES.values(), npb_runs, npb_suite):
-        clear = getattr(module, "clear_memo", None)
-        if clear is not None:
-            clear()
+    npb_suite.clear_memo()
 
 
 @dataclass(frozen=True)
@@ -119,21 +111,44 @@ class ShardPlan:
 
 
 def get_shard_plan(experiment_id: str, fast: bool = False) -> Optional[ShardPlan]:
-    """The experiment's shard decomposition, or ``None`` if it only runs whole.
+    """The experiment's shard decomposition, or ``None`` if it runs whole.
 
     An experiment opts in by defining module-level ``shards``/``merge``
-    hooks next to its ``run`` (see :mod:`repro.experiments.base`).
+    hooks instead of ``run`` (see :mod:`repro.experiments.base`).
     Experiments registered directly in :data:`EXPERIMENTS` (tests do this)
     have no module entry and run whole.
     """
-    get_experiment(experiment_id)  # raise ExperimentError for unknown ids
     module = MODULES.get(experiment_id.lower())
     shards = getattr(module, "shards", None)
-    merge = getattr(module, "merge", None)
-    if shards is None or merge is None:
+    if shards is None:
+        get_experiment(experiment_id)  # raise ExperimentError for unknown ids
         return None
     return ShardPlan(
         experiment_id=experiment_id.lower(),
         shards=tuple(shards(fast=fast)),
-        merge=merge,
+        merge=module.merge,
     )
+
+
+def run_sharded(experiment_id: str, fast: bool = False) -> ExperimentResult:
+    """Run a sharded experiment in this process: every shard, then merge.
+
+    Each shard records telemetry into the track named after its
+    ``task_id`` — the track a campaign's shard worker records into.
+    """
+    plan = get_shard_plan(experiment_id, fast)
+    if plan is None:
+        raise ExperimentError(f"experiment {experiment_id!r} has no shard plan")
+    payloads: dict[str, Any] = {}
+    for shard in plan.shards:
+        with _obs.track(shard.task_id):
+            payloads[shard.task_id] = shard.resolve()(fast=fast, **shard.params)
+    return plan.merge(payloads, fast=fast)
+
+
+#: id -> ``fn(fast=False) -> ExperimentResult``
+EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
+    experiment_id: getattr(module, "run", None)
+    or functools.partial(run_sharded, experiment_id)
+    for experiment_id, module in MODULES.items()
+}

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.apps import run_ray2mesh
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import get_environment
-from repro.obs import runtime as _obs
 from repro.report import Table
 
 SITES = ("nancy", "rennes", "sophia", "toulouse")
@@ -20,62 +17,6 @@ PAPER = {
     "toulouse": (29750, 29875, 28875, 30312),
 }
 
-_cache: dict[tuple, object] = {}
-
-
-def clear_memo() -> None:
-    """Sanitizer hook (see ``registry.clear_memos``): force cold site runs."""
-    _cache.clear()
-
-
-@dataclass(frozen=True)
-class Ray2MeshSummary:
-    """The slice of a ray2mesh run that Tables 6 and 7 consume."""
-
-    rays_per_cluster: dict[str, int]
-    comp_time: float
-    merge_time: float
-    total_time: float
-
-
-def _summarise(result) -> Ray2MeshSummary:
-    return Ray2MeshSummary(
-        rays_per_cluster=dict(result.rays_per_cluster),
-        comp_time=result.comp_time,
-        merge_time=result.merge_time,
-        total_time=result.total_time,
-    )
-
-
-def ray2mesh_results(fast: bool = False) -> dict[str, Ray2MeshSummary]:
-    """One run per master site (memoised; Table 7 reuses them).
-
-    With a telemetry session active the memo is bypassed: a hit replays no
-    simulation and would record nothing, whereas recomputation is
-    deterministic and keeps serial exports byte-identical to a sharded
-    campaign's (whose fresh workers never see a warm memo).
-    """
-    key = ("ray2mesh", fast)
-    if key not in _cache or _obs.ACTIVE is not None:
-        _cache[key] = {site: _run_site(site, fast) for site in SITES}
-    return _cache[key]  # type: ignore[return-value]
-
-
-def _run_site(site: str, fast: bool) -> Ray2MeshSummary:
-    env = get_environment("fully_tuned")
-    total_rays = 100_000 if fast else 1_000_000
-    # Track named after the shard task_id (see ray2mesh_shards), aligning
-    # serial table runs with the sharded campaign's merged payloads.
-    with _obs.track(f"ray2mesh/{site}"):
-        return _summarise(
-            run_ray2mesh(
-                env.impl("mpich2"),
-                master_site=site,
-                total_rays=total_rays,
-                sysctls=env.sysctls,
-            )
-        )
-
 
 # --- sharding (see repro.experiments.base) ---------------------------------------
 def run_ray2mesh_shard(site: str, fast: bool = False) -> dict:
@@ -84,12 +25,18 @@ def run_ray2mesh_shard(site: str, fast: bool = False) -> dict:
     Shared (same task_ids) with Table 7, so a campaign runs ray2mesh once
     per site even though both tables consume every run.
     """
-    summary = _run_site(site, fast)
+    env = get_environment("fully_tuned")
+    result = run_ray2mesh(
+        env.impl("mpich2"),
+        master_site=site,
+        total_rays=100_000 if fast else 1_000_000,
+        sysctls=env.sysctls,
+    )
     return {
-        "rays_per_cluster": summary.rays_per_cluster,
-        "comp_time": summary.comp_time,
-        "merge_time": summary.merge_time,
-        "total_time": summary.total_time,
+        "rays_per_cluster": dict(result.rays_per_cluster),
+        "comp_time": result.comp_time,
+        "merge_time": result.merge_time,
+        "total_time": result.total_time,
     }
 
 
@@ -104,19 +51,13 @@ def ray2mesh_shards() -> list[ShardSpec]:
     ]
 
 
-def results_from_payloads(payloads: dict[str, dict]) -> dict[str, Ray2MeshSummary]:
-    return {
-        site: Ray2MeshSummary(
-            rays_per_cluster=dict(payloads[f"ray2mesh/{site}"]["rays_per_cluster"]),
-            comp_time=payloads[f"ray2mesh/{site}"]["comp_time"],
-            merge_time=payloads[f"ray2mesh/{site}"]["merge_time"],
-            total_time=payloads[f"ray2mesh/{site}"]["total_time"],
-        )
-        for site in SITES
-    }
+def site_runs(payloads: dict[str, dict]) -> dict[str, dict]:
+    """Each master site's ray2mesh shard payload, in ``SITES`` order."""
+    return {site: payloads[f"ray2mesh/{site}"] for site in SITES}
 
 
-def _result_from_runs(results: dict[str, Ray2MeshSummary]) -> ExperimentResult:
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    runs = site_runs(payloads)
     per_node = 8  # nodes per cluster; the paper reports per-cluster means
 
     table = Table(
@@ -128,7 +69,7 @@ def _result_from_runs(results: dict[str, Ray2MeshSummary]) -> ExperimentResult:
         cells = [cluster]
         row = {"cluster": cluster}
         for master in SITES:
-            rays = results[master].rays_per_cluster[cluster] / per_node
+            rays = runs[master]["rays_per_cluster"][cluster] / per_node
             cells.append(rays)
             row[f"master_{master}"] = rays
         cells.append(" / ".join(str(v) for v in PAPER[cluster]))
@@ -148,13 +89,5 @@ def _result_from_runs(results: dict[str, Ray2MeshSummary]) -> ExperimentResult:
     )
 
 
-def run(fast: bool = False) -> ExperimentResult:
-    return _result_from_runs(ray2mesh_results(fast))
-
-
 def shards(fast: bool = False) -> list[ShardSpec]:
     return ray2mesh_shards()
-
-
-def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
-    return _result_from_runs(results_from_payloads(payloads))

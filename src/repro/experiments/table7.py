@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult, ShardSpec
-from repro.experiments.table6 import (
-    SITES,
-    Ray2MeshSummary,
-    ray2mesh_results,
-    ray2mesh_shards,
-    results_from_payloads,
-)
+from repro.experiments.table6 import SITES, ray2mesh_shards, site_runs
 from repro.report import Table
 
 #: paper's Table 7 (seconds): comp / merge / total per master site
@@ -21,29 +15,30 @@ PAPER = {
 }
 
 
-def _result_from_runs(results: "dict[str, Ray2MeshSummary]") -> ExperimentResult:
+def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
+    runs = site_runs(payloads)
     table = Table(
         ["master", "comp (s)", "merge (s)", "total (s)", "paper comp/merge/total"],
         title="Table 7: ray2mesh phase times vs master location",
     )
     rows = []
     for site in SITES:
-        r = results[site]
+        r = runs[site]
         p = PAPER[site]
         table.add_row(
-            [site, r.comp_time, r.merge_time, r.total_time,
+            [site, r["comp_time"], r["merge_time"], r["total_time"],
              f"{p[0]:.0f} / {p[1]:.0f} / {p[2]:.0f}"]
         )
         rows.append(
             {
                 "master": site,
-                "comp_s": r.comp_time,
-                "merge_s": r.merge_time,
-                "total_s": r.total_time,
+                "comp_s": r["comp_time"],
+                "merge_s": r["merge_time"],
+                "total_s": r["total_time"],
                 "paper": p,
             }
         )
-    totals = [r.total_time for r in results.values()]
+    totals = [r["total_time"] for r in runs.values()]
     spread = max(totals) / min(totals)
     note = (
         f"total-time spread across master placements: {spread:.3f}x "
@@ -58,15 +53,7 @@ def _result_from_runs(results: "dict[str, Ray2MeshSummary]") -> ExperimentResult
     )
 
 
-def run(fast: bool = False) -> ExperimentResult:
-    return _result_from_runs(ray2mesh_results(fast))
-
-
 def shards(fast: bool = False) -> list[ShardSpec]:
     # Identical task_ids to table6's shards: the runner executes the four
     # ray2mesh runs once and feeds both tables.
     return ray2mesh_shards()
-
-
-def merge(payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
-    return _result_from_runs(results_from_payloads(payloads))

@@ -57,8 +57,8 @@ class EventTraceHasher:
         experiment-level digest folds them in *sorted shard-key order* (never
         completion order) plus the merged rendered text, so the combined hash
         is independent of worker scheduling.  It is, by construction, a
-        different value from the digest of an unsharded run — artifacts
-        record which mode produced theirs.
+        different value from the digest of an unsharded run — an artifact's
+        ``sharded`` flag says which kind it carries.
         """
         hasher = cls()
         for key in sorted(named_digests):

@@ -384,9 +384,9 @@ def explain_fig10(fast: bool = True, jobs: int = 1, payload=None) -> str:
 
 def explain_coll_hier(fast: bool = True) -> str:
     """Why the hierarchy helps: count what actually crosses the WAN."""
-    from repro.experiments import coll_hier
+    from repro.experiments import run_experiment
 
-    result = coll_hier.run(fast=fast)
+    result = run_experiment("coll_hier", fast)
     table = Table(
         [
             "collective",

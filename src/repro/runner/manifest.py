@@ -57,16 +57,7 @@ def campaign_entry(campaign: "CampaignResult", label: str = "") -> dict[str, Any
                 "cached": run.cached,
                 "sharded": run.sharded,
                 "wall_s": round(run.wall_s, 3),
-                "trace_mode": run.trace_mode,
                 "trace_hash": run.trace_hash,
-                # Experiments that consumed the same shards / memoised
-                # work: their wall_s figures overlap (sharded) or this
-                # run's ~0 wall_s reused theirs (serial).
-                **(
-                    {"shared_with": run.shared_with}
-                    if run.shared_with
-                    else {}
-                ),
                 # Span-analytics roll-up of a traced run: span count, top
                 # self-tick frames, WAN site-pair totals (repro.obs).
                 **({"rollup": run.rollup} if run.rollup else {}),

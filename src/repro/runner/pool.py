@@ -3,31 +3,34 @@
 Execution model
 ---------------
 A campaign is a list of :class:`ExperimentSpec`.  Each experiment is first
-looked up in the result cache; misses are executed either in-process
-(``jobs <= 1``, identical to the historical serial loop) or on a
-process-per-task engine governed by a :class:`RunnerPolicy`.
+looked up in the result cache.  Each miss becomes tasks: a sharded
+experiment (see :mod:`repro.experiments.base`) contributes its shards,
+deduplicated campaign-wide by ``task_id`` (table6 and table7 share the
+four ray2mesh runs; figs 10/12/13 share the grid16 NPB points); an
+unsharded one is a single whole-experiment task.  Shards merge back in
+the parent.  That plan is the same at every ``jobs``; only the executor
+differs.  ``jobs <= 1`` runs the tasks one after another in this process;
+``jobs > 1`` runs each on a worker process governed by a
+:class:`RunnerPolicy`.
 
-On the parallel path, experiments that expose shard hooks (see
-:mod:`repro.experiments.base`) are decomposed: their shards run as
-individual tasks, deduplicated campaign-wide by ``task_id`` (table6 and
-table7 share the four ray2mesh runs; figs 10/12/13 share the grid16 NPB
-points), and merged back in the parent.  Shard payloads are cached by the
-*worker* that computed them — the parent passes its cache root and source
-digest down (the digest is computed exactly once per campaign) — so a
-completed shard survives even a parent crash and is never recomputed.
+Shard payloads are cached by the function that computed them — the
+parent passes its cache root and source digest down (the digest is
+computed exactly once per campaign) — so a completed shard survives even
+a parent crash and is never recomputed.
 
 Every unit of work runs under :func:`repro.sim.core.trace_capture`, the
 same hook the determinism sanitizer uses, so each artifact carries an
 event-trace hash.  A sharded experiment records the canonical combination
-of its shard hashes (:meth:`EventTraceHasher.combine`) — a different value
-from an unsharded run's hash, which is why artifacts record the trace
-*mode* alongside the digest.
+of its shard hashes (:meth:`EventTraceHasher.combine`); an unsharded one
+the hash of its whole run, with the rendered text folded in.  Either way
+the hash is the same at every ``jobs``.
 
 Robustness
 ----------
-Each task owns a dedicated worker process and a result pipe, which is what
-makes real fault handling possible (a shared ``ProcessPoolExecutor``
-cannot kill a hung task without poisoning the whole pool):
+On the worker pool, each task owns a dedicated worker process and a
+result pipe, which is what makes real fault handling possible (a shared
+``ProcessPoolExecutor`` cannot kill a hung task without poisoning the
+whole pool):
 
 * **timeouts** — a task that exceeds ``RunnerPolicy.timeout_s`` of wall
   clock is terminated (SIGTERM) and counted;
@@ -43,7 +46,6 @@ cannot kill a hung task without poisoning the whole pool):
 
 from __future__ import annotations
 
-import importlib
 import math
 import multiprocessing
 import time
@@ -52,6 +54,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.errors import ReproError
+from repro.experiments.base import ShardSpec
 from repro.mpi.tracing import EventTraceHasher
 from repro.obs.runtime import TelemetryConfig, merge_payloads
 from repro.obs.runtime import session as telemetry_session
@@ -68,7 +71,7 @@ _POLL_INTERVAL_S = 0.02
 
 @dataclass(frozen=True)
 class RunnerPolicy:
-    """Fault-handling knobs of the parallel engine.
+    """Fault-handling knobs of the worker pool (``jobs > 1``).
 
     ``timeout_s`` is wall-clock per *task* (one shard or one unsharded
     experiment), not per campaign; ``None`` disables timeouts.  Crashed
@@ -113,21 +116,14 @@ class ExperimentRun:
     ok: bool
     cached: bool = False
     sharded: bool = False
-    #: aggregate worker seconds (for a sharded run: the sum over its
+    #: aggregate task seconds (for a sharded run: the sum over its
     #: shards, including shards shared with other experiments)
     wall_s: float = 0.0
-    #: other experiment ids this run shared work with (tables 6/7 share
-    #: the four ray2mesh runs): for a sharded run, experiments consuming
-    #: at least one common shard (whose wall time is counted in *both*
-    #: ``wall_s`` figures); for a serial run, experiments whose in-process
-    #: memo this run reused (which is why its own ``wall_s`` can be ~0).
-    shared_with: list[str] = field(default_factory=list)
     text: str = ""
     rows: list = field(default_factory=list)
     title: str = ""
     paper_ref: str = ""
     trace_hash: str = ""
-    trace_mode: str = "serial"
     trace_events: int = 0
     error: Optional[str] = None
     #: merged telemetry payload (``repro.obs``); present only when the
@@ -150,9 +146,7 @@ class ExperimentRun:
             "ok": self.ok,
             "sharded": self.sharded,
             "wall_s": round(self.wall_s, 3),
-            "shared_with": self.shared_with,
             "trace_hash": self.trace_hash,
-            "trace_mode": self.trace_mode,
             "trace_events": self.trace_events,
             "title": self.title,
             "paper_ref": self.paper_ref,
@@ -170,13 +164,11 @@ class ExperimentRun:
             cached=True,
             sharded=bool(artifact.get("sharded", False)),
             wall_s=float(artifact.get("wall_s", 0.0)),
-            shared_with=list(artifact.get("shared_with", [])),
             text=artifact.get("text", ""),
             rows=artifact.get("rows", []),
             title=artifact.get("title", ""),
             paper_ref=artifact.get("paper_ref", ""),
             trace_hash=artifact.get("trace_hash", ""),
-            trace_mode=artifact.get("trace_mode", "serial"),
             trace_events=int(artifact.get("trace_events", 0)),
             error=artifact.get("error"),
         )
@@ -246,17 +238,30 @@ class CampaignResult:
         )
 
 
-# --- worker-side functions (module-level: picklable by reference) ----------------
-def _resolve(dotted: str) -> Callable[..., Any]:
-    module_name, _, func_name = dotted.partition(":")
-    return getattr(importlib.import_module(module_name), func_name)
+# --- task functions (module-level: picklable by reference) ---------------------
+def _traced(
+    fn: Callable[[], Any], track: str, telemetry: "tuple[bool, bool] | None"
+) -> tuple[Any, float, EventTraceHasher, Any]:
+    """``fn()`` under trace capture and, when ``telemetry`` is set, a
+    telemetry session recording into ``track`` by default.
+
+    Returns ``(result, wall seconds, hasher, session or None)``.
+    """
+    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
+    config = TelemetryConfig.from_tuple(telemetry)
+    sess = None
+    with trace_capture() as hasher:
+        if config is None:
+            result = fn()
+        else:
+            with telemetry_session(config, default_track=track) as sess:
+                result = fn()
+    return result, time.monotonic() - started, hasher, sess  # repro: noqa=DET002
 
 
 def _shard_worker(
-    runner: str,
-    params: dict,
+    shard: ShardSpec,
     fast: bool,
-    task_id: str = "",
     cache_root: str = "",
     cache_digest: str = "",
     cache_enabled: bool = False,
@@ -265,22 +270,16 @@ def _shard_worker(
     """Execute one shard under trace capture; returns its artifact.
 
     When the parent hands down its cache coordinates, the artifact is
-    stored *here*, in the worker — the parent passes its already-computed
-    source digest (computed once per campaign), and a completed shard
-    survives even if the parent dies before collecting it.
+    stored *here*, where it was computed — the parent passes its
+    already-computed source digest (computed once per campaign), and a
+    completed shard survives even if the parent dies before collecting it.
     """
-    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
-    config = TelemetryConfig.from_tuple(telemetry)
-    sess = None
-    with trace_capture() as hasher:
-        if config is None:
-            payload = _resolve(runner)(fast=fast, **params)
-        else:
-            # The shard's records default into the track named after its
-            # task_id — the same track the serial path switches to.
-            with telemetry_session(config, default_track=task_id) as sess:
-                payload = _resolve(runner)(fast=fast, **params)
-    elapsed = time.monotonic() - started  # repro: noqa=DET002
+    runner = shard.resolve()
+    # The shard's records default into the track named after its task_id —
+    # the track ``registry.run_sharded`` switches to.
+    payload, elapsed, hasher, sess = _traced(
+        lambda: runner(fast=fast, **shard.params), shard.task_id, telemetry
+    )
     artifact = {
         "kind": "shard",
         "payload": payload,
@@ -290,9 +289,9 @@ def _shard_worker(
     }
     if sess is not None:
         artifact["telemetry"] = sess.to_payload()
-    if cache_enabled and task_id and cache_root:
+    if cache_enabled and cache_root:
         cache = ResultCache(root=cache_root, digest=cache_digest, enabled=True)
-        cache.store(task_id, fast, artifact)
+        cache.store(shard.task_id, fast, artifact)
     return artifact
 
 
@@ -304,18 +303,11 @@ def _experiment_worker(
     """Execute one whole experiment under trace capture."""
     from repro.experiments import run_experiment
 
-    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
-    config = TelemetryConfig.from_tuple(telemetry)
-    sess = None
-    with trace_capture() as hasher:
-        if config is None:
-            result = run_experiment(experiment_id, fast=fast)
-        else:
-            with telemetry_session(
-                config, default_track=f"experiment/{experiment_id}"
-            ) as sess:
-                result = run_experiment(experiment_id, fast=fast)
-    elapsed = time.monotonic() - started  # repro: noqa=DET002
+    result, elapsed, hasher, sess = _traced(
+        lambda: run_experiment(experiment_id, fast=fast),
+        f"experiment/{experiment_id}",
+        telemetry,
+    )
     # Same convention as the sanitizer: fold the rendered text so
     # value-level divergence changes the hash too.
     hasher.update_text(result.text)
@@ -495,35 +487,20 @@ def _run_tasks(
 
 
 # --- orchestration ---------------------------------------------------------------
-def _shard_sharers(
-    specs: list[ExperimentSpec],
-) -> dict[tuple[str, bool], list[str]]:
-    """Per spec key, the other experiment ids consuming any common shard.
+def _run_inline(tasks: list[_Task]) -> dict[tuple, tuple[str, Any]]:
+    """The ``jobs <= 1`` executor: every task in this process, in order.
 
-    Derived from the shard plans alone, so it is the same answer for a
-    serial campaign (where sharing happens through in-process memos) and
-    a pooled one (where it happens through deduplicated shard tasks).
+    Outcomes have :func:`_run_tasks`'s shape.  A task that raises fails
+    alone; a hung one cannot be killed here, so ``RunnerPolicy`` does not
+    apply.
     """
-    from repro.experiments.registry import get_shard_plan
-
-    shard_ids: dict[tuple[str, bool], set[str]] = {}
-    for spec in specs:
+    outcomes: dict[tuple, tuple[str, Any]] = {}
+    for task in tasks:
         try:
-            plan = get_shard_plan(spec.experiment_id, spec.fast)
-        except Exception:  # noqa: BLE001 - surfaced by the actual run
-            continue
-        if plan is not None:
-            shard_ids[spec.key] = {shard.task_id for shard in plan.shards}
-    return {
-        key: sorted(
-            {
-                other[0]
-                for other, other_ids in shard_ids.items()
-                if other != key and other_ids & ids
-            }
-        )
-        for key, ids in shard_ids.items()
-    }
+            outcomes[task.key] = ("ok", task.target(*task.args))
+        except Exception as exc:  # noqa: BLE001 - surfaced in the campaign result
+            outcomes[task.key] = ("error", _describe_error(exc))
+    return outcomes
 
 
 def _run_from_worker_payload(spec: ExperimentSpec, payload: dict) -> ExperimentRun:
@@ -537,7 +514,6 @@ def _run_from_worker_payload(spec: ExperimentSpec, payload: dict) -> ExperimentR
         title=payload["title"],
         paper_ref=payload["paper_ref"],
         trace_hash=payload["trace_hash"],
-        trace_mode="serial",
         trace_events=payload["trace_events"],
         telemetry=payload.get("telemetry"),
     )
@@ -551,30 +527,6 @@ def _failed_run(spec: ExperimentSpec, error: str, sharded: bool = False) -> Expe
         sharded=sharded,
         error=error,
     )
-
-
-def _run_serial(
-    misses: list[ExperimentSpec],
-    cache: ResultCache,
-    progress: Optional[Callable[[str], None]],
-    telemetry: "tuple[bool, bool] | None" = None,
-) -> dict[tuple[str, bool], ExperimentRun]:
-    """The historical one-at-a-time loop, minus its abort-on-first-error."""
-    runs: dict[tuple[str, bool], ExperimentRun] = {}
-    sharers = _shard_sharers(misses)
-    for spec in misses:
-        try:
-            payload = _experiment_worker(spec.experiment_id, spec.fast, telemetry)
-            run = _run_from_worker_payload(spec, payload)
-            # Record work sharing: a later experiment reusing an earlier
-            # one's in-process memo measures ~0 s of its own wall time,
-            # and the manifest entry should say why (table7 <- table6).
-            run.shared_with = sharers.get(spec.key, [])
-        except Exception as exc:  # noqa: BLE001 - surfaced in the campaign result
-            run = _failed_run(spec, _describe_error(exc))
-        _finish_run(run, cache, progress)
-        runs[spec.key] = run
-    return runs
 
 
 def _experiment_root(experiment_id: str) -> Optional[str]:
@@ -623,7 +575,7 @@ def _order_by_cost(tasks: list[_Task], estimates: dict[str, float]) -> None:
     tasks.sort(key=lambda task: (-estimate(task), task.label))
 
 
-def _run_parallel(
+def _run_misses(
     misses: list[ExperimentSpec],
     cache: ResultCache,
     jobs: int,
@@ -634,7 +586,6 @@ def _run_parallel(
 ) -> tuple[dict[tuple[str, bool], ExperimentRun], int, int, dict[str, float]]:
     from repro.experiments.registry import ShardPlan, get_shard_plan
 
-    context = multiprocessing.get_context(_START_METHOD)
     runs: dict[tuple[str, bool], ExperimentRun] = {}
     plans: dict[tuple[str, bool], ShardPlan] = {}
     tasks: list[_Task] = []
@@ -674,14 +625,12 @@ def _run_parallel(
                 _Task(
                     key=("shard", shard.task_id, spec.fast),
                     target=_shard_worker,
-                    # The worker stores its own artifact: the parent
+                    # The task stores its own artifact: the parent
                     # resolves the shard's dependency-aware digest once and
-                    # ships it down, so the worker never walks the tree.
+                    # ships it down, so a worker never walks the tree.
                     args=(
-                        shard.runner,
-                        shard.params,
+                        shard,
                         spec.fast,
-                        shard.task_id,
                         str(cache.root),
                         cache.effective_digest(
                             module=shard.module, spec=shard.cache_spec()
@@ -694,8 +643,11 @@ def _run_parallel(
             )
 
     _order_by_cost(tasks, estimates or {})
-    outcomes, n_retries, n_timeouts = _run_tasks(tasks, jobs, policy, context)
-    sharers = _shard_sharers(misses)
+    if jobs <= 1:
+        outcomes, n_retries, n_timeouts = _run_inline(tasks), 0, 0
+    else:
+        context = multiprocessing.get_context(_START_METHOD)
+        outcomes, n_retries, n_timeouts = _run_tasks(tasks, jobs, policy, context)
 
     for key, (status, payload) in outcomes.items():
         if key[0] != "shard":
@@ -705,7 +657,7 @@ def _run_parallel(
             payload if status == "ok" else {"error": payload}
         )
         if status == "ok" and cache.enabled:
-            # The worker stored its own artifact; account for it here so
+            # The task stored its own artifact; account for it here so
             # the campaign's store counter covers shard traffic too.
             cache.stores += 1
 
@@ -726,12 +678,7 @@ def _run_parallel(
             else:
                 run = _failed_run(spec, payload)
         else:
-            run = _merge_sharded(
-                spec,
-                plans[spec.key],
-                shard_results,
-                shared_with=sharers.get(spec.key, []),
-            )
+            run = _merge_sharded(spec, plans[spec.key], shard_results)
         _finish_run(run, cache, progress)
         runs[spec.key] = run
     return runs, n_retries, n_timeouts, shard_walls
@@ -741,7 +688,6 @@ def _merge_sharded(
     spec: ExperimentSpec,
     plan: "Any",
     shard_results: dict[tuple[str, bool], dict],
-    shared_with: "list[str] | None" = None,
 ) -> ExperimentRun:
     payloads: dict[str, Any] = {}
     shard_hashes: dict[str, str] = {}
@@ -773,19 +719,16 @@ def _merge_sharded(
         fast=spec.fast,
         ok=True,
         sharded=True,
+        # Shared shard walls are counted into every consumer's wall_s.
         wall_s=wall,
-        # Shared shard walls are counted into every consumer's wall_s;
-        # this names the other experiments double-counting them.
-        shared_with=list(shared_with or []),
         text=result.text,
         rows=result.rows,
         title=result.title,
         paper_ref=result.paper_ref,
         trace_hash=EventTraceHasher.combine(shard_hashes, result.text),
-        trace_mode="sharded",
         trace_events=events,
         # Sorted task_id order, independent of shard completion order —
-        # the serial==parallel telemetry byte-identity relies on it.
+        # the byte-identity of exports across ``jobs`` relies on it.
         telemetry=(
             merge_payloads(
                 shard_telemetry[task_id] for task_id in sorted(shard_telemetry)
@@ -812,17 +755,17 @@ def run_campaign(
     ``cache`` may be injected (tests use a tmp root / pinned digest);
     otherwise a default :class:`ResultCache` under ``.repro-cache/`` is
     built with ``enabled=use_cache``.  ``policy`` tunes timeout/retry
-    handling on the parallel path; the serial path (``jobs <= 1``) runs
-    in-process, where a hung experiment cannot be killed.
+    handling on the worker pool (``jobs > 1``); ``jobs <= 1`` runs every
+    task in this process, where a hung task cannot be killed.
 
     ``estimates`` maps task ids (shard ``task_id``s and
-    ``experiment/<id>``) to historical wall seconds; the parallel engine
+    ``experiment/<id>``) to historical wall seconds; the worker pool
     dispatches longest-estimated-first so the makespan is not hostage to
     a heavyweight landing last.  ``None`` loads the history recorded in
     ``BENCH_experiments.json`` (missing file: every task is unknown and
     the order degrades to the deterministic label order).
 
-    ``telemetry`` turns on the ``repro.obs`` recorder in every worker and
+    ``telemetry`` turns on the ``repro.obs`` recorder in every task and
     attaches the merged payload to each :class:`ExperimentRun`.  Telemetry
     campaigns bypass the result cache entirely — cached artifacts carry no
     telemetry, and a half-cached campaign would return half-empty traces.
@@ -862,13 +805,10 @@ def run_campaign(
             misses.append(spec)
 
     if misses:
-        if jobs <= 1:
-            runs.update(_run_serial(misses, cache, progress, telemetry_pair))
-        else:
-            parallel_runs, n_retries, n_timeouts, shard_walls = _run_parallel(
-                misses, cache, jobs, policy, progress, telemetry_pair, estimates
-            )
-            runs.update(parallel_runs)
+        miss_runs, n_retries, n_timeouts, shard_walls = _run_misses(
+            misses, cache, jobs, policy, progress, telemetry_pair, estimates
+        )
+        runs.update(miss_runs)
 
     ordered = [runs[spec.key] for spec in specs]
     if telemetry is not None and telemetry.spans:

@@ -55,3 +55,27 @@ def cluster_job():
 @pytest.fixture()
 def grid_job():
     return make_grid_job()
+
+
+@pytest.fixture(scope="session")
+def telemetry_run():
+    """``(experiment_id, jobs) -> ExperimentRun`` of a fast campaign with
+    telemetry on, run once per session: tests asserting different
+    properties of the same campaign share its simulation."""
+    from repro.obs import TelemetryConfig
+    from repro.runner import ExperimentSpec, run_campaign
+
+    runs = {}
+
+    def get(experiment_id, jobs):
+        if (experiment_id, jobs) not in runs:
+            campaign = run_campaign(
+                [ExperimentSpec(experiment_id, fast=True)],
+                jobs=jobs,
+                telemetry=TelemetryConfig(),
+            )
+            assert campaign.ok, campaign.summary()
+            runs[experiment_id, jobs] = campaign.runs[0]
+        return runs[experiment_id, jobs]
+
+    return get

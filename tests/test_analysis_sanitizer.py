@@ -144,42 +144,33 @@ class TestSanitize:
 
 
 class TestMemoClearing:
-    """Sanitized runs must start with cold experiment memos: a warm memo
-    replays no simulation, so the captured trace/projection would be empty."""
-
-    def test_clear_memos_empties_table6_cache(self):
-        from repro.experiments import table6
-        from repro.experiments.registry import clear_memos
-
-        table6._cache[("sentinel",)] = object()
-        clear_memos()
-        assert table6._cache == {}
+    """Sanitized runs must start with a cold known-failure memo: a warm
+    memo replays no probe simulation, so the captured trace/projection
+    would miss the probe's events."""
 
     def test_trace_experiment_starts_cold(self):
-        from repro.experiments import table6
+        from repro.npb import suite
 
-        table6._cache[("sentinel",)] = object()
+        suite._failure_memo[("sentinel",)] = object()
         trace_experiment(seeded_experiment)
-        assert table6._cache == {}
+        assert suite._failure_memo == {}
 
     def test_perturb_runs_start_cold(self):
         from repro.analysis.perturb import perturb
-        from repro.experiments import table6
+        from repro.npb import suite
 
-        table6._cache[("sentinel",)] = object()
+        suite._failure_memo[("sentinel",)] = object()
         report = perturb(seeded_experiment, seeds=(1,))
         assert report.passed
-        assert table6._cache == {}
+        assert suite._failure_memo == {}
 
     def test_clear_memos_empties_the_npb_memos(self):
-        from repro.experiments import npb_runs
         from repro.experiments.registry import clear_memos
         from repro.npb import suite
 
-        npb_runs._cache[("sentinel",)] = 1.0
         suite._failure_memo[("sentinel",)] = object()
         clear_memos()
-        assert npb_runs._cache == {} and suite._failure_memo == {}
+        assert suite._failure_memo == {}
 
     def test_perturbed_npb_runs_replay_their_simulation(self):
         """Each perturbed run folds as many public events as the baseline:

@@ -15,8 +15,17 @@ SCALE = dict(total_rays=100_000, sysctls=TUNED_SYSCTLS)
 
 
 @pytest.fixture(scope="module")
-def run_rennes():
-    return run_ray2mesh(IMPL, master_site="rennes", **SCALE)
+def runs_by_master():
+    """One run per master site used below, each simulated once."""
+    return {
+        site: run_ray2mesh(IMPL, master_site=site, **SCALE)
+        for site in ("rennes", "nancy", "sophia", "toulouse")
+    }
+
+
+@pytest.fixture(scope="module")
+def run_rennes(runs_by_master):
+    return runs_by_master["rennes"]
 
 
 def test_all_rays_computed(run_rennes):
@@ -39,22 +48,16 @@ def test_phase_times_positive(run_rennes):
     assert run_rennes.total_time > run_rennes.comp_time + run_rennes.merge_time
 
 
-def test_master_placement_insensitive():
+def test_master_placement_insensitive(runs_by_master):
     """Table 7: total time barely depends on the master's location (the
     paper's conclusion: placement does not matter for this application)."""
-    totals = {}
-    for site in ("nancy", "sophia"):
-        result = run_ray2mesh(IMPL, master_site=site, **SCALE)
-        totals[site] = result.total_time
-    spread = max(totals.values()) / min(totals.values())
+    totals = [runs_by_master[site].total_time for site in ("nancy", "sophia")]
+    spread = max(totals) / min(totals)
     assert spread < 1.05
 
 
-def test_computing_time_placement_insensitive():
-    comps = [
-        run_ray2mesh(IMPL, master_site=site, **SCALE).comp_time
-        for site in ("rennes", "toulouse")
-    ]
+def test_computing_time_placement_insensitive(runs_by_master):
+    comps = [runs_by_master[site].comp_time for site in ("rennes", "toulouse")]
     assert max(comps) / min(comps) < 1.05
 
 

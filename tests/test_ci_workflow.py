@@ -121,6 +121,21 @@ def test_experiments_job_runs_the_perf_gate(workflow):
     assert gate_index > campaign_index
 
 
+def test_experiments_job_checks_serial_and_parallel_trace_hashes_agree(workflow):
+    steps = [step.get("run", "") for step in workflow["jobs"]["experiments"]["steps"]]
+
+    def index(command: str) -> int:
+        return next(i for i, run in enumerate(steps) if command in run)
+
+    serial = index("repro run fig6 --fast --jobs 1 --no-cache --bench BENCH_experiments.json")
+    # After the 4-worker campaign and the perf gate (which reads the
+    # campaign's entry as the manifest's last one)...
+    assert index("repro run all --fast --jobs 4") < index("check_perf_budget.py") < serial
+    # ...the step compares fig6's trace_hash across the last two entries.
+    assert "['runs'][-2:]" in steps[serial]
+    assert "['experiments']['fig6']['trace_hash']" in steps[serial]
+
+
 def test_check_sh_is_valid_shell():
     bash = shutil.which("bash")
     if bash is None:
@@ -146,8 +161,8 @@ def test_experiments_job_runs_the_perturbation_smoke(workflow):
     experiments = workflow["jobs"]["experiments"]
     commands = _run_commands(experiments)
     # all three smoke targets run under permuted same-timestamp ordering
-    # (table6 is the sharded/memoised heavyweight: its fast mode is the
-    # CI slice of the full-scale run)...
+    # (table6 is the sharded heavyweight: its fast mode is the CI slice of
+    # the full-scale run)...
     assert "repro sanitize" in commands and "--perturb" in commands
     assert "fig7" in commands and "faults_pingpong" in commands
     # the slow-start/BIC figures and the NPB per-message path, byte-exact

@@ -13,7 +13,7 @@ from repro.experiments.environments import (
     grid_placement,
     pingpong_pair,
 )
-from repro.experiments.npb_runs import clear_memo, npb_time
+from repro.runner import ExperimentSpec, run_campaign
 from repro.units import MB
 
 
@@ -142,14 +142,19 @@ def test_fig9_fast():
     assert by_stack["GridMPI"]["t500_s"] < by_stack["MPICH2"]["t500_s"]
 
 
-# --- NPB figures (class A fast mode, shared cache) -----------------------------------------
+def _campaign_runs(*experiment_ids):
+    """One serial uncached campaign: shards shared by the experiments run once."""
+    campaign = run_campaign(
+        [ExperimentSpec(eid, fast=True) for eid in experiment_ids], jobs=1, use_cache=False
+    )
+    assert campaign.ok, campaign.summary()
+    return campaign.runs
+
+
+# --- NPB figures (class A fast mode, shared grid16 shards) ---------------------------------
 @pytest.fixture(scope="module")
 def npb_results():
-    clear_memo()
-    fig10 = run_experiment("fig10", fast=True)
-    fig12 = run_experiment("fig12", fast=True)
-    fig13 = run_experiment("fig13", fast=True)
-    return fig10, fig12, fig13
+    return _campaign_runs("fig10", "fig12", "fig13")
 
 
 def test_fig10_gridmpi_wins_collectives(npb_results):
@@ -189,16 +194,10 @@ def test_fig13_grid_is_worth_it(npb_results):
     assert rows["cg"]["gridmpi"] < rows["lu"]["gridmpi"]
 
 
-def test_npb_cache_reused(npb_results):
-    t1 = npb_time("ep", "gridmpi", "grid16", cls="A")
-    t2 = npb_time("ep", "gridmpi", "grid16", cls="A")
-    assert t1 == t2
-
-
 # --- ray2mesh tables ---------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def ray_tables():
-    return run_experiment("table6", fast=True), run_experiment("table7", fast=True)
+    return _campaign_runs("table6", "table7")
 
 
 def test_table6_sophia_leads(ray_tables):

@@ -336,22 +336,15 @@ def test_campaign_without_telemetry_attaches_none(tmp_path):
     "experiment_id",
     [
         "fig6",  # pingpong sweep, sharded per curve
-        "fig11",  # NPB figure, sharded per benchmark point (memoised serially)
+        "fig11",  # NPB figure, sharded per benchmark point
         "faults_pingpong",  # fault sweep, sharded per curve
     ],
 )
 def test_parallel_telemetry_exports_are_byte_identical_to_serial(
-    tmp_path, experiment_id
+    telemetry_run, experiment_id
 ):
     def exports(jobs):
-        campaign = run_campaign(
-            [ExperimentSpec(experiment_id, fast=True)],
-            jobs=jobs,
-            cache=ResultCache(root=tmp_path / f"jobs{jobs}", digest="digest-a"),
-            telemetry=TelemetryConfig(),
-        )
-        assert campaign.ok
-        run = campaign.runs[0]
+        run = telemetry_run(experiment_id, jobs)
         return (
             run.text,
             render_chrome_trace(run.telemetry, label=experiment_id),
@@ -365,6 +358,26 @@ def test_parallel_telemetry_exports_are_byte_identical_to_serial(
     assert serial[1] == parallel[1]  # the Chrome trace
     assert serial[2] == parallel[2]  # the metrics JSON
     assert serial[3] == parallel[3]  # the metrics CSV
+
+
+def test_direct_run_records_the_campaign_tracks(telemetry_run):
+    """``run_experiment`` runs a sharded experiment's plan with each shard
+    under its task_id track, so a session around it exports what a
+    campaign's merged shard sessions export."""
+    from repro.experiments import run_experiment
+
+    with session(TelemetryConfig()) as sess:
+        text = run_experiment("fig6", fast=True).text
+    run = telemetry_run("fig6", 1)
+    assert text == run.text
+    direct = sess.to_payload()
+    assert sorted(direct["tracks"]) == sorted(run.telemetry["tracks"])
+    assert render_chrome_trace(direct, label="fig6") == render_chrome_trace(
+        run.telemetry, label="fig6"
+    )
+    assert render_metrics_json(direct, label="fig6") == render_metrics_json(
+        run.telemetry, label="fig6"
+    )
 
 
 def test_telemetry_leaves_the_report_text_unchanged(tmp_path):

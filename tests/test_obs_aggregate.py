@@ -434,23 +434,14 @@ def test_empty_session_exports_are_valid(tmp_path):
 
 
 @needs_fork
-def test_flame_outputs_are_byte_identical_serial_vs_parallel(tmp_path):
-    from repro.runner import ExperimentSpec, ResultCache, run_campaign
-
+def test_flame_outputs_are_byte_identical_serial_vs_parallel(telemetry_run):
     def outputs(jobs):
-        campaign = run_campaign(
-            [ExperimentSpec("fig11", fast=True)],
-            jobs=jobs,
-            cache=ResultCache(root=tmp_path / f"jobs{jobs}", digest="digest-a"),
-            telemetry=TelemetryConfig(),
-        )
-        assert campaign.ok
-        payload = campaign.runs[0].telemetry
-        stacks = collapsed_stacks(payload)
+        run = telemetry_run("fig11", jobs)
+        stacks = collapsed_stacks(run.telemetry)
         return (
             render_collapsed(stacks),
             render_svg(stacks, title="fig11"),
-            json.dumps(campaign.runs[0].rollup, sort_keys=True),
+            json.dumps(run.rollup, sort_keys=True),
         )
 
     serial = outputs(1)

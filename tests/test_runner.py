@@ -116,7 +116,9 @@ def test_source_digest_changes_with_content(tmp_path):
 # --- parallel == serial -----------------------------------------------------------
 @needs_fork
 def test_sharded_parallel_output_is_byte_identical_to_serial(tmp_path):
-    direct = run_experiment("fig6", fast=True)
+    serial = run_campaign(
+        [ExperimentSpec("fig6", fast=True)], jobs=1, use_cache=False
+    ).runs[0]
     campaign = run_campaign(
         [ExperimentSpec("fig6", fast=True)],
         jobs=4,
@@ -124,13 +126,19 @@ def test_sharded_parallel_output_is_byte_identical_to_serial(tmp_path):
         out_dir=tmp_path / "out",
     )
     run = campaign.runs[0]
-    assert run.ok and run.sharded
-    assert run.text == direct.text
-    assert run.trace_mode == "sharded"
+    assert serial.ok and serial.sharded and run.ok and run.sharded
+    assert serial.text == run_experiment("fig6", fast=True).text
+    # One execution path: --jobs 1 records what --jobs 4 records.
+    assert serial.trace_events > 0
+    assert (run.text, run.trace_hash, run.trace_events) == (
+        serial.text,
+        serial.trace_hash,
+        serial.trace_events,
+    )
     # the written report is the golden format: text + wall/fast footer
     written = (tmp_path / "out" / "fig6.txt").read_text()
     body, footer = written.rsplit("\n\n", 1)
-    assert body == direct.text
+    assert body == serial.text
     assert footer.startswith("[") and "s wall, fast=True]" in footer
     # warm-cache replay returns the same bytes
     warm = run_campaign(
@@ -138,39 +146,136 @@ def test_sharded_parallel_output_is_byte_identical_to_serial(tmp_path):
         jobs=4,
         cache=ResultCache(root=tmp_path, digest="digest-a"),
     )
-    assert warm.runs[0].cached and warm.runs[0].text == direct.text
+    assert warm.runs[0].cached and warm.runs[0].text == serial.text
+
+
+#: task_ids the shared-shard runner below was called with (in-process only)
+_SHARED_CALLS: list[str] = []
+
+
+def _shared_shard(tag: str, fast: bool = False) -> dict:
+    _SHARED_CALLS.append(tag)
+    return {"tag": tag}
+
+
+def _plan_entry(experiment_id: str, tags: tuple[str, ...]):
+    """A sharded registry entry whose shards are ``shared/<tag>``."""
+    from types import SimpleNamespace
+
+    from repro.experiments.base import ShardSpec
+
+    def shards(fast=False):
+        return [
+            ShardSpec(
+                task_id=f"shared/{tag}",
+                runner=f"{__name__}:_shared_shard",
+                params={"tag": tag},
+            )
+            for tag in tags
+        ]
+
+    def merge(payloads, fast=False):
+        text = " ".join(payloads[f"shared/{tag}"]["tag"] for tag in tags)
+        return ExperimentResult(experiment_id, experiment_id, "-", [], text)
+
+    return SimpleNamespace(shards=shards, merge=merge)
+
+
+@needs_fork
+def test_serial_campaign_runs_a_shared_shard_once(monkeypatch):
+    from repro.experiments import registry
+
+    monkeypatch.setitem(registry.MODULES, "left", _plan_entry("left", ("a", "b")))
+    monkeypatch.setitem(registry.MODULES, "right", _plan_entry("right", ("b", "c")))
+    specs = [ExperimentSpec("left", fast=True), ExperimentSpec("right", fast=True)]
+
+    _SHARED_CALLS.clear()
+    serial = run_campaign(specs, jobs=1, use_cache=False)
+    assert serial.ok, serial.summary()
+    assert sorted(_SHARED_CALLS) == ["a", "b", "c"]  # "b" ran once, for both
+    assert [run.text for run in serial.runs] == ["a b", "b c"]
+    assert all(run.sharded for run in serial.runs)
+
+    parallel = run_campaign(specs, jobs=2, use_cache=False)
+    assert parallel.ok, parallel.summary()
+    assert sorted(serial.shard_walls) == sorted(parallel.shard_walls) == [
+        "shared/a",
+        "shared/b",
+        "shared/c",
+    ]
+    for ours, theirs in zip(serial.runs, parallel.runs):
+        assert (ours.text, ours.trace_hash) == (theirs.text, theirs.trace_hash)
+
+
+def test_merge_renders_json_round_tripped_payloads_identically():
+    """A cached shard payload has been through JSON; merging it must render
+    what merging the in-memory payload renders, ``inf`` (a DNF) included."""
+    from repro.experiments import fig10, fig12, fig13, npb_runs, table6, table7
+    from repro.impls import IMPLEMENTATION_ORDER
+
+    npb_payloads = {
+        f"npb/{placement}/{bench}": {
+            "times": {
+                name: float("inf") if (i, j) == (2, 3) else 10.0 + i + 0.1 * j
+                for j, name in enumerate(IMPLEMENTATION_ORDER)
+            }
+        }
+        for placement in ("grid16", "cluster16", "cluster4")
+        for i, bench in enumerate(npb_runs.NPB_ORDER)
+    }
+    ray_payloads = {
+        f"ray2mesh/{site}": {
+            "rays_per_cluster": {s: 1000 + 10 * i + j for j, s in enumerate(table6.SITES)},
+            "comp_time": 100.0 + i,
+            "merge_time": 50.0 + i,
+            "total_time": 150.0 + 2 * i,
+        }
+        for i, site in enumerate(table6.SITES)
+    }
+    for modules, payloads in (
+        ((fig10, fig12, fig13), npb_payloads),
+        ((table6, table7), ray_payloads),
+    ):
+        round_tripped = json.loads(json.dumps(payloads))
+        for module in modules:
+            merged = module.merge(payloads, fast=True).text
+            assert module.merge(round_tripped, fast=True).text == merged
+    dnf = fig10.merge(npb_payloads, fast=True).rows[2][IMPLEMENTATION_ORDER[3]]
+    assert dnf == 0.0  # the inf time rendered as a DNF
 
 
 def test_npb_merge_is_identical_to_serial(monkeypatch):
-    # Prefill the NPB memo so neither path simulates anything; the test
-    # pins merge() to the serial rendering, value for value.
+    # Fake the per-point NPB time so neither path simulates anything; the
+    # test pins merge() over cached (JSON round-tripped) shard payloads to
+    # the serial in-process run, value for value.
     from repro.experiments import fig10, fig12, npb_runs
     from repro.impls import IMPLEMENTATION_ORDER
 
-    cls, sample = npb_runs.npb_fast_config(True)
-    fake = {}
-    for placement in ("grid16", "cluster16"):
-        for i, bench in enumerate(npb_runs.NPB_ORDER):
-            for j, name in enumerate(IMPLEMENTATION_ORDER):
-                t = float("inf") if (i, j) == (2, 3) else 10.0 + i + 0.1 * j
-                fake[(bench, name, placement, cls, "fully_tuned", sample)] = t
-    monkeypatch.setattr(npb_runs, "_cache", fake)
+    def fake_time(bench, impl_name, placement_kind, **kwargs):
+        i = npb_runs.NPB_ORDER.index(bench)
+        j = IMPLEMENTATION_ORDER.index(impl_name)
+        return float("inf") if (i, j) == (2, 3) else 10.0 + i + 0.1 * j
 
-    for module in (fig10, fig12):
+    monkeypatch.setattr(npb_runs, "npb_time", fake_time)
+
+    for experiment_id, module in (("fig10", fig10), ("fig12", fig12)):
         payloads = {
             shard.task_id: npb_runs.run_npb_point_shard(fast=True, **shard.params)
             for shard in module.shards(fast=True)
         }
         # JSON round-trip, as the shard cache would do
         payloads = json.loads(json.dumps(payloads))
-        assert module.merge(payloads, fast=True).text == module.run(fast=True).text
+        serial = run_experiment(experiment_id, fast=True)
+        assert module.merge(payloads, fast=True).text == serial.text
 
 
 def test_ray2mesh_merge_is_identical_to_serial(monkeypatch):
+    from types import SimpleNamespace
+
     from repro.experiments import table6, table7
 
     fake = {
-        site: table6.Ray2MeshSummary(
+        site: SimpleNamespace(
             rays_per_cluster={s: 1000 + 10 * i + j for j, s in enumerate(table6.SITES)},
             comp_time=100.0 + i,
             merge_time=50.0 + i,
@@ -178,7 +283,9 @@ def test_ray2mesh_merge_is_identical_to_serial(monkeypatch):
         )
         for i, site in enumerate(table6.SITES)
     }
-    monkeypatch.setattr(table6, "_cache", {("ray2mesh", True): fake})
+    monkeypatch.setattr(
+        table6, "run_ray2mesh", lambda impl, master_site, **kwargs: fake[master_site]
+    )
     payloads = {
         f"ray2mesh/{site}": {
             "rays_per_cluster": fake[site].rays_per_cluster,
@@ -189,8 +296,8 @@ def test_ray2mesh_merge_is_identical_to_serial(monkeypatch):
         for site in table6.SITES
     }
     payloads = json.loads(json.dumps(payloads))
-    assert table6.merge(payloads, fast=True).text == table6.run(fast=True).text
-    assert table7.merge(payloads, fast=True).text == table7.run(fast=True).text
+    assert table6.merge(payloads, fast=True).text == run_experiment("table6", fast=True).text
+    assert table7.merge(payloads, fast=True).text == run_experiment("table7", fast=True).text
 
 
 def test_shard_plans_dedupe_across_experiments():
@@ -540,24 +647,9 @@ def test_result_cache_prune_wrapper(tmp_path, tiny):
 
 
 # --- shared-shard wall attribution (tables 6/7 share the ray2mesh shards) ---------
-def test_shard_sharers_links_table6_and_table7():
-    from repro.runner.pool import _shard_sharers
-
-    specs = [
-        ExperimentSpec("table6", fast=True),
-        ExperimentSpec("table7", fast=True),
-        ExperimentSpec("table1", fast=True),  # unsharded: no entry at all
-    ]
-    sharers = _shard_sharers(specs)
-    assert sharers[("table6", True)] == ["table7"]
-    assert sharers[("table7", True)] == ["table6"]
-    assert ("table1", True) not in sharers
-
-
 def test_merge_attributes_shared_shard_wall_to_every_consumer():
     """Regression: table7 used to record wall_s=0.0 because all shard wall
-    time landed on table6; every consumer must count the shared shards and
-    say who else did."""
+    time landed on table6; every consumer must count the shared shards."""
     from repro.experiments.base import ExperimentResult, ShardSpec
     from repro.runner.pool import ExperimentRun, _merge_sharded
 
@@ -578,43 +670,16 @@ def test_merge_attributes_shared_shard_wall_to_every_consumer():
         ("ray2mesh/nancy", True): {"payload": {}, "wall_s": 10.0, "trace_hash": "a"},
         ("ray2mesh/rennes", True): {"payload": {}, "wall_s": 2.5, "trace_hash": "b"},
     }
-    run = _merge_sharded(
-        ExperimentSpec("table7", fast=True),
-        plan,
-        shard_results,
-        shared_with=["table6"],
-    )
+    run = _merge_sharded(ExperimentSpec("table7", fast=True), plan, shard_results)
     assert run.ok
     assert run.wall_s == pytest.approx(12.5)
-    assert run.shared_with == ["table6"]
 
-    # The attribution survives the artifact round trip and the manifest.
+    # The attribution survives the artifact round trip.
     revived = ExperimentRun.from_artifact(
         ExperimentSpec("table7", fast=True), run.artifact()
     )
-    assert revived.shared_with == ["table6"]
     assert revived.wall_s == pytest.approx(12.5)
-
-
-def test_manifest_entry_records_shared_with(tmp_path, tiny):
-    from repro.runner.manifest import campaign_entry
-    from repro.runner.pool import CampaignResult, ExperimentRun
-
-    campaign = CampaignResult(
-        runs=[
-            ExperimentRun(
-                "table7", True, ok=True, sharded=True,
-                wall_s=12.5, shared_with=["table6"],
-            ),
-            ExperimentRun("tiny", True, ok=True, wall_s=0.1),
-        ],
-        wall_s=12.6,
-        jobs=2,
-        cache_enabled=True,
-    )
-    entry = campaign_entry(campaign, label="test")
-    assert entry["experiments"]["table7"]["shared_with"] == ["table6"]
-    assert "shared_with" not in entry["experiments"]["tiny"]
+    assert revived.sharded and revived.trace_hash == run.trace_hash
 
 
 # --- cost-model scheduling --------------------------------------------------------

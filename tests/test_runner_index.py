@@ -23,9 +23,7 @@ def _experiment_artifact(experiment_id="fig7", **overrides):
         "ok": True,
         "sharded": False,
         "wall_s": 4.2,
-        "shared_with": [],
         "trace_hash": "abc123",
-        "trace_mode": "serial",
         "trace_events": 10,
         "title": "Throughput vs message size",
         "paper_ref": "Fig. 7",

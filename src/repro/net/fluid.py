@@ -26,6 +26,26 @@ component of one live flow skips progressive filling altogether: the flow
 gets ``min(rate cap, smallest pipe capacity)``, which is exactly what
 filling computes (``capacity / 1`` is exact).
 
+Resumed fills
+-------------
+A departure or a cap push cannot move a rate below its *level*: the
+departing flow's rate, or ``min(old rate, new cap)``.  Up to that level
+the mutated flow is active on every pipe it crosses, with or without the
+mutation, so every freeze below it happens alike.  The fill therefore
+freezes the flows below the level at their current rates (their rates
+come off their pipes' residuals) and solves only the rest, starting its
+walk of the plan's sorted cap list at the level.  Arrivals and capacity
+changes fill from zero.
+
+Coalesced firings
+-----------------
+A completion callback departs every flow due at its tick before it solves
+anything; each component those departures left is solved once, at the end,
+from the lowest rate that departed from it.  Nothing reads a rate between
+those departures (``done.succeed`` only schedules), so this equals one
+solve per departure.  It stops at one callback: TCP reads a flow's rate
+right after it starts the flow and after each cap push.
+
 Completion timer
 ----------------
 Each flow's exact completion tick is kept in a network-local heap of
@@ -45,8 +65,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain
-from typing import Callable, Iterable, Optional
+from bisect import bisect_left, insort
+from itertools import chain, starmap
+from typing import Callable, Collection, Iterable, Optional
 
 from repro.errors import NetworkConfigError
 from repro.sim.core import Environment, Event
@@ -58,6 +79,9 @@ _EPS = 1e-12
 _RESIDUE_BITS = 1.0
 #: Never schedule a completion closer than this (guards clock stagnation).
 _MIN_ETA = 1e-12
+#: A resumed fill freezes only flows below ``level * (1 - margin)``: rates may
+#: be stale by ``_EPS``, and a flow tied with the mutated one must stay free.
+_LEVEL_MARGIN = 1e-9
 
 
 class Pipe:
@@ -143,8 +167,9 @@ class Flow:
 class _ComponentPlan:
     """Indexed view of one connected component of live flows.
 
-    Rate caps and capacities may change freely between solves (the solve
-    re-reads them).  An arriving flow whose route touches only this
+    Capacities may change freely between solves (the solve re-reads them);
+    a rate cap changes through :meth:`FluidNetwork.set_rate_cap`, which
+    keeps ``caps`` sorted.  An arriving flow whose route touches only this
     component is appended in place (its uid is the largest yet, so
     ``flows`` stays uid sorted); a departing flow is dead-marked and
     skipped.  A merge or a split builds new plans instead.  ``flows`` is
@@ -163,6 +188,7 @@ class _ComponentPlan:
         "live_count",
         "dead",
         "n_dead",
+        "caps",
     )
 
     def __init__(self, scope: Iterable[Flow]):
@@ -181,6 +207,9 @@ class _ComponentPlan:
         self.live_count: list[int] = []
         self.dead = bytearray()
         self.n_dead = 0
+        #: sorted ``(cap, flow index)`` of the live capped flows: built by the
+        #: first fill (lone flows never need one), then patched in place
+        self.caps: Optional[list[tuple[float, int]]] = None
         flows = sorted(scope, key=lambda f: f.uid)
         for flow in flows:
             self.extend(flow)
@@ -207,6 +236,8 @@ class _ComponentPlan:
                 live_count[pidx] += 1
             indices.append(pidx)
         self.flow_pipes.append(indices)
+        if self.caps is not None:
+            self.move_cap(fidx, math.inf, flow.rate_cap_bps)
 
     def drop(self, flow: Flow) -> None:
         """Dead-mark a departing flow."""
@@ -215,6 +246,17 @@ class _ComponentPlan:
         self.n_dead += 1
         for pidx in self.flow_pipes[fidx]:
             self.live_count[pidx] -= 1
+        if self.caps is not None:
+            self.move_cap(fidx, flow.rate_cap_bps, math.inf)
+
+    def move_cap(self, fidx: int, old: float, new: float) -> None:
+        """Move flow ``fidx``'s entry in the built ``caps`` from cap ``old``
+        to ``new`` (an infinite cap has no entry)."""
+        caps = self.caps
+        if old != math.inf:
+            del caps[bisect_left(caps, (old, fidx))]
+        if new != math.inf:
+            insort(caps, (new, fidx))
 
     def compact(self) -> None:
         """Rebuild the index arrays without the dead slots.
@@ -238,6 +280,7 @@ class _ComponentPlan:
         self.flow_index = {flow: fidx for fidx, flow in enumerate(flows)}
         self.dead = bytearray(len(flows))
         self.n_dead = 0
+        self.caps = None
 
 
 class FluidNetwork:
@@ -252,6 +295,9 @@ class FluidNetwork:
         self.recomputations = 0
         #: number of component solves actually run across all recomputations
         self.solve_rounds = 0
+        #: flows solved by progressive filling, summed over fills (flows
+        #: frozen below a resumed fill's level are not counted)
+        self.fill_visits = 0
         self._flow_counter = 0
         #: each pipe carrying live flows -> the plan of their component
         self._plans: dict[Pipe, _ComponentPlan] = {}
@@ -261,8 +307,10 @@ class FluidNetwork:
         self._arm_order = 0
         #: ticks at which a ``_on_timer`` callback is queued in the engine
         self._timer_ticks: set[int] = set()
-        #: set while ``_on_timer`` finishes flows: it re-arms once at the end
+        #: set while ``_on_timer`` finishes flows: it solves and re-arms at the end
         self._firing = False
+        #: plans a firing's departures left to solve -> their fill level
+        self._pending: dict[_ComponentPlan, float] = {}
 
     # -- public API -------------------------------------------------------------
     def start_flow(
@@ -313,7 +361,7 @@ class FluidNetwork:
         for pipe in covered:
             plans[pipe] = plan
         self.recomputations += 1
-        self._solve([plan])
+        self._solve(((plan, 0.0),))
         return flow
 
     def set_rate_cap(self, flow: Flow, rate_cap_bps: float) -> None:
@@ -325,7 +373,10 @@ class FluidNetwork:
         old_cap = flow.rate_cap_bps
         if abs(rate_cap_bps - old_cap) < _EPS:
             return
-        flow.rate_cap_bps = float(rate_cap_bps)
+        flow.rate_cap_bps = rate_cap_bps = float(rate_cap_bps)
+        plan = self._plans[flow.pipes[0]]
+        if plan.caps is not None:
+            plan.move_cap(plan.flow_index[flow], old_cap, rate_cap_bps)
         # A cap move cannot change any allocation when the flow was not
         # cap-limited before (its pipes limit it) and the new cap still
         # sits above its current rate.  Skipping the recompute here is what
@@ -335,7 +386,7 @@ class FluidNetwork:
         if not was_cap_limited and rate_cap_bps >= rate - _EPS:
             return
         self.recomputations += 1
-        self._solve([self._plans[flow.pipes[0]]])
+        self._solve(((plan, min(rate, rate_cap_bps)),))
 
     def set_pipe_capacity(self, pipe: Pipe, capacity_bps: "Rate | float") -> None:
         """Change a pipe's capacity mid-simulation (fault injection: link
@@ -350,7 +401,7 @@ class FluidNetwork:
         self.recomputations += 1
         plan = self._plans.get(pipe)
         if plan is not None:
-            self._solve([plan])
+            self._solve(((plan, 0.0),))
 
     def abort_flow(self, flow: Flow, exc: BaseException) -> None:
         """Fail a flow's completion event and release its capacity."""
@@ -376,7 +427,8 @@ class FluidNetwork:
         Pipes left without a live flow leave the map.  The flows still on
         its other pipes ("anchors") stay one component unless the flow was
         their only link: with two or more anchors, a walk from the first
-        checks that it reaches the rest, and the plan splits if not.
+        checks that it reaches the rest, and the plan splits if not.  What
+        is left resumes filling at the flow's rate, or is queued if firing.
         """
         self.recomputations += 1
         self.flows.discard(flow)
@@ -391,12 +443,16 @@ class FluidNetwork:
                 plans.pop(pipe, None)
             elif pipe not in anchors:
                 anchors.append(pipe)
+        work = self._pending if self._firing else {}
+        level = work.pop(plan, math.inf)
+        if flow.rate_bps < level:
+            level = flow.rate_bps
         if len(anchors) > 1:
-            self._solve(self._split(plan, anchors))
+            work.update(dict.fromkeys(self._split(plan, anchors), level))
         elif anchors:
-            self._solve([plan])
-        else:
-            self._arm_timer()  # the flow was alone: nothing left to solve
+            work[plan] = level
+        if not self._firing:
+            self._solve(work.items())  # empty when the flow was alone: re-arms only
 
     def _split(self, plan: _ComponentPlan, anchors: "list[Pipe]") -> "list[_ComponentPlan]":
         """``[plan]`` if its live flows still connect every anchor, else
@@ -435,21 +491,25 @@ class FluidNetwork:
                 self._plans[pipe] = part
         return parts
 
-    def _solve(self, plans: "list[_ComponentPlan]") -> None:
+    def _solve(self, plans: "Collection[tuple[_ComponentPlan, float]]") -> None:
         """Re-solve whole components and re-arm the flows whose rate moved.
 
-        Every flow sharing a pipe with a component is itself in it, so
-        pipe capacities need no adjustment for external traffic.  A lone
-        live flow takes the closed form (:meth:`_closed_form`), larger
-        components progressive filling (:meth:`_fill`).  The parts of a
-        split re-arm in uid order, as one solve over their union would.
+        ``plans`` pairs each component with the level its fill resumes at
+        (see :meth:`_fill`).  Every flow sharing a pipe with a component is
+        itself in it, so pipe capacities need no adjustment for external
+        traffic.  A lone live flow takes the closed form
+        (:meth:`_closed_form`), larger components progressive filling.
+        Several components (a split, or a firing) re-arm in uid order, as
+        one solve over their union would.
         """
         self.solve_rounds += len(plans)
         if len(plans) == 1:
-            moves = self._rates(plans[0])
+            ((plan, level),) = plans
+            moves = self._rates(plan, level)
         else:
             moves = sorted(
-                chain.from_iterable(map(self._rates, plans)), key=lambda move: move[0].uid
+                chain.from_iterable(starmap(self._rates, plans)),
+                key=lambda move: move[0].uid,
             )
         env_now = self.env.now
         for flow, rate in moves:
@@ -484,7 +544,7 @@ class FluidNetwork:
             self._arm_completion(flow, flow.remaining_bits / rate)
         self._arm_timer()
 
-    def _rates(self, plan: "_ComponentPlan") -> "Iterable[tuple[Flow, float]]":
+    def _rates(self, plan: "_ComponentPlan", level: float) -> "Iterable[tuple[Flow, float]]":
         """``(flow, rate)`` for each live flow of ``plan``, in uid order."""
         if plan.n_dead > 64 and plan.n_dead * 2 > len(plan.flows):
             plan.compact()
@@ -494,7 +554,7 @@ class FluidNetwork:
                 return moves
         flows = plan.flows
         live = list(plan.flow_index.values())
-        rates = self._fill(plan, live)
+        rates = self._fill(plan, live, level)
         return zip(map(flows.__getitem__, live), map(rates.__getitem__, live))
 
     def _closed_form(self, plan: "_ComponentPlan") -> "Optional[list[tuple[Flow, float]]]":
@@ -519,9 +579,13 @@ class FluidNetwork:
                 rate = capacity
         return [(flow, rate)]
 
-    def _fill(self, plan: "_ComponentPlan", live: "list[int]") -> "list[float]":
+    def _fill(self, plan: "_ComponentPlan", live: "list[int]", level: float = 0.0) -> "list[float]":
         """Progressive filling over the component's ``live`` flow indices,
         in uid order; returns the rates by flow index.
+
+        A fill resumed at ``level`` first freezes every flow whose rate or
+        cap lies below it (see the module docstring) at its current rate,
+        off its pipes' residuals, and then solves the rest from zero.
 
         The solve is event-driven: while a pipe's active count is stable its
         predicted saturation level ``fill + remaining/count`` is invariant,
@@ -540,6 +604,33 @@ class FluidNetwork:
         n_pipes = len(remaining)
         fillstamp = [0.0] * n_pipes
         count = plan.live_count[:]
+        # Dead slots start out frozen so both event loops skip them.
+        frozen = bytearray(plan.dead)
+        rates = [0.0] * n_flows
+        n_active = len(live)
+        # Flows freeze at their cap in (cap, flow index) order, which is
+        # (cap, uid) order because ``flows`` is uid-sorted.
+        capped = plan.caps
+        if capped is None:
+            capped = plan.caps = sorted(
+                (cap, fidx) for fidx in live if (cap := flows[fidx].rate_cap_bps) != math.inf
+            )
+        cap_idx = 0
+        if level > 0.0:
+            threshold = level * (1.0 - _LEVEL_MARGIN)
+            for fidx in live:
+                flow = flows[fidx]
+                rate = flow.rate_bps
+                if rate < threshold or flow.rate_cap_bps < threshold:
+                    frozen[fidx] = 1
+                    rates[fidx] = rate
+                    n_active -= 1
+                    for q in flow_pipes[fidx]:
+                        remaining[q] -= rate
+                        count[q] -= 1
+            # every cap below the threshold belongs to a pre-frozen flow
+            cap_idx = bisect_left(capped, (threshold,))
+        self.fill_visits += n_active
         #: heap of (saturation level, pipe index, count stamp); an entry is
         #: live iff its stamp equals the pipe's current count.  Ties break
         #: on the pipe index — first-touch order, deterministic.
@@ -549,22 +640,7 @@ class FluidNetwork:
             if count[i]
         ]
         heapq.heapify(pipe_events)
-        # Cap events sorted once: flows freeze at their cap in cap order
-        # ((cap, flow index) is (cap, uid) order because ``flows`` is
-        # uid-sorted).
-        _inf = math.inf
-        capped = [
-            (cap, fidx)
-            for fidx in live
-            if (cap := flows[fidx].rate_cap_bps) != _inf
-        ]
-        capped.sort()
-        cap_idx = 0
         n_caps = len(capped)
-        # Dead slots start out frozen so both event loops skip them.
-        frozen = bytearray(plan.dead)
-        rates = [0.0] * n_flows
-        n_active = len(live)
         fill = 0.0
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -679,7 +755,7 @@ class FluidNetwork:
                 self.env.call_at(tick, self._on_timer)
 
     def _on_timer(self) -> None:
-        """Finish every flow due now, in arm order, then re-arm once."""
+        """Finish every flow due now, in arm order, then solve and re-arm once."""
         now = self.env.now_ticks
         self._timer_ticks.discard(now)
         due = self._due
@@ -698,4 +774,8 @@ class FluidNetwork:
             flow.done.succeed(flow)
             self._depart(flow)
         self._firing = False
-        self._arm_timer()
+        if self._pending:
+            work, self._pending = self._pending, {}
+            self._solve(work.items())
+        else:
+            self._arm_timer()  # every flow departed alone: nothing to solve

@@ -5,10 +5,14 @@ import random
 
 import pytest
 
+from repro.apps import run_ray2mesh
 from repro.errors import NetworkConfigError
+from repro.experiments.environments import get_environment
 from repro.net import Flow, FluidNetwork, Pipe
+from repro.net.grid5000 import build_ray2mesh_testbed
 from repro.sim import Environment
 from repro.units import Gbps, MB, Mbps
+from tests.fluid_invariants import maxmin_checked
 
 
 @pytest.fixture()
@@ -278,7 +282,8 @@ def _check_against_oracle(network, pipes, when):
 def _check_plans(network, pipes):
     """The pipe -> plan map holds exact components: each pipe that carries
     live flows maps to the plan holding exactly its component, each plan's
-    live flows are connected, and the plans partition ``network.flows``."""
+    live flows are connected, and the plans partition ``network.flows``.
+    A plan's cap list, once built, holds its live capped flows in order."""
     assert set(network._plans) == {pipe for pipe in pipes if pipe.flows}
     plans = {id(plan): plan for plan in network._plans.values()}
     covered = []
@@ -294,14 +299,22 @@ def _check_plans(network, pipes):
                         reached.add(other)
                         stack.append(other)
         assert reached == set(flows), "a plan holds more than one component"
+        if plan.caps is not None:
+            assert plan.caps == sorted(
+                (f.rate_cap_bps, plan.flow_index[f]) for f in flows if f.rate_cap_bps != math.inf
+            )
         covered += flows
     assert len(covered) == len(set(covered)) and set(covered) == network.flows
 
 
 def _drive_workload(seed, sparse=False):
     """Run a randomized flow history, checking every rate against the
-    oracle after every operation and every completion; returns the
-    number of checks.
+    oracle after every operation and every completion, and every solve
+    against the max-min invariants; returns the number of oracle checks
+    and the number of completions that shared their tick with another.
+
+    A burst starts several identical flows at once: they finish on one
+    tick, so a single completion callback departs them all.
 
     ``sparse`` spreads short routes over many pipes, so most components
     hold zero or one live flow (the closed-form solve); caps then often
@@ -317,6 +330,7 @@ def _drive_workload(seed, sparse=False):
     ]
     started = []
     checks = []
+    finished_at = []
 
     def check(when):
         _check_against_oracle(network, pipes, when)
@@ -338,6 +352,11 @@ def _drive_workload(seed, sparse=False):
             return rng.choice(route).capacity_bps  # cap == capacity tie
         return math.inf if rng.random() < 0.3 else rng.uniform(1e6, 2e9)
 
+    def finished(event, name):
+        if event.ok:  # not aborted
+            finished_at.append(env.now_ticks)
+        check(f"after {name} completed")
+
     def script():
         counter = 0
         for step in range(60):
@@ -345,17 +364,18 @@ def _drive_workload(seed, sparse=False):
             dice = rng.random()
             live = [f for f in started if f in network.flows]
             if dice < 0.5 or not live:
-                counter += 1
                 route = pick_route()
                 cap = pick_cap(route)
                 nbytes = rng.uniform(1e3, 2e7)
-                flow = network.start_flow(
-                    f"w{counter}", route, nbytes, rate_cap_bps=cap
-                )
-                flow.done.callbacks.append(
-                    lambda _ev, name=flow.name: check(f"after {name} completed")
-                )
-                started.append(flow)
+                for _ in range(rng.randint(2, 4) if dice < 0.1 else 1):
+                    counter += 1
+                    flow = network.start_flow(
+                        f"w{counter}", route, nbytes, rate_cap_bps=cap
+                    )
+                    flow.done.callbacks.append(
+                        lambda ev, name=flow.name: finished(ev, name)
+                    )
+                    started.append(flow)
             elif dice < 0.75:
                 flow = live[rng.randrange(len(live))]
                 network.set_rate_cap(flow, pick_cap(flow.pipes))
@@ -369,22 +389,27 @@ def _drive_workload(seed, sparse=False):
             check(f"after op {step}")
 
     env.process(script())
-    # Generous horizon: a 1 Mbps cap on a 20 MB flow needs ~160 s of
-    # virtual time, and virtual seconds are cheap once the churn stops.
-    env.run(until=300.0)
+    with maxmin_checked() as tally:
+        # Generous horizon: a 1 Mbps cap on a 20 MB flow needs ~160 s of
+        # virtual time, and virtual seconds are cheap once the churn stops.
+        env.run(until=300.0)
     assert not network.flows, "workload must drain within the horizon"
-    return len(checks)
+    assert tally.completions == len(finished_at)
+    shared = sum(finished_at.count(tick) > 1 for tick in finished_at)
+    return len(checks), shared
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_incremental_allocator_matches_legacy_oracle(seed):
     # 60 operations, plus one check per flow that finished or aborted
-    assert _drive_workload(seed) > 60
+    checks, shared_tick_completions = _drive_workload(seed)
+    assert checks > 60 and shared_tick_completions > 0
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_small_components_match_legacy_oracle(seed):
-    assert _drive_workload(seed, sparse=True) > 60
+    checks, shared_tick_completions = _drive_workload(seed, sparse=True)
+    assert checks > 60 and shared_tick_completions > 0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -569,3 +594,74 @@ def test_capacity_change_on_an_idle_pipe_solves_nothing(env, net):
     assert net.recomputations == recomputations + 1
     assert net.solve_rounds == rounds
     assert idle not in net._plans
+
+
+# -- coalesced firings and resumed fills ---------------------------------------
+
+
+def test_flows_finishing_on_one_tick_are_solved_once(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Mbps(900))
+    burst = [net.start_flow(f"s{i}", [a], MB) for i in range(4)]
+    long = net.start_flow("long", [a, b], 100 * MB)
+    other = net.start_flow("other", [b], 100 * MB)
+    rounds = net.solve_rounds
+    env.run(until=burst[0].done)
+    assert all(flow.done.triggered for flow in burst)
+    assert net.solve_rounds == rounds + 1  # one solve for the firing, not 4
+    _check_against_oracle(net, [a, b], "after the burst completed")
+    assert long.rate_bps == other.rate_bps == Mbps(450)
+
+
+def test_departure_refills_only_flows_at_or_above_its_rate(env, net):
+    pipe = Pipe("p", Gbps(1))
+    capped = [
+        net.start_flow(f"c{i}", [pipe], 100 * MB, rate_cap_bps=Mbps(50 + i))
+        for i in range(5)
+    ]
+    fastest = net.start_flow("fastest", [pipe], MB)
+    peer = net.start_flow("peer", [pipe], 100 * MB)
+    assert fastest.rate_bps == peer.rate_bps == Mbps(370)
+    state = [(f.remaining_bits, f._last_update, f._arm) for f in capped]
+    visits = net.fill_visits
+    env.run(until=fastest.done)
+    assert net.fill_visits == visits + 1  # ``peer``: the capped flows are fixed
+    assert peer.rate_bps == Mbps(740)
+    assert [(f.remaining_bits, f._last_update, f._arm) for f in capped] == state
+    _check_against_oracle(net, [pipe], "after the fastest flow departed")
+
+
+def test_firing_resumes_at_the_lowest_rate_it_departed(env, net):
+    p, r = Pipe("p", Mbps(300)), Pipe("r", Gbps(1))
+    slow = net.start_flow("slow", [p], 1.25 * MB, rate_cap_bps=Mbps(100))
+    held = net.start_flow("held", [p, r], 100 * MB)
+    fast = net.start_flow("fast", [r], 3.75 * MB, rate_cap_bps=Mbps(300))
+    net.start_flow("keeper", [r], 100 * MB, rate_cap_bps=Mbps(50))
+    assert (slow.rate_bps, held.rate_bps, fast.rate_bps) == (Mbps(100), Mbps(200), Mbps(300))
+    visits = net.fill_visits
+    env.run(until=slow.done)
+    assert fast.done.triggered  # same tick, departing after ``slow``
+    # ``held`` lies between the two departed rates, so it is re-solved;
+    # ``keeper`` lies below both and stays frozen
+    assert held.rate_bps == Mbps(300)
+    assert net.fill_visits == visits + 1
+    _check_against_oracle(net, [p, r], "after both departed")
+
+
+def test_reduced_ray2mesh_keeps_max_min_and_pins_solver_counts():
+    """A real run through TCP and MPI, every solve and completion checked:
+    it covers coalesced firings, resumed fills and TCP cap pushes.  The
+    exact counts are pinned; an intentional solver change re-seeds them
+    (with a CHANGES.md line)."""
+    env = get_environment("fully_tuned")
+    with maxmin_checked() as tally:
+        result = run_ray2mesh(
+            env.impl("mpich2"),
+            master_site="rennes",
+            total_rays=20_000,
+            network=build_ray2mesh_testbed(nodes_per_site=3),
+            sysctls=env.sysctls,
+        )
+    assert result.total_rays == 20_000
+    (net,) = tally.networks
+    assert not net.flows and tally.completions > 0
+    assert (net.recomputations, net.solve_rounds, net.fill_visits) == (1146, 922, 59477)

@@ -7,7 +7,8 @@
 # each is skipped with a notice when absent.  Under CI (CI=1) a missing
 # tool is a configuration error and fails the gate instead of silently
 # thinning it.  `repro lint` and pytest are always run; pytest itself
-# re-runs the lint pass via the conftest session gate.
+# re-runs the lint pass via the conftest session gate.  The last line
+# printed is the src/repro line count, for information.
 #
 # The exit code is the FIRST failing step's code, not the last one's.
 set -euo pipefail
@@ -69,5 +70,8 @@ run_step "repro lint" python -m repro lint
 run_step "pytest" python -m pytest -x -q
 # The benchmark harness keeps its own tests; `testpaths` does not reach them.
 run_step "pytest bench/tests" python -m pytest bench/tests -q
+
+# For information only, never a gate: the source size ROADMAP.md tracks.
+echo "== src/repro: $(find src/repro -name '*.py' -exec cat {} + | wc -l) lines =="
 
 exit $status

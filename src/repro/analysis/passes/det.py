@@ -56,7 +56,6 @@ _NUMPY_RNG = {
 #: feeding the event queue
 _SCHEDULING_ATTRS = {
     "timeout", "timeout_at", "call_at", "process", "succeed", "fail", "_schedule",
-    "interrupt",
 }
 
 

@@ -4,8 +4,10 @@ These target the three engine-contract mistakes that do not crash but
 corrupt results: a process `return`-ing a pending event instead of
 yielding it (the event is silently dropped), triggering the same event
 twice in straight-line code (raises at runtime, but only on the path
-that hits it), and bare `except:` handlers that swallow
-:class:`repro.sim.core.Interrupt`.
+that hits it), and bare `except:` handlers.  In a process, a bare
+`except:` swallows the exception a failed event throws into the
+generator, `GeneratorExit` when the generator is closed, and
+`KeyboardInterrupt`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class SimContractPass(LintPass):
     rules = {
         "SIM001": "generator process returns a pending Event instead of yielding it",
         "SIM002": "event triggered twice in straight-line code",
-        "SIM003": "bare `except:` swallows Interrupt",
+        "SIM003": "bare `except:` swallows failed-event exceptions and GeneratorExit",
     }
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
@@ -46,8 +48,9 @@ class SimContractPass(LintPass):
                     ctx.path,
                     node.lineno,
                     "SIM003",
-                    "bare `except:` also catches Interrupt (and KeyboardInterrupt)",
-                    "catch the specific exception, or re-raise Interrupt explicitly",
+                    "bare `except:` also catches the exception a failed event throws "
+                    "into the process, GeneratorExit and KeyboardInterrupt",
+                    "catch the specific exception the code expects",
                 )
 
     # -- SIM001 -----------------------------------------------------------------

@@ -18,9 +18,10 @@ as ``Protocol._at``'s deliveries or a fluid network's completion timer —
 are excluded because *how many* of them exist at a timestamp legitimately
 depends on execution order (one completion callback may finish two flows
 due at the same tick, or two callbacks one each), while the observable
-computation must not.  The raw order-sensitive :class:`EventTraceHasher` digest is expected
-to differ under perturbation; byte-identical *results* with a stable
-projection are the contract the goldens rely on.
+computation must not.  The raw order-sensitive
+:class:`~repro.sim.core.EventTraceHasher` digest is expected to differ
+under perturbation; byte-identical *results* with a stable projection are
+the contract the goldens rely on.
 
 Exposed as ``repro sanitize --perturb``; the CI smoke runs it on ``fig7``
 and ``faults_pingpong`` and diffs the emitted result text against the
@@ -78,7 +79,8 @@ def perturbation_ranker(seed: int) -> Callable[[int], int]:
 class ScheduleProjection:
     """Order-insensitive-within-timestamp digest of the public schedule.
 
-    Installable as a trace sink (same signature as ``EventTraceHasher``).
+    Installable as a trace sink (same signature as
+    :class:`~repro.sim.core.EventTraceHasher`).
     Events are grouped by timestamp; each group contributes its sorted
     ``{time!r}|{name}`` lines to a running blake2b digest, so reordering
     *within* a timestamp cannot change the digest but dropping, adding or

@@ -5,7 +5,7 @@ nondeterminism it can see syntactically; this module catches the ones it
 cannot (set-ordered scheduling, unseeded library internals, hidden global
 state) by construction: an experiment is run ``runs`` times with identical
 configuration, every processed event is folded into an
-:class:`~repro.mpi.tracing.EventTraceHasher` via the
+:class:`~repro.sim.core.EventTraceHasher` via the
 :func:`repro.sim.core.install_trace_sink` hook, and the digests must be
 bit-identical.  The rendered result is folded in as well, so value-level
 divergence (same schedule, different numbers) also fails.

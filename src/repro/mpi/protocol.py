@@ -21,7 +21,7 @@ Fig. 7).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import MpiError
 from repro.mpi.matching import Mailbox
@@ -106,7 +106,7 @@ class Protocol:
         env = self.env
         impl = self.impl
         link = self.transport.link(src, dst)
-        self.trace.record_p2p(src, dst, tag, nbytes, context)
+        self.trace.record_p2p(nbytes, context)
         if link.inter_site:
             self.trace.record_inter_site(nbytes)
 

@@ -10,62 +10,11 @@ paper's Table 2 ("P. to P." vs "Collective" benchmarks).
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mpi.constants import COLLECTIVE_CONTEXT, POINT_TO_POINT_CONTEXT
 from repro.units import fmt_bytes
-
-
-class EventTraceHasher:
-    """Order-sensitive hash of an event schedule.
-
-    Install with :func:`repro.sim.core.install_trace_sink`; every processed
-    queue entry folds ``(time, priority, seq, event kind, event name)`` into
-    a running blake2b digest.  Two runs of the same seeded experiment must
-    produce the same digest — that is the determinism contract the
-    sanitizer (``repro sanitize``) enforces.  Event identity is hashed by
-    *type name and process name*, never ``repr`` (which contains ``id()``
-    and would differ between runs by construction).
-    """
-
-    def __init__(self) -> None:
-        self._hash = hashlib.blake2b(digest_size=16)
-        #: number of events folded in (a cheap first-difference diagnostic)
-        self.events = 0
-
-    def __call__(self, time: float, priority: int, seq: int, event: object) -> None:
-        name = getattr(event, "name", "") or ""
-        line = f"{time!r}|{priority}|{seq}|{type(event).__name__}|{name}\n"
-        self._hash.update(line.encode("utf-8"))
-        self.events += 1
-
-    def update_text(self, text: str) -> None:
-        """Fold extra material (e.g. the rendered experiment result) into
-        the digest so value-level divergence is caught too."""
-        self._hash.update(text.encode("utf-8"))
-
-    def hexdigest(self) -> str:
-        return self._hash.hexdigest()
-
-    @classmethod
-    def combine(cls, named_digests: "dict[str, str]", text: str = "") -> str:
-        """Canonical digest over per-shard digests.
-
-        A sharded experiment produces one event-trace digest per shard; the
-        experiment-level digest folds them in *sorted shard-key order* (never
-        completion order) plus the merged rendered text, so the combined hash
-        is independent of worker scheduling.  It is, by construction, a
-        different value from the digest of an unsharded run — an artifact's
-        ``sharded`` flag says which kind it carries.
-        """
-        hasher = cls()
-        for key in sorted(named_digests):
-            hasher.update_text(f"{key}|{named_digests[key]}\n")
-        if text:
-            hasher.update_text(text)
-        return hasher.hexdigest()
 
 
 @dataclass
@@ -91,18 +40,14 @@ class MessageTrace:
         self.size_counts: Counter = Counter()
         #: Counter[collective primitive name] -> call count (per rank calls)
         self.collective_calls: Counter = Counter()
-        #: Counter[(src, dst)] -> messages (for placement diagnostics)
-        self.pair_counts: Counter = Counter()
         #: messages crossing a WAN link, and the payload bytes they carry
         self.inter_site_messages: int = 0
         self.inter_site_bytes: int = 0
 
     # -- recording -------------------------------------------------------------
-    def record_p2p(self, src: int, dst: int, tag: int, nbytes: int, context: str) -> None:
-        if not self.enabled:
-            return
-        self.size_counts[(context, nbytes)] += 1
-        self.pair_counts[(src, dst)] += 1
+    def record_p2p(self, nbytes: int, context: str) -> None:
+        if self.enabled:
+            self.size_counts[(context, nbytes)] += 1
 
     def record_inter_site(self, nbytes: int) -> None:
         if self.enabled:

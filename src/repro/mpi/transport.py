@@ -8,40 +8,18 @@ measurements exclude connection setup, matching the paper's methodology
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import MpiError
 from repro.net.topology import Node
 from repro.sim.core import Environment
 from repro.sim.queues import Resource
-from repro.tcp.connection import Fabric, TcpConnection, TcpOptions
+from repro.tcp.connection import Fabric, TcpConnection, TcpOptions, _Direction
 
 #: One-way latency and bandwidth of intra-node (shared-memory) transfers.
 LOCAL_LATENCY = 1e-6
 LOCAL_BANDWIDTH_BPS = 20e9  # 2.5 GB/s memcpy
 
 
-class Link:
-    """One direction of a rank-pair transport."""
-
-    inter_site: bool
-
-    def transmit(self, nbytes: int):
-        """Generator: send ``nbytes``; returns the receiver arrival time."""
-        raise NotImplementedError
-
-
-class TcpLink(Link):
-    def __init__(self, connection: TcpConnection, src_node: Node):
-        self._direction = connection.direction(src_node)
-        self.inter_site = self._direction.route.inter_site
-
-    def transmit(self, nbytes: int):
-        arrival = yield from self._direction.transmit(nbytes)
-        return arrival
-
-
-class MultiStreamLink(Link):
+class MultiStreamLink:
     """K parallel TCP connections for one rank pair (MPICH-G2 §2.1.5:
     "support for large messages using several TCP streams", the GridFTP
     technique).
@@ -63,7 +41,7 @@ class MultiStreamLink(Link):
             raise MpiError("multi-stream link needs at least one connection")
         self._directions = [c.direction(src_node) for c in connections]
         self.threshold = threshold
-        self.inter_site = self._directions[0].route.inter_site
+        self.inter_site = self._directions[0].inter_site
 
     def transmit(self, nbytes: int):
         if nbytes < self.threshold or len(self._directions) == 1:
@@ -73,13 +51,8 @@ class MultiStreamLink(Link):
         k = len(self._directions)
         base, rem = divmod(int(nbytes), k)
         chunks = [base + (1 if i < rem else 0) for i in range(k)]
-
-        def worker(direction, chunk):
-            arrival = yield from direction.transmit(chunk)
-            return arrival
-
         procs = [
-            env.process(worker(d, chunk), name="stripe")
+            env.process(d.transmit(chunk), name="stripe")
             for d, chunk in zip(self._directions, chunks)
             if chunk > 0
         ]
@@ -89,7 +62,7 @@ class MultiStreamLink(Link):
         return max(results.values())
 
 
-class FabricLink(Link):
+class FabricLink:
     """Intra-cluster link over the high-speed fabric (Myrinet/Infiniband).
 
     No TCP: hardware flow control, source routing — a fluid flow over the
@@ -125,7 +98,7 @@ class FabricLink(Link):
             self._lock.release(grant)
 
 
-class LocalLink(Link):
+class LocalLink:
     """Two ranks on the same node: a serialised memcpy."""
 
     inter_site = False
@@ -143,6 +116,12 @@ class LocalLink(Link):
             return self.env.now
         finally:
             self._lock.release(grant)
+
+
+#: What :meth:`Transport.link` hands out for one direction of a rank pair:
+#: each has ``inter_site`` and a ``transmit(nbytes)`` generator that returns
+#: the receiver's arrival time.  A single TCP connection is used directly.
+RankLink = LocalLink | FabricLink | MultiStreamLink | _Direction
 
 
 class Transport:
@@ -173,7 +152,7 @@ class Transport:
         #: fabrics the implementation drives natively (intra-cluster)
         self.native_fabrics = frozenset(native_fabrics)
         self._connections: dict[frozenset, "TcpConnection | list[TcpConnection]"] = {}
-        self._links: dict[tuple[int, int], Link] = {}
+        self._links: dict[tuple[int, int], RankLink] = {}
 
     @property
     def nprocs(self) -> int:
@@ -185,7 +164,7 @@ class Transport:
         except IndexError:
             raise MpiError(f"rank {rank} out of range (nprocs={self.nprocs})") from None
 
-    def link(self, src_rank: int, dst_rank: int) -> Link:
+    def link(self, src_rank: int, dst_rank: int) -> RankLink:
         """The directional link from ``src_rank`` to ``dst_rank``."""
         if src_rank == dst_rank:
             raise MpiError(f"rank {src_rank} sending to itself through the transport")
@@ -216,6 +195,6 @@ class Transport:
             if len(conns) > 1:
                 link = MultiStreamLink(conns, src, self.stream_threshold)
             else:
-                link = TcpLink(conns[0], src)
+                link = conns[0].direction(src)
         self._links[key] = link
         return link

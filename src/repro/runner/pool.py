@@ -21,7 +21,7 @@ a parent crash and is never recomputed.
 Every unit of work runs under :func:`repro.sim.core.trace_capture`, the
 same hook the determinism sanitizer uses, so each artifact carries an
 event-trace hash.  A sharded experiment records the canonical combination
-of its shard hashes (:meth:`EventTraceHasher.combine`); an unsharded one
+of its shard hashes (:func:`_combine_trace_hashes`); an unsharded one
 the hash of its whole run, with the rendered text folded in.  Either way
 the hash is the same at every ``jobs``.
 
@@ -55,11 +55,10 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ReproError
 from repro.experiments.base import ShardSpec
-from repro.mpi.tracing import EventTraceHasher
 from repro.obs.runtime import TelemetryConfig, merge_payloads
 from repro.obs.runtime import session as telemetry_session
 from repro.runner.cache import ResultCache
-from repro.sim.core import trace_capture
+from repro.sim.core import EventTraceHasher, trace_capture
 
 #: fork keeps workers cheap and lets tests inject registry entries; fall
 #: back to the platform default where fork does not exist (Windows).
@@ -684,6 +683,23 @@ def _run_misses(
     return runs, n_retries, n_timeouts, shard_walls
 
 
+def _combine_trace_hashes(named_digests: dict[str, str], text: str) -> str:
+    """Canonical digest over per-shard digests.
+
+    The shard digests are folded in *sorted shard-key order* (never
+    completion order), then the merged rendered text, so the combined hash
+    is independent of worker scheduling.  It is, by construction, a
+    different value from the digest of an unsharded run; an artifact's
+    ``sharded`` flag says which kind it carries.
+    """
+    hasher = EventTraceHasher()
+    for key in sorted(named_digests):
+        hasher.update_text(f"{key}|{named_digests[key]}\n")
+    if text:
+        hasher.update_text(text)
+    return hasher.hexdigest()
+
+
 def _merge_sharded(
     spec: ExperimentSpec,
     plan: "Any",
@@ -725,7 +741,7 @@ def _merge_sharded(
         rows=result.rows,
         title=result.title,
         paper_ref=result.paper_ref,
-        trace_hash=EventTraceHasher.combine(shard_hashes, result.text),
+        trace_hash=_combine_trace_hashes(shard_hashes, result.text),
         trace_events=events,
         # Sorted task_id order, independent of shard completion order —
         # the byte-identity of exports across ``jobs`` relies on it.

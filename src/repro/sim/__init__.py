@@ -12,28 +12,23 @@ Public surface:
 - :class:`Environment` — event queue and clock; ``env.process(gen)``,
   ``env.timeout(delay)``, ``env.call_at(tick, fn)``, ``env.run(until=...)``.
 - :class:`Process` — a running coroutine; also an event (its termination).
-- :class:`Event`, :class:`Timeout`, :class:`AllOf`, :func:`any_of`,
-  :class:`Interrupt`.
-- :class:`Store` / :class:`Channel` / :class:`Resource` — waitable queues.
+- :class:`Event`, :class:`Timeout`, :class:`AllOf`, :func:`any_of`.
+- :class:`Resource` — a FIFO counting semaphore whose requests are events.
 - :class:`RngRegistry` — named deterministic random streams.
 """
 
-from repro.sim.core import Environment, Event, Interrupt, Process, Timeout
-from repro.sim.queues import Channel, PriorityStore, Resource, Store
+from repro.sim.core import Environment, Event, Process, Timeout
+from repro.sim.queues import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.sync import AllOf, any_of
 
 __all__ = [
     "AllOf",
-    "Channel",
     "Environment",
     "Event",
-    "Interrupt",
-    "PriorityStore",
     "Process",
     "Resource",
     "RngRegistry",
-    "Store",
     "Timeout",
     "any_of",
 ]

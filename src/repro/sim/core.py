@@ -30,6 +30,7 @@ Design notes
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from collections.abc import Generator
 from contextlib import contextmanager
@@ -92,6 +93,36 @@ def remove_trace_sink(sink: Callable[[int, int, int, "Event | Call"], None]) -> 
         pass
 
 
+class EventTraceHasher:
+    """Order-sensitive digest of an event schedule; a trace sink.
+
+    Every processed queue entry folds ``time|priority|seq|kind|name`` into
+    a running blake2b digest.  Events are identified by type name and
+    process name, never by ``repr`` (which contains ``id()``).  Two runs of
+    one seeded experiment must give the same digest: that is the
+    determinism contract ``repro sanitize`` enforces.
+    """
+
+    def __init__(self) -> None:
+        self._hash = hashlib.blake2b(digest_size=16)
+        #: number of events folded in (a cheap first-difference diagnostic)
+        self.events = 0
+
+    def __call__(self, time: int, priority: int, seq: int, event: object) -> None:
+        name = getattr(event, "name", "") or ""
+        line = f"{time!r}|{priority}|{seq}|{type(event).__name__}|{name}\n"
+        self._hash.update(line.encode("utf-8"))
+        self.events += 1
+
+    def update_text(self, text: str) -> None:
+        """Fold extra material (e.g. the rendered experiment result) into
+        the digest so value-level divergence is caught too."""
+        self._hash.update(text.encode("utf-8"))
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
 @contextmanager
 def trace_capture(hasher: Optional[Any] = None) -> Any:
     """Observe every processed event through an ``EventTraceHasher``.
@@ -107,25 +138,12 @@ def trace_capture(hasher: Optional[Any] = None) -> Any:
         digest = hasher.hexdigest()
     """
     if hasher is None:
-        from repro.mpi.tracing import EventTraceHasher
-
         hasher = EventTraceHasher()
     install_trace_sink(hasher)
     try:
         yield hasher
     finally:
         remove_trace_sink(hasher)
-
-
-class Interrupt(Exception):
-    """Thrown inside a process that another process interrupted.
-
-    The optional *cause* is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -188,14 +206,6 @@ class Event:
         self.env._schedule(self, NORMAL, 0.0)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another event (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -204,19 +214,18 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` units of virtual time after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        # Event.__init__ inlined: timeouts are the engine's hottest
-        # allocation (one per transfer window round), and the super()
-        # dispatch plus the double ``_value`` write are measurable there.
+        # Event.__init__ inlined: every process sleep allocates one, and
+        # the super() dispatch plus the double ``_value`` write are
+        # measurable there.
         self.env = env
         self.callbacks = []
         self._ok = True
         self._defused = False
-        self.delay = delay
         self._value = value
         env._schedule(self, NORMAL, delay)
 
@@ -242,7 +251,7 @@ class Process(Event):
     by yielding the other process.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -250,42 +259,16 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: the event this process is currently waiting on (None if running
-        #: or terminated)
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt dead {self!r}")
-        if self.env._active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT, 0.0)
-
     # -- coroutine driving ------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Resume the generator with the value (or exception) of ``event``."""
         env = self.env
-        if not self.is_alive:  # interrupted after termination already raced
-            return
-        # Stale wake-up: an interrupt arrived while we waited on _target; the
-        # target may still fire later and must not resume us twice.
-        if event is not self._target and self._target is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except (ValueError, AttributeError):
-                pass
-        env._active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -293,19 +276,14 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self._target = None
-            env._active_process = None
             self._value = stop.value
             env._schedule(self, NORMAL, 0.0)
             return
         except BaseException as exc:
-            self._target = None
-            env._active_process = None
             self._ok = False
             self._value = exc
             env._schedule(self, NORMAL, 0.0)
             return
-        env._active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
@@ -315,7 +293,6 @@ class Process(Event):
             raise SimulationError("cannot wait on an event from another Environment")
         if next_event.callbacks is None:
             # Already processed: resume immediately (urgently) with its value.
-            self._target = None
             proxy = Event(env)
             proxy._ok = next_event._ok
             proxy._value = next_event._value
@@ -325,7 +302,6 @@ class Process(Event):
             proxy.callbacks.append(self._resume)
             env._schedule(proxy, URGENT, 0.0)
         else:
-            self._target = next_event
             next_event.callbacks.append(self._resume)
 
 
@@ -357,7 +333,6 @@ class Environment:
         self._now_s = self._now / TICKS_PER_SECOND
         self._queue: list[tuple[int, int, int, "Event | Call"]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
@@ -368,10 +343,6 @@ class Environment:
     def now_ticks(self) -> int:
         """Current virtual time in integer engine ticks (nanoseconds)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- factories ---------------------------------------------------------------
     def event(self) -> Event:
@@ -434,7 +405,7 @@ class Environment:
             # would hand out a time below ``now``, silently rewinding the
             # clock for every later observer.  Timeout already rejects
             # negative delays at its own layer; this guards every other
-            # scheduling path (succeed/fail/interrupt forward 0.0 here).
+            # scheduling path (succeed/fail forward 0.0 here).
             raise ValueError(
                 f"cannot schedule {event!r} with negative delay {delay!r} "
                 f"(now={self._now_s!r}); events cannot fire in the past"

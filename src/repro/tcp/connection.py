@@ -171,9 +171,8 @@ class _Alarm:
     grid ticks are ``anchor + k * step``.  The event fires on the first of:
     the flow's completion, the timer at :attr:`tick` (``None``: no timer),
     or an earlier grid tick re-armed by :meth:`on_rate_change`.  Each path
-    fires it through one extra event hop, as the per-RTT ``any_of`` race it
-    replaces did, so the driver resumes after everything already queued
-    for its tick.  The flow's ``done`` event carries one callback per
+    fires it through one extra event hop, so the driver resumes after
+    everything already queued for its tick.  The flow's ``done`` event carries one callback per
     transfer, however many times the driver sleeps.
     """
 
@@ -271,6 +270,7 @@ class _Direction:
         self.env = env
         self.fluid = fluid
         self.route = route
+        self.inter_site = route.inter_site
         self.options = options
         self.name = name
         #: endpoint cluster names, data direction: the span-analytics layer

@@ -6,8 +6,12 @@ import pytest
 from repro.analysis.sanitizer import SanitizeReport, sanitize, trace_experiment
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
-from repro.mpi.tracing import EventTraceHasher
-from repro.sim.core import Environment, install_trace_sink, remove_trace_sink
+from repro.sim.core import (
+    Environment,
+    EventTraceHasher,
+    install_trace_sink,
+    remove_trace_sink,
+)
 
 
 def _result(experiment_id, value):

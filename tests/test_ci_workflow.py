@@ -149,6 +149,25 @@ def test_check_sh_runs_the_benchmark_harness_tests():
     assert "python -m pytest bench/tests -q" in CHECK_SH.read_text()
 
 
+#: check.sh's closing line: the src/repro line count, printed not gated
+LINE_COUNT = "echo \"== src/repro: $(find src/repro -name '*.py' -exec cat {} + | wc -l) lines ==\""
+
+
+def test_check_sh_ends_by_printing_the_source_line_count():
+    lines = [ln for ln in CHECK_SH.read_text().splitlines() if ln and not ln.startswith("#")]
+    assert lines[-2:] == [LINE_COUNT, "exit $status"]
+    bash = shutil.which("bash")
+    if bash is None:
+        pytest.skip("bash not available")
+    proc = subprocess.run(
+        [bash, "-c", LINE_COUNT], cwd=REPO, capture_output=True, text=True, check=True
+    )
+    total = sum(
+        len(p.read_bytes().splitlines()) for p in (REPO / "src" / "repro").rglob("*.py")
+    )
+    assert proc.stdout.split() == ["==", "src/repro:", str(total), "lines", "=="]
+
+
 def test_fast_goldens_exist_for_the_ci_diff():
     fast_dir = REPO / "results" / "fast"
     committed = sorted(p.name for p in fast_dir.glob("*.txt"))

@@ -108,6 +108,23 @@ def test_multistream_validation():
                   parallel_streams=0)
 
 
+def test_single_stream_tcp_link_is_the_connection_direction():
+    """One TCP connection per pair: the link is the connection's direction
+    itself, with no forwarding wrapper around its ``transmit``."""
+    from repro.sim import Environment
+    from repro.tcp.connection import Fabric, TcpOptions
+
+    net = build_pair_testbed(nodes_per_site=1)
+    fabric = Fabric(Environment(), net)
+    placement = [net.clusters["rennes"].nodes[0], net.clusters["nancy"].nodes[0]]
+    transport = Transport(fabric, placement, TcpOptions())
+    link = transport.link(0, 1)
+    (conn,) = transport._connections[frozenset((0, 1))]
+    assert link is conn.direction(transport.node_of(0))
+    assert transport.link(1, 0) is conn.direction(transport.node_of(1))
+    assert link.inter_site and link.inter_site is link.route.inter_site
+
+
 def test_vmi_hierarchical_bcast_correct():
     """MPICH-VMI's hierarchical broadcast delivers correct data over a
     split placement."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 def test_clock_starts_at_zero():
@@ -176,6 +176,35 @@ def test_waiter_receives_child_exception():
     assert caught == ["boom"]
 
 
+def test_late_waiter_on_failed_child_also_receives_exception():
+    env = Environment()
+    caught = []
+
+    def bad():
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    def early(child):
+        try:
+            yield child
+        except ValueError as exc:
+            caught.append(("early", str(exc), env.now))
+
+    def late(child):
+        yield env.timeout(3.0)
+        assert child.processed and not child.ok
+        try:
+            yield child  # already processed: resumed through a failed proxy
+        except ValueError as exc:
+            caught.append(("late", str(exc), env.now))
+
+    child = env.process(bad())
+    env.process(early(child))
+    env.process(late(child))
+    env.run()  # neither failure is left unconsumed, so nothing re-raises
+    assert caught == [("early", "boom", 1.0), ("late", "boom", 3.0)]
+
+
 def test_run_until_time():
     env = Environment()
     trace = []
@@ -238,60 +267,6 @@ def test_yield_non_event_rejected():
     env.process(bad())
     with pytest.raises(SimulationError, match="must yield Events"):
         env.run()
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    seen = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            seen.append((exc.cause, env.now))
-
-    def interrupter(target):
-        yield env.timeout(2.0)
-        target.interrupt(cause="wake-up")
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert seen == [("wake-up", 2.0)]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-    trace = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            trace.append(("interrupted", env.now))
-        yield env.timeout(1.0)
-        trace.append(("resumed", env.now))
-
-    def interrupter(target):
-        yield env.timeout(5.0)
-        target.interrupt()
-
-    target = env.process(sleeper())
-    env.process(interrupter(target))
-    env.run()
-    assert trace == [("interrupted", 5.0), ("resumed", 6.0)]
 
 
 def test_process_is_alive():
@@ -534,3 +509,33 @@ def test_call_at_exception_propagates_out_of_step():
     with pytest.raises(RuntimeError, match="delivery failed"):
         env.step()
     assert env.now_ticks == 3
+
+
+def test_every_exported_engine_name_is_used_outside_the_engine():
+    """``repro.sim`` exports only what the rest of ``repro`` uses.
+
+    A use is an identifier (name, attribute or imported alias) or a string
+    constant equal to the name, such as the linter's table of event classes.
+    Docstrings and comments do not count.
+    """
+    import ast
+    from pathlib import Path
+
+    import repro
+    import repro.sim
+
+    root = Path(repro.__file__).parent
+    used = set()
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).parts[0] == "sim":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert sorted(set(repro.sim.__all__) - used) == []

@@ -1,9 +1,9 @@
-"""Tests for event combinators, stores, channels and resources."""
+"""Tests for event combinators and resources."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, Channel, Environment, PriorityStore, Resource, Store, any_of
+from repro.sim import AllOf, Environment, Resource, any_of
 
 
 # --- AllOf / any_of ------------------------------------------------------------
@@ -120,133 +120,6 @@ def test_all_of_with_processed_events():
     env.process(proc())
     env.run()
     assert seen == [([1, 2], 6.0)]
-
-
-# --- Store ----------------------------------------------------------------------
-def test_store_put_then_get():
-    env = Environment()
-    seen = []
-
-    def producer(store):
-        yield store.put("item-1")
-        yield store.put("item-2")
-
-    def consumer(store):
-        a = yield store.get()
-        b = yield store.get()
-        seen.append([a, b])
-
-    store = Store(env)
-    env.process(producer(store))
-    env.process(consumer(store))
-    env.run()
-    assert seen == [["item-1", "item-2"]]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    seen = []
-
-    def consumer(store):
-        item = yield store.get()
-        seen.append((item, env.now))
-
-    def producer(store):
-        yield env.timeout(4.0)
-        yield store.put("late")
-
-    store = Store(env)
-    env.process(consumer(store))
-    env.process(producer(store))
-    env.run()
-    assert seen == [("late", 4.0)]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    trace = []
-
-    def producer(store):
-        yield store.put(1)
-        trace.append(("put1", env.now))
-        yield store.put(2)
-        trace.append(("put2", env.now))
-
-    def consumer(store):
-        yield env.timeout(3.0)
-        item = yield store.get()
-        trace.append(("got", item, env.now))
-
-    store = Store(env, capacity=1)
-    env.process(producer(store))
-    env.process(consumer(store))
-    env.run()
-    assert trace == [("put1", 0.0), ("got", 1, 3.0), ("put2", 3.0)]
-
-
-def test_store_fifo_ordering():
-    env = Environment()
-    got = []
-
-    def producer(store):
-        for i in range(5):
-            yield store.put(i)
-
-    def consumer(store):
-        for _ in range(5):
-            item = yield store.get()
-            got.append(item)
-
-    store = Store(env)
-    env.process(producer(store))
-    env.process(consumer(store))
-    env.run()
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Store(env, capacity=0)
-
-
-# --- PriorityStore ---------------------------------------------------------------
-def test_priority_store_orders_items():
-    env = Environment()
-    got = []
-
-    def producer(store):
-        for value in (5, 1, 3):
-            yield store.put(value)
-
-    def consumer(store):
-        yield env.timeout(1.0)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    store = PriorityStore(env)
-    env.process(producer(store))
-    env.process(consumer(store))
-    env.run()
-    assert got == [1, 3, 5]
-
-
-# --- Channel -----------------------------------------------------------------------
-def test_channel_put_nowait():
-    env = Environment()
-    got = []
-
-    def consumer(chan):
-        item = yield chan.get()
-        got.append(item)
-
-    chan = Channel(env)
-    chan.put_nowait("signal")
-    env.process(consumer(chan))
-    env.run()
-    assert got == ["signal"]
-    assert chan.pending == 0
 
 
 # --- Resource ------------------------------------------------------------------------

@@ -20,13 +20,16 @@ does for the import forms this codebase uses):
   importing module's package;
 * imports of anything outside the package (stdlib, numpy) are ignored.
 
-Two accepted approximations, documented because the cache's correctness
-leans on them: package ``__init__`` side effects beyond re-exports are
-assumed benign (``from repro.experiments import fig10`` records only
-``fig10``, not the package initialiser that also runs), and dynamic
-imports (``importlib.import_module``) are invisible — the one dynamic
-site that matters, the shard-runner resolver in :mod:`repro.runner.pool`,
-is handled by using the runner's own module as the closure root.
+Two rules the cache's correctness leans on.  A closure leaves out the
+package initialisers Python runs on the way to a module (``from
+repro.experiments import fig10`` records only ``fig10``); that is sound
+because every initialiser a closure leaves out is re-export only, which
+``tests/test_analysis_imports.py``
+(``test_package_inits_outside_a_closure_are_reexport_only``) checks for
+every experiment and shard root.  Dynamic imports
+(``importlib.import_module``) are invisible — the one dynamic site that
+matters, the shard-runner resolver in :mod:`repro.runner.pool`, is
+handled by using the runner's own module as the closure root.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Command-line interface: ``repro list`` / ``run`` / ``explain`` /
-``profile`` / ``lint`` / ``sanitize``.
+``flame`` / ``profile`` / ``cache`` / ``faults`` / ``lint`` / ``sanitize``.
 
 Examples::
 
@@ -20,8 +20,8 @@ Examples::
     repro flame fig10 --svg --out f.svg   # deterministic flamegraph SVG
     repro profile table7            # cProfile hotspot table of one experiment
     repro profile fig9 --record     # also log the top rows to the manifest
-    repro query fig7                # cached results + provenance, no re-run
-    repro index rebuild             # rescan .repro-cache/ into index.json
+    repro cache ls fig7             # cached results + provenance, no re-run
+    repro cache ls madeleine --text # every cached report that mentions it
     repro cache stats               # entry count, bytes, last campaign hits
     repro faults list               # the named fault scenarios
     repro lint                      # lint src/repro for determinism hazards
@@ -34,6 +34,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro._version import __version__
@@ -56,6 +57,22 @@ def _jobs_count(value: str) -> int:
             "(use --jobs 1 for a serial in-process run)"
         )
     return jobs
+
+
+def _age_days(value: str) -> float:
+    """``--max-age-days`` values: a finite, non-negative number of days.
+
+    A negative age would evict every entry and ``nan`` none, each silently.
+    """
+    try:
+        days = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not 0 <= days < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"age must be a finite number of days >= 0, got {value!r}"
+        )
+    return days
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -287,60 +304,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "same-timestamp matching order (table6/table7)",
     )
 
-    index = sub.add_parser(
-        "index", help="manage the artifact index over cached results"
-    )
-    index_sub = index.add_subparsers(dest="index_command", required=True)
-    rebuild = index_sub.add_parser(
-        "rebuild",
-        help="rescan the cache (and optional report dirs) into index.json",
-    )
-    rebuild.add_argument(
-        "--root",
-        metavar="DIR",
-        default=None,
-        help="cache directory (default .repro-cache/)",
-    )
-    rebuild.add_argument(
-        "--out",
-        metavar="DIR",
-        action="append",
-        default=[],
-        help="also index json/ artifacts under a 'repro run --out' directory "
-        "(repeatable)",
-    )
-
-    query = sub.add_parser(
-        "query",
+    cache = sub.add_parser("cache", help="manage the .repro-cache/ result store")
+    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
+    ls = cache_sub.add_parser(
+        "ls",
         help="look up cached results and their provenance without re-running",
     )
-    query.add_argument(
+    ls.add_argument(
         "pattern",
-        help="experiment / scenario / implementation substring, e.g. fig7, "
-        "madeleine, ray2mesh",
+        help="substring of a task id, title, paper ref or rendered report, "
+        "e.g. fig7, madeleine, ray2mesh",
     )
-    query.add_argument(
+    ls.add_argument(
         "--root",
         metavar="DIR",
         default=None,
         help="cache directory (default .repro-cache/)",
     )
-    query.add_argument(
-        "--out",
-        metavar="DIR",
-        action="append",
-        default=[],
-        help="also search json/ artifacts under a 'repro run --out' directory "
-        "(repeatable)",
-    )
-    query.add_argument(
+    ls.add_argument(
         "--text",
         action="store_true",
         help="print each matching experiment's cached rendered report too",
     )
-
-    cache = sub.add_parser("cache", help="manage the .repro-cache/ result store")
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     stats = cache_sub.add_parser(
         "stats",
         help="entry count, on-disk bytes, and the last campaign's hit/miss "
@@ -371,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     prune.add_argument(
         "--max-age-days",
-        type=float,
+        type=_age_days,
         default=None,
         metavar="D",
         help="also drop entries not written in the last D days",
@@ -439,17 +424,41 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.runner.cache import cache_stats, prune_cache
+    from repro.runner.cache import (
+        cache_stats,
+        list_entries,
+        prune_cache,
+        render_entry,
+    )
     from repro.units import parse_size
 
     if args.cache_command == "stats":
         print(cache_stats(root=args.root).render())
         return 0
+    if args.cache_command == "ls":
+        entries = list_entries(args.pattern, root=args.root)
+        n = len(entries)
+        print(f"cache ls {args.pattern!r}: {n or 'no'} match{'' if n == 1 else 'es'}")
+        for path, document in entries:
+            print(render_entry(path, document))
+        if args.text:
+            for _path, document in entries:
+                text = document["artifact"].get("text")
+                if text:
+                    print()
+                    print(text)
+        return 0 if entries else 1
 
     try:
         max_bytes = parse_size(args.max_size) if args.max_size else None
     except ValueError as exc:
         print(f"repro cache prune: {exc}", file=sys.stderr)
+        return 2
+    if max_bytes is not None and max_bytes < 0:
+        print(
+            f"repro cache prune: size must be >= 0, got {args.max_size!r}",
+            file=sys.stderr,
+        )
         return 2
     max_age = args.max_age_days * 86400.0 if args.max_age_days is not None else None
     report = prune_cache(
@@ -588,29 +597,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_index(args) -> int:
-    from repro.runner.index import build_index
-
-    document = build_index(cache_root=args.root, out_dirs=args.out)
-    n = len(document.get("records", []))
-    print(f"indexed {n} artifact{'' if n == 1 else 's'}")
-    return 0
-
-
-def _cmd_query(args) -> int:
-    from repro.runner.index import artifact_text, query_index, render_query
-
-    records = query_index(args.pattern, cache_root=args.root, out_dirs=args.out)
-    print(render_query(args.pattern, records))
-    if args.text:
-        for record in records:
-            text = artifact_text(record)
-            if text:
-                print()
-                print(text)
-    return 0 if records else 1
-
-
 def _write_telemetry(campaign, trace_dir, metrics_dir) -> None:
     """Write per-experiment trace / metric exports for a telemetry campaign."""
     from pathlib import Path
@@ -666,10 +652,6 @@ def main(argv=None) -> int:
         return _cmd_faults(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "index":
-        return _cmd_index(args)
-    if args.command == "query":
-        return _cmd_query(args)
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "flame":

@@ -8,14 +8,13 @@ front-ends over :func:`repro.runner.pool.run_campaign`:
   retries, failure surfacing;
 * :mod:`repro.runner.cache` — ``.repro-cache/`` keyed by (task id, fast
   flag, import-closure digest of the task's modules), so editing a leaf
-  module only invalidates the shards that import it;
+  module only invalidates the shards that import it; ``repro cache
+  ls|stats|prune`` read and bound the store directly;
 * :mod:`repro.runner.manifest` — the ``BENCH_experiments.json`` timing
-  manifest, which doubles as the scheduler's wall-clock history;
-* :mod:`repro.runner.index` — the queryable index behind ``repro query``.
+  manifest, which doubles as the scheduler's wall-clock history.
 """
 
 from repro.runner.cache import ResultCache, cache_stats, source_digest
-from repro.runner.index import build_index, load_index, query_index
 from repro.runner.manifest import (
     load_task_estimates,
     record_campaign,
@@ -35,11 +34,8 @@ __all__ = [
     "ExperimentSpec",
     "ResultCache",
     "RunnerPolicy",
-    "build_index",
     "cache_stats",
-    "load_index",
     "load_task_estimates",
-    "query_index",
     "record_campaign",
     "record_profile",
     "run_campaign",

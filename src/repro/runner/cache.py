@@ -41,10 +41,21 @@ logger = logging.getLogger("repro.runner.cache")
 #: default cache root, relative to the invocation directory
 DEFAULT_CACHE_ROOT = Path(".repro-cache")
 
-#: files in the cache root that are not artifact entries
-RESERVED_NAMES = ("index.json", "stats.json")
+#: the last campaign's hit/miss counters: the one root file that is not an entry
+STATS_NAME = "stats.json"
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent  # src/repro
+
+
+def entry_files(root: Path) -> list[Path]:
+    """The store's entry files, sorted: every ``*.json`` but the stats file."""
+    if not root.is_dir():
+        return []
+    return [
+        path
+        for path in sorted(root.iterdir())
+        if path.is_file() and path.suffix == ".json" and path.name != STATS_NAME
+    ]
 
 
 def source_digest(package_root: Optional[Path] = None) -> str:
@@ -274,7 +285,7 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        path = self.root / "stats.json"
+        path = self.root / STATS_NAME
         path.parent.mkdir(parents=True, exist_ok=True)
         document = {"schema": 1, **self.counters(), **(extra or {})}
         tmp = path.with_suffix(f".tmp{os.getpid()}")
@@ -354,17 +365,13 @@ def prune_cache(
     if max_bytes is None and max_age_seconds is None:
         max_bytes = DEFAULT_CACHE_CAP_BYTES
 
-    entries: list[tuple[float, str, Path, int]] = []
     for path in sorted(report.root.iterdir()):
-        if not path.is_file():
-            continue
-        if ".tmp" in path.suffix:
+        if path.is_file() and ".tmp" in path.suffix:
             report.removed_tmp += 1
             if not dry_run:
                 _remove_quietly(path)
-            continue
-        if path.suffix != ".json" or path.name in RESERVED_NAMES:
-            continue  # the index/stats sidecars are not artifact entries
+    entries: list[tuple[float, str, Path, int]] = []
+    for path in entry_files(report.root):
         try:
             stat = path.stat()
         except OSError:
@@ -447,11 +454,7 @@ def cache_stats(root: "Path | str | None" = None) -> CacheStats:
     stats = CacheStats(root=Path(root) if root is not None else DEFAULT_CACHE_ROOT)
     if not stats.root.is_dir():
         return stats
-    for path in sorted(stats.root.iterdir()):
-        if not path.is_file() or path.suffix != ".json":
-            continue
-        if path.name in RESERVED_NAMES:
-            continue
+    for path in entry_files(stats.root):
         try:
             size = path.stat().st_size
         except OSError:
@@ -462,7 +465,7 @@ def cache_stats(root: "Path | str | None" = None) -> CacheStats:
             stats.experiments += 1
         else:
             stats.shards += 1
-    stats_path = stats.root / "stats.json"
+    stats_path = stats.root / STATS_NAME
     if stats_path.exists():
         try:
             document = json.loads(stats_path.read_text(encoding="utf-8"))
@@ -471,3 +474,58 @@ def cache_stats(root: "Path | str | None" = None) -> CacheStats:
         except (OSError, ValueError):
             pass  # a torn stats file degrades to "no last campaign"
     return stats
+
+
+# --- `repro cache ls` --------------------------------------------------------------
+def list_entries(
+    pattern: str, root: "Path | str | None" = None
+) -> list[tuple[Path, dict]]:
+    """Entries whose task id, title, paper ref or rendered text contains
+    ``pattern`` (case-insensitive), experiments first.  Reads only."""
+    needle = pattern.lower()
+    found: list[tuple[Path, dict]] = []
+    for path in entry_files(Path(root) if root is not None else DEFAULT_CACHE_ROOT):
+        try:
+            document = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            continue  # a corrupt entry is evicted by the load that trips on it
+        if not isinstance(document, dict) or "task_id" not in document:
+            continue
+        artifact = document.get("artifact")
+        if not isinstance(artifact, dict):
+            continue
+        fields = (
+            document["task_id"],
+            artifact.get("title"),
+            artifact.get("paper_ref"),
+            artifact.get("text"),
+        )
+        if any(isinstance(f, str) and needle in f.lower() for f in fields):
+            found.append((path, document))
+    found.sort(
+        key=lambda entry: (
+            entry[1]["artifact"].get("kind") != "experiment",
+            str(entry[1]["task_id"]),
+            str(entry[0]),
+        )
+    )
+    return found
+
+
+def render_entry(path: Path, document: dict) -> str:
+    """One entry's provenance: task id, kind, fast flag, wall, digest
+    prefix, then its title and path."""
+    artifact = document["artifact"]
+    digest = str(document.get("source_digest", "")).removeprefix("closure:")
+    lines = [
+        f"{document['task_id']}  [{artifact.get('kind', 'shard')}]  "
+        f"fast={bool(document.get('fast', False))}  "
+        f"wall {float(artifact.get('wall_s') or 0.0):.1f}s  "
+        f"digest {digest[:12] or '-'}"
+    ]
+    title = artifact.get("title")
+    if title:
+        ref = f" ({artifact['paper_ref']})" if artifact.get("paper_ref") else ""
+        lines.append(f"  {title}{ref}")
+    lines.append(f"  {path}")
+    return "\n".join(lines)

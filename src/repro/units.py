@@ -222,7 +222,7 @@ def parse_size(text: str) -> Size:
         s = s[:-1]
     try:
         return Size(int(float(s) * factor))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: "inf"
         raise ValueError(f"cannot parse size {text!r}") from exc
 
 

@@ -6,6 +6,7 @@ the *real* tree's invalidation behaviour: touching one module must chill
 exactly the experiments that can reach it, and nothing else.
 """
 
+import ast
 import pathlib
 
 import pytest
@@ -171,3 +172,43 @@ def test_experiment_modules_are_resolvable():
     for experiment_id in sorted(EXPERIMENTS):
         module = experiment_module(experiment_id)
         assert module is not None and module in graph, experiment_id
+
+
+def _reexport_only(source: bytes) -> bool:
+    """A docstring, imports and ``__all__``: nothing else runs on import."""
+    body = ast.parse(source).body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return all(
+        isinstance(node, (ast.Import, ast.ImportFrom))
+        or (
+            isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["__all__"]
+        )
+        for node in body
+    )
+
+
+def test_package_inits_outside_a_closure_are_reexport_only():
+    """Closures leave out the package ``__init__``s Python runs on the way
+    to a module.  That is sound only while each omitted one is re-export
+    only: then its bytes cannot change a result the closure keys."""
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.registry import experiment_module, get_shard_plan
+
+    graph = ImportGraph()
+    roots = set()
+    for experiment_id in sorted(EXPERIMENTS):
+        roots.add(experiment_module(experiment_id))
+        plan = get_shard_plan(experiment_id, fast=True)
+        if plan is not None:
+            roots.update(shard.module for shard in plan.shards)
+    omitted = set()
+    for root in roots:
+        closure = graph.closure(root)
+        for module in closure:
+            parts = module.split(".")
+            ancestors = {".".join(parts[:i]) for i in range(1, len(parts))}
+            omitted |= ancestors - closure
+    assert {"repro", "repro.experiments", "repro.tcp"} <= omitted
+    assert [m for m in sorted(omitted) if not _reexport_only(graph.source(m))] == []

@@ -136,6 +136,15 @@ def test_experiments_job_checks_serial_and_parallel_trace_hashes_agree(workflow)
     assert "['experiments']['fig6']['trace_hash']" in steps[serial]
 
 
+def test_warm_rerun_step_lists_the_warm_store(workflow):
+    steps = [step.get("run", "") for step in workflow["jobs"]["experiments"]["steps"]]
+    commands = "\n".join(steps)
+    # the removed index subcommands
+    assert not [name for name in ("index", "query") if f"repro {name}" in commands]
+    (warm,) = [run for run in steps if "scripts/check_warm_rerun.py" in run]
+    assert warm.index("scripts/check_warm_rerun.py") < warm.index("repro cache ls fig7")
+
+
 def test_check_sh_is_valid_shell():
     bash = shutil.which("bash")
     if bash is None:

@@ -145,3 +145,21 @@ def test_cache_prune_cli(tmp_path, capsys):
 def test_cache_prune_bad_size_exits_two(capsys):
     assert main(["cache", "prune", "--max-size", "banana"]) == 2
     assert "size" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("size", ["-5MB", "inf"])
+def test_cache_prune_out_of_range_size_exits_two(tmp_path, size, capsys):
+    (tmp_path / "entry.json").write_text("x" * 64)
+    assert main(["cache", "prune", "--root", str(tmp_path), f"--max-size={size}"]) == 2
+    assert "size" in capsys.readouterr().err.lower()
+    assert (tmp_path / "entry.json").exists()
+
+
+@pytest.mark.parametrize("days", ["-1", "nan", "inf"])
+def test_cache_prune_out_of_range_age_exits_two(tmp_path, days, capsys):
+    (tmp_path / "entry.json").write_text("x" * 64)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "prune", "--root", str(tmp_path), f"--max-age-days={days}"])
+    assert excinfo.value.code == 2
+    assert "finite number of days >= 0" in capsys.readouterr().err
+    assert (tmp_path / "entry.json").exists()

@@ -633,17 +633,16 @@ def test_prune_missing_root_is_a_noop(tmp_path):
 
 
 def test_result_cache_prune_wrapper(tmp_path, tiny):
-    from repro.runner.cache import RESERVED_NAMES
+    from repro.runner.cache import STATS_NAME, entry_files
 
     cache = ResultCache(root=tmp_path, digest="digest-a")
     run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
-    entries = [p for p in tmp_path.glob("*.json") if p.name not in RESERVED_NAMES]
-    assert entries
+    assert entry_files(tmp_path)
     report = cache.prune(max_bytes=0)
     assert report.kept == 0
-    # Only reserved sidecars (index/stats) may survive a full prune.
+    # Only the stats file, which is not an entry, may survive a full prune.
     survivors = {p.name for p in tmp_path.glob("*.json")}
-    assert survivors <= set(RESERVED_NAMES)
+    assert survivors <= {STATS_NAME}
 
 
 # --- shared-shard wall attribution (tables 6/7 share the ray2mesh shards) ---------

@@ -15,16 +15,26 @@ Incremental allocation
 The max-min allocation decomposes over connected components of the
 shares-a-pipe relation, so it can be repaired locally instead of recomputed
 globally.  Each pipe that carries live flows maps to the plan of exactly
-their component.  An arriving flow extends the one plan its route touches,
-or builds a new plan (no plan touched) or a merged one (several); a
-departing flow is dropped from its plan, which splits when the flow was
-the only link between what is left.  Every mutation re-solves only the
+their component, or to a solo flow (below).  An arriving flow extends the
+one plan its route touches, or builds a new plan (no plan touched) or a
+merged one (several plans or solo flows); a departing flow is dropped
+from its plan, which splits when the flow was the only link between
+what is left.  Every mutation re-solves only the
 component(s) it touched: flows outside share no constraint with it and
 provably keep their rates.  A flow's bytes are settled only when its rate
-changes, so a solve writes nothing to the flows it leaves alone.  A
-component of one live flow skips progressive filling altogether: the flow
-gets ``min(rate cap, smallest pipe capacity)``, which is exactly what
-filling computes (``capacity / 1`` is exact).
+changes, so a solve writes nothing to the flows it leaves alone.
+
+Solo flows
+----------
+A flow whose route finds every pipe idle when it starts (a route listing
+a pipe twice never does) gets no plan: each of its pipes maps to the
+flow itself, and its rate is ``min(rate cap, smallest pipe capacity)``,
+bit for bit what progressive filling computes (``capacity / 1`` is exact).
+A cap push or a capacity change re-rates it directly, a departure only
+unmaps its pipes, and it joins a plan the moment an arrival touches one
+of its pipes.  Solo rates are not component solves: they bypass
+``solve_rounds``.  A plan that shrinks to one live flow stays a plan and
+takes the same closed form instead of filling.
 
 Resumed fills
 -------------
@@ -283,6 +293,19 @@ class _ComponentPlan:
         self.caps = None
 
 
+def _lone_rate(flow: Flow) -> float:
+    """The rate of a flow alone on its pipes: ``min(rate cap, smallest
+    capacity)``, bit for bit what progressive filling computes, since
+    ``capacity / 1`` is exact and a cap equal to the capacity yields the
+    same value either way."""
+    rate = flow.rate_cap_bps
+    for pipe in flow.pipes:
+        capacity = pipe.capacity_bps
+        if capacity < rate:
+            rate = capacity
+    return rate
+
+
 class FluidNetwork:
     """Tracks active flows and allocates max-min fair rates."""
 
@@ -301,6 +324,8 @@ class FluidNetwork:
         self._flow_counter = 0
         #: each pipe carrying live flows -> the plan of their component
         self._plans: dict[Pipe, _ComponentPlan] = {}
+        #: each pipe of a solo flow (see the module docstring) -> that flow
+        self._solo: dict[Pipe, Flow] = {}
         #: completion heap of ``(tick, arm order, flow)``, stale entries
         #: included (see the module docstring)
         self._due: list[tuple[int, int, Flow]] = []
@@ -343,24 +368,41 @@ class FluidNetwork:
             flow.done.succeed(flow)
             return flow
         self.flows.add(flow)
-        plans = self._plans
+        plans, solo = self._plans, self._solo
+        alone = True
         joined: list[_ComponentPlan] = []
+        partners: list[Flow] = []
         for pipe in route:
+            if pipe.flows:
+                alone = False
+                plan = plans.get(pipe)
+                if plan is None:
+                    partner = solo.get(pipe)
+                    if partner is not None:  # it leaves solo to join the plan
+                        for other in partner.pipes:
+                            del solo[other]
+                        partners.append(partner)
+                elif plan not in joined:
+                    joined.append(plan)
             pipe.flows[flow] = None
-            plan = plans.get(pipe)
-            if plan is not None and plan not in joined:
-                joined.append(plan)
-        if len(joined) == 1:
+        self.recomputations += 1
+        if alone:
+            for pipe in route:
+                solo[pipe] = flow
+            self._apply(((flow, _lone_rate(flow)),))
+            return flow
+        if len(joined) == 1 and not partners:
             plan = joined[0]
             plan.extend(flow)
             covered: Iterable[Pipe] = route
         else:
             # A new component, or the flow bridges several into one.
-            plan = _ComponentPlan([flow, *(f for p in joined for f in p.flow_index)])
+            plan = _ComponentPlan(
+                [flow, *partners, *(f for p in joined for f in p.flow_index)]
+            )
             covered = plan.pipe_index
         for pipe in covered:
             plans[pipe] = plan
-        self.recomputations += 1
         self._solve(((plan, 0.0),))
         return flow
 
@@ -374,8 +416,8 @@ class FluidNetwork:
         if abs(rate_cap_bps - old_cap) < _EPS:
             return
         flow.rate_cap_bps = rate_cap_bps = float(rate_cap_bps)
-        plan = self._plans[flow.pipes[0]]
-        if plan.caps is not None:
+        plan = self._plans.get(flow.pipes[0])  # None: a solo flow
+        if plan is not None and plan.caps is not None:
             plan.move_cap(plan.flow_index[flow], old_cap, rate_cap_bps)
         # A cap move cannot change any allocation when the flow was not
         # cap-limited before (its pipes limit it) and the new cap still
@@ -386,7 +428,10 @@ class FluidNetwork:
         if not was_cap_limited and rate_cap_bps >= rate - _EPS:
             return
         self.recomputations += 1
-        self._solve(((plan, min(rate, rate_cap_bps)),))
+        if plan is None:
+            self._apply(((flow, _lone_rate(flow)),))
+        else:
+            self._solve(((plan, min(rate, rate_cap_bps)),))
 
     def set_pipe_capacity(self, pipe: Pipe, capacity_bps: "Rate | float") -> None:
         """Change a pipe's capacity mid-simulation (fault injection: link
@@ -402,6 +447,8 @@ class FluidNetwork:
         plan = self._plans.get(pipe)
         if plan is not None:
             self._solve(((plan, 0.0),))
+        elif (flow := self._solo.get(pipe)) is not None:
+            self._apply(((flow, _lone_rate(flow)),))
 
     def abort_flow(self, flow: Flow, exc: BaseException) -> None:
         """Fail a flow's completion event and release its capacity."""
@@ -429,12 +476,18 @@ class FluidNetwork:
         their only link: with two or more anchors, a walk from the first
         checks that it reaches the rest, and the plan splits if not.  What
         is left resumes filling at the flow's rate, or is queued if firing.
+        A solo flow only unmaps its pipes.
         """
         self.recomputations += 1
         self.flows.discard(flow)
         flow._arm = 0
         plans = self._plans
-        plan = plans[flow.pipes[0]]
+        plan = plans.get(flow.pipes[0])
+        if plan is None:
+            for pipe in flow.pipes:
+                del pipe.flows[flow], self._solo[pipe]
+            self._arm_timer()
+            return
         plan.drop(flow)
         anchors: list[Pipe] = []
         for pipe in flow.pipes:
@@ -500,7 +553,7 @@ class FluidNetwork:
         traffic.  A lone live flow takes the closed form
         (:meth:`_closed_form`), larger components progressive filling.
         Several components (a split, or a firing) re-arm in uid order, as
-        one solve over their union would.
+        one solve over their union would; :meth:`_apply` writes the rates.
         """
         self.solve_rounds += len(plans)
         if len(plans) == 1:
@@ -511,6 +564,11 @@ class FluidNetwork:
                 chain.from_iterable(starmap(self._rates, plans)),
                 key=lambda move: move[0].uid,
             )
+        self._apply(moves)
+
+    def _apply(self, moves: "Iterable[tuple[Flow, float]]") -> None:
+        """Write each ``(flow, rate)`` move, settling and re-arming only the
+        flows whose rate materially changed, then re-arm the timer."""
         env_now = self.env.now
         for flow, rate in moves:
             # Re-arm only flows whose rate actually moved: a completion
@@ -562,22 +620,15 @@ class FluidNetwork:
         when its route lists a pipe twice (that pipe then splits between
         two slots, so :meth:`_fill` must solve it).
 
-        A lone flow fills every pipe on its route at once: its rate is
-        ``min(rate cap, smallest capacity)``, bit for bit what progressive
-        filling computes, since ``capacity / 1`` is exact and a cap equal to
-        the capacity yields the same value either way.
+        A lone flow fills every pipe on its route at once (see
+        :func:`_lone_rate`).
         """
         ((flow, fidx),) = plan.flow_index.items()
         live_count = plan.live_count
-        pipes = plan.pipes
-        rate = flow.rate_cap_bps
         for q in plan.flow_pipes[fidx]:
             if live_count[q] != 1:
                 return None
-            capacity = pipes[q].capacity_bps
-            if capacity < rate:
-                rate = capacity
-        return [(flow, rate)]
+        return [(flow, _lone_rate(flow))]
 
     def _fill(self, plan: "_ComponentPlan", live: "list[int]", level: float = 0.0) -> "list[float]":
         """Progressive filling over the component's ``live`` flow indices,

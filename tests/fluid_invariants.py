@@ -1,8 +1,10 @@
 """Max-min invariant oracle for the fluid solver.
 
-:func:`maxmin_checked` wraps ``FluidNetwork._solve`` and
+:func:`maxmin_checked` wraps ``FluidNetwork._solve``, ``FluidNetwork._apply``
+(which writes the rates of every solve and of every solo flow) and
 ``FluidNetwork._depart`` for every network used inside its ``with`` block.
-After each solve it checks the components just solved:
+After each solve it checks the components just solved, and after each
+solo rate the solo flow alone:
 
 * the rates crossing a pipe sum to at most its capacity;
 * no flow's rate exceeds its cap;
@@ -10,7 +12,7 @@ After each solve it checks the components just solved:
   saturated pipe on which its rate is the largest.
 
 At every completion it checks that the bits the flow sent, integrated over
-the rates the solves gave it, equal its size.  The tolerance is 1e-9
+the rates it was given, equal its size.  The tolerance is 1e-9
 relative (the solver keeps a rate whose change is within 1e-12), plus, at
 completion, one bit of residue and two engine ticks of the flow's rate
 (completions round up to the next tick).
@@ -65,26 +67,32 @@ def check_maxmin(flows) -> None:
 @contextlib.contextmanager
 def maxmin_checked():
     """Check every solve and completion in the block; yields a :class:`Tally`."""
-    solve, depart = FluidNetwork._solve, FluidNetwork._depart
+    solve, apply, depart = FluidNetwork._solve, FluidNetwork._apply, FluidNetwork._depart
     tally = Tally()
     #: flow -> [size in bits, bits sent until ``since``, rate, since]
     ledger: dict = {}
 
     def checked_solve(self, plans):
         solve(self, plans)
+        for plan, _level in plans:
+            check_maxmin(plan.flow_index)
+
+    def checked_apply(self, moves):
+        moves = list(moves)
+        apply(self, moves)
         if self not in tally.networks:
             tally.networks.append(self)
         now = self.env.now
-        for plan, _level in plans:
-            check_maxmin(plan.flow_index)
-            for flow in plan.flow_index:
-                entry = ledger.get(flow)
-                if entry is None:
-                    # first seen in its start's solve: nothing sent yet
-                    ledger[flow] = [flow.remaining_bits, 0.0, flow.rate_bps, now]
-                elif entry[2] != flow.rate_bps:
-                    entry[1] += entry[2] * (now - entry[3])
-                    entry[2], entry[3] = flow.rate_bps, now
+        for flow, _rate in moves:
+            if self._solo.get(flow.pipes[0]) is flow:
+                check_maxmin([flow])
+            entry = ledger.get(flow)
+            if entry is None:
+                # first seen in its start's rate: nothing sent yet
+                ledger[flow] = [flow.remaining_bits, 0.0, flow.rate_bps, now]
+            elif entry[2] != flow.rate_bps:
+                entry[1] += entry[2] * (now - entry[3])
+                entry[2], entry[3] = flow.rate_bps, now
 
     def checked_depart(self, flow):
         size, sent, rate, since = ledger.pop(flow)
@@ -96,8 +104,10 @@ def maxmin_checked():
             tally.completions += 1
         depart(self, flow)
 
-    FluidNetwork._solve, FluidNetwork._depart = checked_solve, checked_depart
+    FluidNetwork._solve, FluidNetwork._apply, FluidNetwork._depart = (
+        checked_solve, checked_apply, checked_depart
+    )
     try:
         yield tally
     finally:
-        FluidNetwork._solve, FluidNetwork._depart = solve, depart
+        FluidNetwork._solve, FluidNetwork._apply, FluidNetwork._depart = solve, apply, depart

@@ -193,14 +193,15 @@ def test_experiments_job_runs_the_perturbation_smoke(workflow):
     # the full-scale run)...
     assert "repro sanitize" in commands and "--perturb" in commands
     assert "fig7" in commands and "faults_pingpong" in commands
-    # the slow-start/BIC figures and the NPB per-message path, byte-exact
-    # like fig7 (no --result-only: the schedule projection gates too)
-    for figure in ("fig9", "fig6", "fig3", "fig10"):
+    # the slow-start/BIC figures, the NPB per-message path and the solo
+    # flows of the cluster ping-pong, byte-exact like fig7 (no
+    # --result-only: the schedule projection gates too)
+    for figure in ("fig9", "fig6", "fig3", "fig10", "fig5"):
         assert (
             f"repro sanitize {figure} --perturb --seeds 3 --write-result /tmp/perturb/{figure}.txt"
             in commands
         )
-    assert "for id in fig7 faults_pingpong fig9 fig6 fig3 fig10" in commands
+    assert "for id in fig7 faults_pingpong fig9 fig6 fig3 fig10 fig5" in commands
     assert "repro sanitize table6 --perturb" in commands
     # table6 gates on result byte-identity only: its merge-phase timing
     # tail legitimately depends on same-timestamp matching order

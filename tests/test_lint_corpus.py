@@ -154,7 +154,7 @@ CORPUS: tuple[Bug, ...] = (
         "net/fluid.py",
         "        flows = sorted(scope, key=lambda f: f.uid)",
         "        flows = list(set(scope))",
-        "fig7",
+        "coll_hier",
         (),
         "a fluid component's flows ordered by `list(set(...))` instead of by uid",
     ),

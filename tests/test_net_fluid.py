@@ -9,6 +9,7 @@ from repro.apps import run_ray2mesh
 from repro.errors import NetworkConfigError
 from repro.experiments.environments import get_environment
 from repro.net import Flow, FluidNetwork, Pipe
+from repro.net.fluid import _ComponentPlan
 from repro.net.grid5000 import build_ray2mesh_testbed
 from repro.sim import Environment
 from repro.units import Gbps, MB, Mbps
@@ -280,13 +281,21 @@ def _check_against_oracle(network, pipes, when):
 
 
 def _check_plans(network, pipes):
-    """The pipe -> plan map holds exact components: each pipe that carries
-    live flows maps to the plan holding exactly its component, each plan's
-    live flows are connected, and the plans partition ``network.flows``.
-    A plan's cap list, once built, holds its live capped flows in order."""
-    assert set(network._plans) == {pipe for pipe in pipes if pipe.flows}
-    plans = {id(plan): plan for plan in network._plans.values()}
+    """The pipe -> plan and pipe -> solo flow maps hold exact components:
+    they cover disjoint pipes and together every busy pipe, each solo pipe
+    carries exactly its one flow, each other busy pipe maps to the plan
+    holding exactly its component, each plan's live flows are connected,
+    and plans and solo flows together partition ``network.flows``.  A
+    plan's cap list, once built, holds its live capped flows in order."""
+    assert not set(network._plans) & set(network._solo)
+    assert set(network._plans) | set(network._solo) == {pipe for pipe in pipes if pipe.flows}
     covered = []
+    for pipe, flow in network._solo.items():
+        assert list(pipe.flows) == [flow]
+        if pipe is flow.pipes[0]:
+            assert all(network._solo.get(other) is flow for other in flow.pipes)
+            covered.append(flow)
+    plans = {id(plan): plan for plan in network._plans.values()}
     for plan in plans.values():
         flows = list(plan.flow_index)
         assert flows == sorted(flows, key=lambda f: f.uid)
@@ -414,8 +423,9 @@ def test_small_components_match_legacy_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_closed_form_is_bit_identical_to_progressive_filling(seed):
-    """A lone flow's closed-form rate equals what filling computes, to
-    the bit, including a cap equal to the smallest capacity."""
+    """A solo flow's rate, and the closed form of a plan holding one live
+    flow, equal what filling computes, to the bit, including a cap equal
+    to the smallest capacity."""
     rng = random.Random(seed)
     env = Environment()
     net = FluidNetwork(env)
@@ -426,18 +436,21 @@ def test_closed_form_is_bit_identical_to_progressive_filling(seed):
     narrowest = min(p.capacity_bps for p in route)
     cap = rng.choice([math.inf, narrowest, rng.uniform(1e7, 2e10)])
     flow = net.start_flow("f", route, MB, rate_cap_bps=cap)
-    plan = net._plans[route[0]]
+    assert net._solo[route[0]] is flow and not net._plans
+    plan = _ComponentPlan([flow])
     live = [plan.flow_index[flow]]
-    assert net._closed_form(plan) == [(flow, flow.rate_bps)]
     assert net._fill(plan, live)[live[0]] == flow.rate_bps
+    assert net._closed_form(plan) == [(flow, flow.rate_bps)]
     assert flow.rate_bps == min(cap, narrowest)
 
 
 def test_route_listing_a_pipe_twice_takes_the_full_solve(env, net):
     pipe = Pipe("p", Gbps(1))
     flow = net.start_flow("f", [pipe, Pipe("q", Gbps(10)), pipe], MB)
+    assert not net._solo, "a route that meets its own pipe again is not solo"
     assert net._closed_form(net._plans[pipe]) is None
     assert flow.rate_bps == Gbps(1) / 2  # two slots on one pipe
+    assert net.solve_rounds == 1
 
 
 def test_completion_pops_bounded_by_recomputations_plus_flows():
@@ -524,10 +537,10 @@ def test_arriving_bridge_merges_two_components(env, net):
     a, b, c = Pipe("a", Gbps(1)), Pipe("b", Gbps(1)), Pipe("c", Gbps(10))
     left = net.start_flow("left", [a], 100 * MB)
     right = net.start_flow("right", [b, c], 100 * MB)
-    assert net._plans[a] is not net._plans[b]
+    assert net._solo == {a: left, b: right, c: right} and not net._plans
     bridge = net.start_flow("bridge", [a, b], 100 * MB)
     plan = net._plans[a]
-    assert net._plans[b] is plan and net._plans[c] is plan
+    assert net._plans[b] is plan and net._plans[c] is plan and not net._solo
     assert list(plan.flow_index) == [left, right, bridge]
     assert left.rate_bps == right.rate_bps == bridge.rate_bps == Gbps(1) / 2
 
@@ -578,7 +591,8 @@ def test_completion_tick_holds_under_unrelated_churn():
         if churn:
             env.process(noise())
         env.run(until=watched.done)
-        assert net.solve_rounds > (200 if churn else 0)
+        # alone, the watched flow is solo: it never needs a component solve
+        assert net.solve_rounds > 200 if churn else net.solve_rounds == 0
         return env.now_ticks
 
     assert finish(churn=True) == finish(churn=False)
@@ -593,7 +607,83 @@ def test_capacity_change_on_an_idle_pipe_solves_nothing(env, net):
     net.set_pipe_capacity(idle, Mbps(10))
     assert net.recomputations == recomputations + 1
     assert net.solve_rounds == rounds
-    assert idle not in net._plans
+    assert idle not in net._plans and idle not in net._solo
+
+
+# -- solo flows ------------------------------------------------------------------
+
+
+def test_arrival_on_idle_pipes_is_solo(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Mbps(400))
+    flow = net.start_flow("f", [a, b], MB, rate_cap_bps=Mbps(900))
+    assert net._solo == {a: flow, b: flow} and not net._plans
+    assert flow.rate_bps == Mbps(400)
+    assert (net.recomputations, net.solve_rounds) == (1, 0)
+    env.run(until=flow.done)
+    assert env.now == pytest.approx(MB * 8 / Mbps(400))
+    assert not net._solo and not a.flows and not b.flows
+    assert (net.recomputations, net.solve_rounds) == (2, 0)
+
+
+def test_second_flow_on_a_solo_pipe_builds_the_plan_of_both(env, net):
+    a, b, c = Pipe("a", Gbps(1)), Pipe("b", Gbps(1)), Pipe("c", Mbps(300))
+    solo = net.start_flow("solo", [a, b], 100 * MB)
+    env.run(until=0.01)
+    newcomer = net.start_flow("new", [b, c], 100 * MB)
+    plan = net._plans[a]
+    assert net._plans[b] is plan and net._plans[c] is plan and not net._solo
+    assert list(plan.flow_index) == [solo, newcomer] and plan.pipes == [a, b, c]
+    assert net.solve_rounds == 1
+    assert (solo.rate_bps, newcomer.rate_bps) == (Mbps(700), Mbps(300))
+    # the join settled the bytes the solo flow sent at its old rate
+    assert solo._last_update == env.now
+    assert solo.remaining_bits == pytest.approx(100 * MB * 8 - Gbps(1) * 0.01)
+    _check_against_oracle(net, [a, b, c], "after the solo flow joined a plan")
+
+
+def test_cap_push_on_a_solo_flow_rerates_it_directly(env, net):
+    pipe = Pipe("p", Gbps(1))
+    flow = net.start_flow("f", [pipe], 100 * MB)
+    env.run(until=0.01)
+    state = (flow.rate_bps, flow.remaining_bits, flow._last_update, flow._arm)
+    net.set_rate_cap(flow, Gbps(2))  # not cap-limited, and still above its rate
+    assert (flow.rate_bps, flow.remaining_bits, flow._last_update, flow._arm) == state
+    assert net.recomputations == 1
+    net.set_rate_cap(flow, Mbps(300))
+    assert flow.rate_bps == Mbps(300) and flow._last_update == env.now
+    net.set_rate_cap(flow, Mbps(600))  # cap-limited: the push re-rates it
+    assert flow.rate_bps == Mbps(600)
+    assert (net.recomputations, net.solve_rounds) == (3, 0)
+    assert net._solo == {pipe: flow}
+
+
+def test_link_flap_on_a_solo_pipe_rerates_its_flow(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Gbps(1))
+    flow = net.start_flow("f", [a, b], 10 * MB)
+    env.run(until=0.01)
+    net.set_pipe_capacity(b, Mbps(100))
+    assert flow.rate_bps == Mbps(100)
+    env.run(until=0.02)
+    net.set_pipe_capacity(b, Gbps(1))
+    assert flow.rate_bps == Gbps(1)
+    assert (net.recomputations, net.solve_rounds) == (3, 0)
+    env.run(until=flow.done)
+    sent = Gbps(1) * 0.01 + Mbps(100) * 0.01
+    assert env.now == pytest.approx(0.02 + (10 * MB * 8 - sent) / Gbps(1))
+
+
+def test_abort_of_a_solo_flow_unmaps_its_pipes(env, net):
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Gbps(1))
+    flow = net.start_flow("f", [a, b], 100 * MB)
+    flow.done._defused = True  # the abort is the point
+    env.run(until=0.01)
+    net.abort_flow(flow, RuntimeError("link flap"))
+    assert not flow.done.ok and flow not in net.flows
+    assert not net._solo and not net._plans and not a.flows and not b.flows
+    assert flow.remaining_bits == pytest.approx(100 * MB * 8 - Gbps(1) * 0.01)
+    env.run()  # the queued timer finds only the aborted flow's stale entry
+    assert not flow.done.ok and net._due == []
+    assert (net.recomputations, net.solve_rounds) == (2, 0)
 
 
 # -- coalesced firings and resumed fills ---------------------------------------
@@ -649,9 +739,9 @@ def test_firing_resumes_at_the_lowest_rate_it_departed(env, net):
 
 def test_reduced_ray2mesh_keeps_max_min_and_pins_solver_counts():
     """A real run through TCP and MPI, every solve and completion checked:
-    it covers coalesced firings, resumed fills and TCP cap pushes.  The
-    exact counts are pinned; an intentional solver change re-seeds them
-    (with a CHANGES.md line)."""
+    it covers solo flows, coalesced firings, resumed fills and TCP cap
+    pushes.  The exact counts are pinned; an intentional solver change
+    re-seeds them (with a CHANGES.md line)."""
     env = get_environment("fully_tuned")
     with maxmin_checked() as tally:
         result = run_ray2mesh(
@@ -664,4 +754,4 @@ def test_reduced_ray2mesh_keeps_max_min_and_pins_solver_counts():
     assert result.total_rays == 20_000
     (net,) = tally.networks
     assert not net.flows and tally.completions > 0
-    assert (net.recomputations, net.solve_rounds, net.fill_visits) == (1146, 922, 59477)
+    assert (net.recomputations, net.solve_rounds, net.fill_visits) == (1146, 747, 59477)

@@ -52,7 +52,6 @@ class MpiImplementation:
 
     # --- TCP behaviour (§4.2.1, Fig. 9) ------------------------------------------
     buffer_policy: BufferPolicy
-    paced: bool
     ss_cap_divisor: float
     probe_loss_rounds: int
 
@@ -95,7 +94,6 @@ class MpiImplementation:
     def tcp_options(self) -> TcpOptions:
         return TcpOptions(
             buffer_policy=self.buffer_policy,
-            paced=self.paced,
             ss_cap_divisor=self.ss_cap_divisor,
             probe_loss_rounds=self.probe_loss_rounds,
             fault_profile=self.fault_profile,

@@ -1,7 +1,8 @@
 """GridMPI 1.1 — designed for grids (§2.1.4).
 
 Long-distance optimisations: software pacing of sends (removes the
-slow-start burst penalty; the only TCP modification shipping at the time)
+slow-start burst penalty; the only TCP modification shipping at the time;
+modelled as ``ss_cap_divisor=1.0`` and raw TCP's ``probe_loss_rounds=50``)
 and grid-efficient collectives — a Van de Geijn broadcast and a
 Rabenseifner allreduce (Matsuda et al., Cluster'06).  By default
 ``MPI_Send`` never uses rendezvous (Table 5: threshold ∞; the
@@ -27,7 +28,6 @@ GRIDMPI = MpiImplementation(
     per_byte_overhead=1e-10,
     copy_bandwidth=DEFAULT_COPY_BANDWIDTH,
     buffer_policy=BufferPolicy.initial(),
-    paced=True,
     ss_cap_divisor=1.0,
     probe_loss_rounds=50,
     collectives={

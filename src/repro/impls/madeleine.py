@@ -25,7 +25,6 @@ MPICH_MADELEINE = MpiImplementation(
     per_byte_overhead=1.5e-10,
     copy_bandwidth=DEFAULT_COPY_BANDWIDTH,
     buffer_policy=BufferPolicy.autotune(),
-    paced=False,
     ss_cap_divisor=2.0,
     probe_loss_rounds=18,
     collectives={},

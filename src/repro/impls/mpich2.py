@@ -23,7 +23,6 @@ MPICH2 = MpiImplementation(
     per_byte_overhead=1e-10,
     copy_bandwidth=DEFAULT_COPY_BANDWIDTH,
     buffer_policy=BufferPolicy.autotune(),
-    paced=False,
     ss_cap_divisor=2.0,
     probe_loss_rounds=18,
     collectives={},  # engine defaults: binomial / recursive doubling

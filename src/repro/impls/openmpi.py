@@ -27,7 +27,6 @@ OPENMPI = MpiImplementation(
     buffer_policy=BufferPolicy.fixed(128 * KB, 128 * KB),
     max_eager_threshold=32 * MB,
     native_fabrics=frozenset({"myrinet", "infiniband"}),
-    paced=False,
     ss_cap_divisor=2.0,
     probe_loss_rounds=18,
     collectives={},

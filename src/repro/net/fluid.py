@@ -1,9 +1,9 @@
 """Flow-level ("fluid") bandwidth sharing.
 
 A :class:`Pipe` is a capacity constraint (a NIC direction, a site uplink...).
-A :class:`Flow` is a byte transfer across an ordered set of pipes with an
-optional sender rate cap (used by TCP to impose its congestion window:
-``cap = cwnd / RTT``).
+A :class:`Flow` is a byte transfer across an ordered set of distinct pipes
+with an optional sender rate cap (used by TCP to impose its congestion
+window: ``cap = cwnd / RTT``).
 
 Rates are allocated by **progressive filling** (max-min fairness with per-flow
 caps): all unfrozen flows grow at the same rate until a pipe saturates (its
@@ -15,26 +15,27 @@ Incremental allocation
 The max-min allocation decomposes over connected components of the
 shares-a-pipe relation, so it can be repaired locally instead of recomputed
 globally.  Each pipe that carries live flows maps to the plan of exactly
-their component, or to a solo flow (below).  An arriving flow extends the
-one plan its route touches, or builds a new plan (no plan touched) or a
-merged one (several plans or solo flows); a departing flow is dropped
-from its plan, which splits when the flow was the only link between
-what is left.  Every mutation re-solves only the
+their component, or to a solo flow (below); a pipe keeps no flow list of
+its own, so these two maps and the plans' indices are the only record of
+who crosses what.  An arriving flow extends the one plan its route
+touches, or builds a new plan (no plan touched) or a merged one (several
+plans or solo flows); a departing flow is dropped from its plan, which
+splits when the flow was the only link between what is left (a walk over
+the plan's own indices decides).  Every mutation re-solves only the
 component(s) it touched: flows outside share no constraint with it and
 provably keep their rates.  A flow's bytes are settled only when its rate
 changes, so a solve writes nothing to the flows it leaves alone.
 
 Solo flows
 ----------
-A flow whose route finds every pipe idle when it starts (a route listing
-a pipe twice never does) gets no plan: each of its pipes maps to the
-flow itself, and its rate is ``min(rate cap, smallest pipe capacity)``,
-bit for bit what progressive filling computes (``capacity / 1`` is exact).
-A cap push or a capacity change re-rates it directly, a departure only
-unmaps its pipes, and it joins a plan the moment an arrival touches one
-of its pipes.  Solo rates are not component solves: they bypass
-``solve_rounds``.  A plan that shrinks to one live flow stays a plan and
-takes the same closed form instead of filling.
+A flow whose route finds every pipe idle when it starts gets no plan:
+each of its pipes maps to the flow itself, and its rate is ``min(rate cap,
+smallest pipe capacity)``, bit for bit what progressive filling computes
+(``capacity / 1`` is exact).  A cap push or a capacity change re-rates it
+directly, a departure only unmaps its pipes, and it joins a plan the moment
+an arrival touches one of its pipes.  Solo rates are not component solves:
+they bypass ``solve_rounds``.  A plan that shrinks to one live flow stays a
+plan and fills like any other, to the same rate.
 
 Resumed fills
 -------------
@@ -97,21 +98,16 @@ _LEVEL_MARGIN = 1e-9
 class Pipe:
     """A single capacity constraint, in bits per second."""
 
-    __slots__ = ("name", "capacity_bps", "flows")
+    __slots__ = ("name", "capacity_bps")
 
     def __init__(self, name: str, capacity_bps: "Rate | float"):
         if capacity_bps <= 0:
             raise NetworkConfigError(f"pipe {name!r}: capacity must be positive")
         self.name = name
         self.capacity_bps = float(capacity_bps)
-        #: insertion-ordered membership: flows register in creation (uid)
-        #: order and dicts preserve it, so iterating ``pipe.flows`` is
-        #: deterministic without per-recompute sorting (used as a set; the
-        #: values are always None).
-        self.flows: dict["Flow", None] = {}
 
     def __repr__(self) -> str:
-        return f"Pipe({self.name!r}, {self.capacity_bps / 1e9:.3g} Gbps, {len(self.flows)} flows)"
+        return f"Pipe({self.name!r}, {self.capacity_bps / 1e9:.3g} Gbps)"
 
 
 class Flow:
@@ -128,7 +124,6 @@ class Flow:
         "on_rate_change",
         "_last_update",
         "_arm",
-        "started_at",
     )
 
     def __init__(
@@ -158,7 +153,6 @@ class Flow:
         self._last_update = 0.0
         #: arm order of the flow's live completion-heap entry (0: none)
         self._arm = 0
-        self.started_at = 0.0
 
     def finish_estimate(self) -> float:
         """When the flow finishes if its rate never changes again (seconds;
@@ -197,7 +191,6 @@ class _ComponentPlan:
         "members",
         "live_count",
         "dead",
-        "n_dead",
         "caps",
     )
 
@@ -216,10 +209,9 @@ class _ComponentPlan:
         #: on every extend/drop so each solve starts from a plain copy
         self.live_count: list[int] = []
         self.dead = bytearray()
-        self.n_dead = 0
-        #: sorted ``(cap, flow index)`` of the live capped flows: built by the
-        #: first fill (lone flows never need one), then patched in place
-        self.caps: Optional[list[tuple[float, int]]] = None
+        #: sorted ``(cap, flow index)`` of the live capped flows, patched in
+        #: place on every extend, drop and cap move
+        self.caps: list[tuple[float, int]] = []
         flows = sorted(scope, key=lambda f: f.uid)
         for flow in flows:
             self.extend(flow)
@@ -246,22 +238,19 @@ class _ComponentPlan:
                 live_count[pidx] += 1
             indices.append(pidx)
         self.flow_pipes.append(indices)
-        if self.caps is not None:
-            self.move_cap(fidx, math.inf, flow.rate_cap_bps)
+        self.move_cap(fidx, math.inf, flow.rate_cap_bps)
 
     def drop(self, flow: Flow) -> None:
         """Dead-mark a departing flow."""
         fidx = self.flow_index.pop(flow)
         self.dead[fidx] = 1
-        self.n_dead += 1
         for pidx in self.flow_pipes[fidx]:
             self.live_count[pidx] -= 1
-        if self.caps is not None:
-            self.move_cap(fidx, flow.rate_cap_bps, math.inf)
+        self.move_cap(fidx, flow.rate_cap_bps, math.inf)
 
     def move_cap(self, fidx: int, old: float, new: float) -> None:
-        """Move flow ``fidx``'s entry in the built ``caps`` from cap ``old``
-        to ``new`` (an infinite cap has no entry)."""
+        """Move flow ``fidx``'s entry in ``caps`` from cap ``old`` to
+        ``new`` (an infinite cap has no entry)."""
         caps = self.caps
         if old != math.inf:
             del caps[bisect_left(caps, (old, fidx))]
@@ -289,8 +278,9 @@ class _ComponentPlan:
         self.live_count = [len(m) for m in members]
         self.flow_index = {flow: fidx for fidx, flow in enumerate(flows)}
         self.dead = bytearray(len(flows))
-        self.n_dead = 0
-        self.caps = None
+        self.caps = sorted(
+            (cap, fidx) for fidx, flow in enumerate(flows) if (cap := flow.rate_cap_bps) != math.inf
+        )
 
 
 def _lone_rate(flow: Flow) -> float:
@@ -358,12 +348,13 @@ class FluidNetwork:
             raise NetworkConfigError(f"flow {name!r}: negative size")
         if rate_cap_bps <= 0:
             raise NetworkConfigError(f"flow {name!r}: rate cap must be positive")
+        if len(set(route)) != len(route):
+            raise NetworkConfigError(f"flow {name!r}: route lists a pipe twice")
         self._flow_counter += 1
         flow = Flow(
             name, route, nbytes, self.env.event(), rate_cap_bps, uid=self._flow_counter
         )
         flow._last_update = self.env.now
-        flow.started_at = self.env.now
         if nbytes == 0:
             flow.done.succeed(flow)
             return flow
@@ -373,18 +364,17 @@ class FluidNetwork:
         joined: list[_ComponentPlan] = []
         partners: list[Flow] = []
         for pipe in route:
-            if pipe.flows:
+            plan = plans.get(pipe)
+            if plan is not None:
                 alone = False
-                plan = plans.get(pipe)
-                if plan is None:
-                    partner = solo.get(pipe)
-                    if partner is not None:  # it leaves solo to join the plan
-                        for other in partner.pipes:
-                            del solo[other]
-                        partners.append(partner)
-                elif plan not in joined:
+                if plan not in joined:
                     joined.append(plan)
-            pipe.flows[flow] = None
+            elif (partner := solo.get(pipe)) is not None:
+                # it leaves solo to join the plan
+                alone = False
+                for other in partner.pipes:
+                    del solo[other]
+                partners.append(partner)
         self.recomputations += 1
         if alone:
             for pipe in route:
@@ -417,7 +407,7 @@ class FluidNetwork:
             return
         flow.rate_cap_bps = rate_cap_bps = float(rate_cap_bps)
         plan = self._plans.get(flow.pipes[0])  # None: a solo flow
-        if plan is not None and plan.caps is not None:
+        if plan is not None:
             plan.move_cap(plan.flow_index[flow], old_cap, rate_cap_bps)
         # A cap move cannot change any allocation when the flow was not
         # cap-limited before (its pipes limit it) and the new cap still
@@ -485,17 +475,18 @@ class FluidNetwork:
         plan = plans.get(flow.pipes[0])
         if plan is None:
             for pipe in flow.pipes:
-                del pipe.flows[flow], self._solo[pipe]
+                del self._solo[pipe]
             self._arm_timer()
             return
         plan.drop(flow)
-        anchors: list[Pipe] = []
+        anchors: list[int] = []
+        live_count = plan.live_count
         for pipe in flow.pipes:
-            pipe.flows.pop(flow, None)
-            if not pipe.flows:
-                plans.pop(pipe, None)
-            elif pipe not in anchors:
-                anchors.append(pipe)
+            pidx = plan.pipe_index[pipe]
+            if live_count[pidx]:
+                anchors.append(pidx)
+            else:
+                del plans[pipe]
         work = self._pending if self._firing else {}
         level = work.pop(plan, math.inf)
         if flow.rate_bps < level:
@@ -507,38 +498,41 @@ class FluidNetwork:
         if not self._firing:
             self._solve(work.items())  # empty when the flow was alone: re-arms only
 
-    def _split(self, plan: _ComponentPlan, anchors: "list[Pipe]") -> "list[_ComponentPlan]":
-        """``[plan]`` if its live flows still connect every anchor, else
-        the new plans of its components (each holds an anchor: whatever
-        the departed flow linked was linked through one of its pipes)."""
+    def _split(self, plan: _ComponentPlan, anchors: "list[int]") -> "list[_ComponentPlan]":
+        """``[plan]`` if its live flows still connect every anchor (a pipe
+        index), else the new plans of its components (each holds an anchor:
+        whatever the departed flow linked was linked through one of its
+        pipes).  The walk runs over the plan's indices, skipping dead slots."""
+        members, flow_pipes, dead = plan.members, plan.flow_pipes, plan.dead
         seen = {anchors[0]}
         stack = [anchors[0]]
         unreached = len(anchors) - 1
-        scopes: list[dict[Flow, None]] = []
-        scope: dict[Flow, None] = {}
+        scopes: list[dict[int, None]] = []
+        scope: dict[int, None] = {}
         while True:
             while stack:
-                for flow in stack.pop().flows:
-                    if flow in scope:
+                for fidx in members[stack.pop()]:
+                    if dead[fidx] or fidx in scope:
                         continue
-                    scope[flow] = None
-                    for other in flow.pipes:
-                        if other in seen:
+                    scope[fidx] = None
+                    for q in flow_pipes[fidx]:
+                        if q in seen:
                             continue
-                        seen.add(other)
-                        stack.append(other)
-                        if other in anchors:
+                        seen.add(q)
+                        stack.append(q)
+                        if q in anchors:
                             unreached -= 1
                             if not unreached and not scopes:
                                 return [plan]
             scopes.append(scope)
-            rest = [pipe for pipe in anchors if pipe not in seen]
+            rest = [pidx for pidx in anchors if pidx not in seen]
             if not rest:
                 break
             seen.add(rest[0])
             stack = [rest[0]]
             scope = {}
-        parts = [_ComponentPlan(scope) for scope in scopes]
+        flows = plan.flows
+        parts = [_ComponentPlan(map(flows.__getitem__, scope)) for scope in scopes]
         for part in parts:
             for pipe in part.pipe_index:
                 self._plans[pipe] = part
@@ -550,10 +544,9 @@ class FluidNetwork:
         ``plans`` pairs each component with the level its fill resumes at
         (see :meth:`_fill`).  Every flow sharing a pipe with a component is
         itself in it, so pipe capacities need no adjustment for external
-        traffic.  A lone live flow takes the closed form
-        (:meth:`_closed_form`), larger components progressive filling.
-        Several components (a split, or a firing) re-arm in uid order, as
-        one solve over their union would; :meth:`_apply` writes the rates.
+        traffic.  Several components (a split, or a firing) re-arm in uid
+        order, as one solve over their union would; :meth:`_apply` writes
+        the rates.
         """
         self.solve_rounds += len(plans)
         if len(plans) == 1:
@@ -604,31 +597,13 @@ class FluidNetwork:
 
     def _rates(self, plan: "_ComponentPlan", level: float) -> "Iterable[tuple[Flow, float]]":
         """``(flow, rate)`` for each live flow of ``plan``, in uid order."""
-        if plan.n_dead > 64 and plan.n_dead * 2 > len(plan.flows):
+        n_dead = len(plan.flows) - len(plan.flow_index)
+        if n_dead > 64 and n_dead * 2 > len(plan.flows):
             plan.compact()
-        if len(plan.flow_index) == 1:
-            moves = self._closed_form(plan)
-            if moves is not None:
-                return moves
         flows = plan.flows
         live = list(plan.flow_index.values())
         rates = self._fill(plan, live, level)
         return zip(map(flows.__getitem__, live), map(rates.__getitem__, live))
-
-    def _closed_form(self, plan: "_ComponentPlan") -> "Optional[list[tuple[Flow, float]]]":
-        """``[(flow, rate)]`` for a component with one live flow; ``None``
-        when its route lists a pipe twice (that pipe then splits between
-        two slots, so :meth:`_fill` must solve it).
-
-        A lone flow fills every pipe on its route at once (see
-        :func:`_lone_rate`).
-        """
-        ((flow, fidx),) = plan.flow_index.items()
-        live_count = plan.live_count
-        for q in plan.flow_pipes[fidx]:
-            if live_count[q] != 1:
-                return None
-        return [(flow, _lone_rate(flow))]
 
     def _fill(self, plan: "_ComponentPlan", live: "list[int]", level: float = 0.0) -> "list[float]":
         """Progressive filling over the component's ``live`` flow indices,
@@ -662,10 +637,6 @@ class FluidNetwork:
         # Flows freeze at their cap in (cap, flow index) order, which is
         # (cap, uid) order because ``flows`` is uid-sorted.
         capped = plan.caps
-        if capped is None:
-            capped = plan.caps = sorted(
-                (cap, fidx) for fidx in live if (cap := flows[fidx].rate_cap_bps) != math.inf
-            )
         cap_idx = 0
         if level > 0.0:
             threshold = level * (1.0 - _LEVEL_MARGIN)

@@ -35,7 +35,6 @@ from repro.npb.suite import (
     get_benchmark,
     locate_known_failure,
     run_npb,
-    run_suite,
 )
 
 __all__ = [
@@ -48,6 +47,5 @@ __all__ = [
     "locate_known_failure",
     "get_benchmark",
     "run_npb",
-    "run_suite",
     "validate_config",
 ]

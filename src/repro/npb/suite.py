@@ -211,18 +211,3 @@ def run_npb(
     return NpbResult(
         name, cls, nprocs, impl.name, time, result.timed_out, result.trace if trace else None
     )
-
-
-def run_suite(
-    names,
-    cls: str,
-    network: Network,
-    impl,
-    placement: list[Node],
-    **kwargs,
-) -> dict[str, NpbResult]:
-    """Run several kernels with one configuration; returns name -> result."""
-    return {
-        name: run_npb(name, cls, network, impl, placement, **kwargs)
-        for name in names
-    }

@@ -47,7 +47,6 @@ from repro.obs.flame import render_collapsed, render_svg
 from repro.obs.runtime import (
     TelemetryConfig,
     TelemetrySession,
-    active_session,
     merge_payloads,
     session,
     track,
@@ -56,7 +55,6 @@ from repro.obs.runtime import (
 __all__ = [
     "TelemetryConfig",
     "TelemetrySession",
-    "active_session",
     "chrome_trace",
     "collapsed_stacks",
     "critical_path",

@@ -84,8 +84,3 @@ def profile_report(
         text=header + stream.getvalue(),
         rows=_hotspot_rows(stats, top),
     )
-
-
-def profile_experiment(experiment_id: str, fast: bool = True, top: int = 25) -> str:
-    """Run ``experiment_id`` under cProfile; return the hotspot table."""
-    return profile_report(experiment_id, fast=fast, top=top).text

@@ -304,10 +304,6 @@ class TelemetrySession:
         }
 
 
-def active_session() -> Optional[TelemetrySession]:
-    return ACTIVE
-
-
 @contextmanager
 def session(
     config: Optional[TelemetryConfig] = None,

@@ -129,9 +129,6 @@ class TcpOptions:
     """Per-connection behaviour knobs (set by the MPI implementation)."""
 
     buffer_policy: BufferPolicy = field(default_factory=BufferPolicy.autotune)
-    #: software pacing of sends (GridMPI); informational — its effects are
-    #: carried by the two fields below.
-    paced: bool = False
     #: divisor applied to the slow-start overshoot point; >1 for senders
     #: whose fragmented writes burst harder than a single TCP stream.
     ss_cap_divisor: float = 1.0

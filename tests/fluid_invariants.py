@@ -46,7 +46,7 @@ def check_maxmin(flows) -> None:
     for flow in flows:
         rate = flow.rate_bps
         assert rate <= flow.rate_cap_bps * (1 + TOL), f"{flow} exceeds its cap"
-        for pipe in flow.pipes:  # a pipe listed twice carries two slots
+        for pipe in flow.pipes:
             load[pipe] = load.get(pipe, 0.0) + rate
             if rate > top.get(pipe, -1.0):
                 top[pipe] = rate

@@ -59,13 +59,11 @@ def test_buffer_policies():
 
 def test_gridmpi_pacing_and_collectives():
     gridmpi = ALL_IMPLEMENTATIONS["gridmpi"]
-    assert gridmpi.paced
     assert gridmpi.ss_cap_divisor == 1.0
     assert gridmpi.collectives["bcast"] == "van_de_geijn"
     assert gridmpi.collectives["allreduce"] == "rabenseifner"
     for other in ("mpich2", "madeleine", "openmpi"):
         impl = ALL_IMPLEMENTATIONS[other]
-        assert not impl.paced
         assert impl.ss_cap_divisor > 1.0
         assert "bcast" not in impl.collectives
 
@@ -78,7 +76,7 @@ def test_madeleine_known_failures():
 
 def test_tcp_options_reflect_impl():
     options = ALL_IMPLEMENTATIONS["gridmpi"].tcp_options()
-    assert options.paced
+    assert options.ss_cap_divisor == 1.0
     assert options.buffer_policy.mode == "initial"
     options = ALL_IMPLEMENTATIONS["openmpi"].tcp_options()
     assert options.buffer_policy.sndbuf == 128 * KB
@@ -119,14 +117,14 @@ def test_validation():
             name="x", display_name="x", version="1", eager_threshold=-1,
             overhead_lan=0, overhead_wan=0, per_byte_overhead=0,
             copy_bandwidth=1e9, buffer_policy=BufferPolicy.autotune(),
-            paced=False, ss_cap_divisor=1.0, probe_loss_rounds=10,
+            ss_cap_divisor=1.0, probe_loss_rounds=10,
         )
     with pytest.raises(MpiError):
         MpiImplementation(
             name="x", display_name="x", version="1", eager_threshold=1,
             overhead_lan=0, overhead_wan=0, per_byte_overhead=0,
             copy_bandwidth=0, buffer_policy=BufferPolicy.autotune(),
-            paced=False, ss_cap_divisor=1.0, probe_loss_rounds=10,
+            ss_cap_divisor=1.0, probe_loss_rounds=10,
         )
 
 

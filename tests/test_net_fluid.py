@@ -8,6 +8,7 @@ import pytest
 from repro.apps import run_ray2mesh
 from repro.errors import NetworkConfigError
 from repro.experiments.environments import get_environment
+from repro.experiments.registry import run_experiment
 from repro.net import Flow, FluidNetwork, Pipe
 from repro.net.fluid import _ComponentPlan
 from repro.net.grid5000 import build_ray2mesh_testbed
@@ -55,7 +56,7 @@ def test_zero_byte_flow_completes_immediately(env, net):
     pipe = Pipe("p", Gbps(1))
     flow = net.start_flow("f", [pipe], 0)
     assert flow.done.triggered
-    assert not pipe.flows
+    assert not net.flows and not net._solo and not net._plans
 
 
 def test_two_flows_share_fairly(env, net):
@@ -130,7 +131,7 @@ def test_abort_flow_fails_done_event(env, net):
     env.process(waiter(log))
     env.run()
     assert log == ["link down"]
-    assert not pipe.flows
+    assert not net.flows and not net._solo and not net._plans
 
 
 def test_three_flows_two_pipes_maxmin(env, net):
@@ -199,8 +200,7 @@ def test_many_sequential_flows_cleanup(env, net):
 
     env.process(sender())
     env.run()
-    assert not net.flows
-    assert not pipe.flows
+    assert not net.flows and not net._solo and not net._plans
     assert env.now == pytest.approx(100 * 1024 * 8 / 1e9)
 
 
@@ -280,18 +280,23 @@ def _check_against_oracle(network, pipes, when):
         ), f"rate of flow {flow.uid} diverges from the oracle {when}"
 
 
-def _check_plans(network, pipes):
+def _check_plans(network):
     """The pipe -> plan and pipe -> solo flow maps hold exact components:
-    they cover disjoint pipes and together every busy pipe, each solo pipe
-    carries exactly its one flow, each other busy pipe maps to the plan
-    holding exactly its component, each plan's live flows are connected,
-    and plans and solo flows together partition ``network.flows``.  A
-    plan's cap list, once built, holds its live capped flows in order."""
+    they cover disjoint pipes and together exactly the pipes the live flows
+    cross, each solo pipe carries exactly its one flow, each other busy
+    pipe maps to the plan holding exactly its component, each plan's live
+    flows are connected, and plans and solo flows together partition
+    ``network.flows``.  A plan's live counts and dead marks match its live
+    flows, and its cap list holds its live capped flows in order."""
+    crossing = {}
+    for flow in sorted(network.flows, key=lambda f: f.uid):
+        for pipe in flow.pipes:
+            crossing.setdefault(pipe, []).append(flow)
     assert not set(network._plans) & set(network._solo)
-    assert set(network._plans) | set(network._solo) == {pipe for pipe in pipes if pipe.flows}
+    assert set(network._plans) | set(network._solo) == set(crossing)
     covered = []
     for pipe, flow in network._solo.items():
-        assert list(pipe.flows) == [flow]
+        assert crossing[pipe] == [flow]
         if pipe is flow.pipes[0]:
             assert all(network._solo.get(other) is flow for other in flow.pipes)
             covered.append(flow)
@@ -303,15 +308,18 @@ def _check_plans(network, pipes):
         while stack:
             for pipe in stack.pop().pipes:
                 assert network._plans[pipe] is plan
-                for other in pipe.flows:
+                for other in crossing[pipe]:
                     if other not in reached:
                         reached.add(other)
                         stack.append(other)
         assert reached == set(flows), "a plan holds more than one component"
-        if plan.caps is not None:
-            assert plan.caps == sorted(
-                (f.rate_cap_bps, plan.flow_index[f]) for f in flows if f.rate_cap_bps != math.inf
-            )
+        for pipe, pidx in plan.pipe_index.items():
+            live = [f for f in crossing.get(pipe, ()) if f in plan.flow_index]
+            assert plan.live_count[pidx] == len(live)
+        assert [plan.flows[i] for i in range(len(plan.flows)) if not plan.dead[i]] == flows
+        assert plan.caps == sorted(
+            (f.rate_cap_bps, plan.flow_index[f]) for f in flows if f.rate_cap_bps != math.inf
+        )
         covered += flows
     assert len(covered) == len(set(covered)) and set(covered) == network.flows
 
@@ -325,10 +333,9 @@ def _drive_workload(seed, sparse=False):
     A burst starts several identical flows at once: they finish on one
     tick, so a single completion callback departs them all.
 
-    ``sparse`` spreads short routes over many pipes, so most components
-    hold zero or one live flow (the closed-form solve); caps then often
-    equal a route pipe's capacity exactly, and some routes list a pipe
-    twice."""
+    ``sparse`` spreads short routes over many pipes, so most flows run
+    solo or in a plan of one live flow; caps then often equal a route
+    pipe's capacity exactly."""
     env = Environment()
     network = FluidNetwork(env)
     rng = random.Random(seed)
@@ -343,7 +350,7 @@ def _drive_workload(seed, sparse=False):
 
     def check(when):
         _check_against_oracle(network, pipes, when)
-        _check_plans(network, pipes)
+        _check_plans(network)
         # stale completion entries never outgrow the live population
         assert len(network._due) <= 2 * len(network.flows) + 65
         checks.append(when)
@@ -351,10 +358,7 @@ def _drive_workload(seed, sparse=False):
     def pick_route():
         if not sparse:
             return rng.sample(pipes, rng.randint(1, min(3, len(pipes))))
-        route = rng.sample(pipes, rng.randint(1, 2))
-        if rng.random() < 0.15:
-            route.append(route[0])  # the route crosses one pipe twice
-        return route
+        return rng.sample(pipes, rng.randint(1, 2))
 
     def pick_cap(route):
         if sparse and rng.random() < 0.4:
@@ -423,9 +427,8 @@ def test_small_components_match_legacy_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_closed_form_is_bit_identical_to_progressive_filling(seed):
-    """A solo flow's rate, and the closed form of a plan holding one live
-    flow, equal what filling computes, to the bit, including a cap equal
-    to the smallest capacity."""
+    """A solo flow's rate equals what filling a plan of that one flow
+    computes, to the bit, including a cap equal to the smallest capacity."""
     rng = random.Random(seed)
     env = Environment()
     net = FluidNetwork(env)
@@ -440,17 +443,37 @@ def test_closed_form_is_bit_identical_to_progressive_filling(seed):
     plan = _ComponentPlan([flow])
     live = [plan.flow_index[flow]]
     assert net._fill(plan, live)[live[0]] == flow.rate_bps
-    assert net._closed_form(plan) == [(flow, flow.rate_bps)]
     assert flow.rate_bps == min(cap, narrowest)
 
 
-def test_route_listing_a_pipe_twice_takes_the_full_solve(env, net):
+@pytest.mark.parametrize("cap", ["inf", "narrowest", "below"])
+def test_plan_shrunk_to_one_flow_fills_to_its_lone_rate(env, net, cap):
+    """A plan left with one live flow stays a plan and fills, resumed or
+    from zero, to exactly ``min(cap, smallest capacity)``."""
+    a, b = Pipe("a", 9.37e8), Pipe("b", 2.5e10 / 3)
+    rate_cap = {"inf": math.inf, "narrowest": a.capacity_bps, "below": 6.1e8}[cap]
+    with maxmin_checked():
+        keeper = net.start_flow("keeper", [a, b], 100 * MB, rate_cap_bps=rate_cap)
+        short = net.start_flow("short", [a], MB)
+        plan = net._plans[a]
+        rounds, visits = net.solve_rounds, net.fill_visits
+        env.run(until=short.done)
+        assert net._plans[a] is net._plans[b] is plan and list(plan.flow_index) == [keeper]
+        assert (net.solve_rounds, net.fill_visits) == (rounds + 1, visits + 1)
+        assert keeper.rate_bps == min(rate_cap, a.capacity_bps)
+        net.set_pipe_capacity(b, 2.5e8 / 3)  # a fill from zero
+        assert keeper.rate_bps == min(rate_cap, b.capacity_bps)
+        assert net.solve_rounds == rounds + 2
+        net.set_pipe_capacity(b, 2.5e10 / 3)
+        assert keeper.rate_bps == min(rate_cap, a.capacity_bps)
+
+
+def test_route_listing_a_pipe_twice_is_rejected(env, net):
     pipe = Pipe("p", Gbps(1))
-    flow = net.start_flow("f", [pipe, Pipe("q", Gbps(10)), pipe], MB)
-    assert not net._solo, "a route that meets its own pipe again is not solo"
-    assert net._closed_form(net._plans[pipe]) is None
-    assert flow.rate_bps == Gbps(1) / 2  # two slots on one pipe
-    assert net.solve_rounds == 1
+    with pytest.raises(NetworkConfigError, match="twice"):
+        net.start_flow("f", [pipe, Pipe("q", Gbps(10)), pipe], MB)
+    assert not net.flows and not net._solo and not net._plans
+    assert net.recomputations == net._flow_counter == 0
 
 
 def test_completion_pops_bounded_by_recomputations_plus_flows():
@@ -621,7 +644,7 @@ def test_arrival_on_idle_pipes_is_solo(env, net):
     assert (net.recomputations, net.solve_rounds) == (1, 0)
     env.run(until=flow.done)
     assert env.now == pytest.approx(MB * 8 / Mbps(400))
-    assert not net._solo and not a.flows and not b.flows
+    assert not net._solo and not net._plans
     assert (net.recomputations, net.solve_rounds) == (2, 0)
 
 
@@ -679,7 +702,7 @@ def test_abort_of_a_solo_flow_unmaps_its_pipes(env, net):
     env.run(until=0.01)
     net.abort_flow(flow, RuntimeError("link flap"))
     assert not flow.done.ok and flow not in net.flows
-    assert not net._solo and not net._plans and not a.flows and not b.flows
+    assert not net._solo and not net._plans
     assert flow.remaining_bits == pytest.approx(100 * MB * 8 - Gbps(1) * 0.01)
     env.run()  # the queued timer finds only the aborted flow's stale entry
     assert not flow.done.ok and net._due == []
@@ -754,4 +777,20 @@ def test_reduced_ray2mesh_keeps_max_min_and_pins_solver_counts():
     assert result.total_rays == 20_000
     (net,) = tally.networks
     assert not net.flows and tally.completions > 0
-    assert (net.recomputations, net.solve_rounds, net.fill_visits) == (1146, 747, 59477)
+    assert (net.recomputations, net.solve_rounds, net.fill_visits) == (1146, 747, 59478)
+
+
+def test_fig5_runs_every_flow_solo(monkeypatch):
+    """Fig. 5's cluster ping-pong never puts two flows on one pipe: every
+    flow runs solo, so no network solves a component."""
+    networks = []
+    init = FluidNetwork.__init__
+
+    def collecting_init(self, env):
+        init(self, env)
+        networks.append(self)
+
+    monkeypatch.setattr(FluidNetwork, "__init__", collecting_init)
+    run_experiment("fig5", fast=True)
+    assert networks and sum(net.recomputations for net in networks) > 0
+    assert [net.solve_rounds for net in networks] == [0] * len(networks)

@@ -9,7 +9,7 @@ from repro.impls import get_implementation
 from repro.mpi import MpiJob
 from repro.mpi.constants import COLLECTIVE_CONTEXT, POINT_TO_POINT_CONTEXT
 from repro.net import build_pair_testbed
-from repro.npb import BENCHMARK_NAMES, COMM_TYPE, run_npb, run_suite, validate_config
+from repro.npb import BENCHMARK_NAMES, COMM_TYPE, run_npb, validate_config
 from repro.npb.suite import clear_memo
 from repro.npb.common import (
     DEFAULT_SAMPLE_ITERS,
@@ -260,14 +260,15 @@ def test_completed_runs_have_no_failure_record():
 
 
 def test_run_suite():
+    """Several kernels run one after another on one network and placement."""
     net = build_pair_testbed(nodes_per_site=4)
     placement = net.clusters["rennes"].nodes[:4]
-    results = run_suite(
-        ["ep", "mg"], "S", net, get_implementation("mpich2"), placement,
-        sysctls=TUNED_SYSCTLS,
-    )
-    assert set(results) == {"ep", "mg"}
-    assert all(r.completed for r in results.values())
+    impl = get_implementation("mpich2")
+    results = [
+        run_npb(name, "S", net, impl, placement, sysctls=TUNED_SYSCTLS) for name in ("ep", "mg")
+    ]
+    assert [r.name for r in results] == ["ep", "mg"]
+    assert all(r.completed for r in results)
 
 
 def test_grid_slower_than_cluster_for_cg():

@@ -447,8 +447,8 @@ def test_explain_rejects_unknown_figures():
 
 
 def test_profile_renders_a_hotspot_table():
-    from repro.obs.profile import profile_experiment
+    from repro.obs.profile import profile_report
 
-    text = profile_experiment("table1", fast=True, top=5)
+    text = profile_report("table1", fast=True, top=5).text
     assert "table1" in text
     assert "cumulative" in text

@@ -174,7 +174,7 @@ def test_unpaced_sender_ramps_slower():
         env.run()
         return reach[0] if reach else float("inf")
 
-    paced = time_to_reach(TcpOptions(paced=True, ss_cap_divisor=1.0), 500)
+    paced = time_to_reach(TcpOptions(ss_cap_divisor=1.0), 500)
     unpaced = time_to_reach(
         TcpOptions(ss_cap_divisor=2.0, probe_loss_rounds=18), 500
     )

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Assemble EXPERIMENTS.md from the reports under results/.
 
-    python scripts/run_all_experiments.py        # produces results/*.txt
+    repro run all --full --out results           # produces results/*.txt
     python scripts/generate_experiments_md.py    # rewrites EXPERIMENTS.md
 """
 
@@ -101,7 +101,7 @@ def main() -> int:
         if path.exists():
             sections.append("```text\n" + path.read_text().rstrip() + "\n```\n")
         else:
-            sections.append("_(no result file; run scripts/run_all_experiments.py)_\n")
+            sections.append("_(no result file; run repro run all --full --out results)_\n")
 
     sections.append(
         "\n## Known deviations\n\n"

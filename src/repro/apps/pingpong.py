@@ -6,8 +6,6 @@ the *minimum* round-trip per size gives the latency (Table 4) and the
 *maximum* per-message goodput gives the bandwidth curves (Figs. 3, 5-7),
 filtering out anything another Grid'5000 user might have perturbed.
 
-Two bandwidth conventions appear in the paper and both are provided:
-
 Bandwidth is ``size / (round_trip / 2)`` throughout: the 64 MB cluster
 point lands at TCP's 940 Mbps goodput (Fig. 5) and the 1 MB stream of
 Fig. 9 tops out near 570 Mbps on the 11.6 ms path, both as in the paper.

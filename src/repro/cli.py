@@ -7,8 +7,9 @@ Examples::
     repro run table4
     repro run fig7 --full
     repro run all --fast
+    repro run fig6 fig9 --fast      # several experiments, one campaign
     repro run all --fast --jobs 8   # parallel orchestrator + result cache
-    repro run all --no-cache --out results
+    repro run all --full --out results   # regenerate the paper-scale goldens
     repro run fig6 --faults lossy-wan   # replay under a WAN fault scenario
     repro run fig7 --fast --trace   # record telemetry; Chrome trace to traces/
     repro run all --metrics-out m   # metric dumps (JSON + CSV) to m/
@@ -88,8 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the reproducible tables and figures")
 
-    run = sub.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", help="experiment id, e.g. table4 or fig7, or 'all'")
+    run = sub.add_parser("run", help="run experiments (or 'all') as one campaign")
+    run.add_argument(
+        "experiments",
+        nargs="+",
+        metavar="experiment",
+        help="experiment ids, e.g. table4 fig7, or 'all'",
+    )
     mode = run.add_mutually_exclusive_group()
     mode.add_argument(
         "--fast",
@@ -675,7 +681,8 @@ def main(argv=None) -> int:
     )
 
     fast = not args.full
-    ids = sorted(EXPERIMENTS) if args.experiment.lower() == "all" else [args.experiment]
+    wants_all = any(experiment_id.lower() == "all" for experiment_id in args.experiments)
+    ids = sorted(EXPERIMENTS) if wants_all else list(dict.fromkeys(args.experiments))
     for experiment_id in ids:
         get_experiment(experiment_id)  # unknown ids raise before any work runs
     # Unknown scenario names also raise (FaultConfigError) before any work.

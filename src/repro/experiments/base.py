@@ -1,9 +1,11 @@
 """Experiment result container and the sharding protocol.
 
 An experiment module exposes either ``run(fast=False) -> ExperimentResult``
-(it runs whole) or the two *shard hooks* below, never both.  A sharded
-experiment *is* its shard plan: the registry and the campaign runner
-(:mod:`repro.runner`, at every ``--jobs``) run the shards and merge them.
+or the two *shard hooks* below, never both.  Every experiment *is* its
+shard plan (:func:`repro.experiments.registry.get_shard_plan`): one that
+defines ``run`` is the single shard ``experiment/<id>``, which runs it
+whole.  The registry and the campaign runner (:mod:`repro.runner`, at
+every ``--jobs``) run the shards and merge them.
 
 ``shards(fast=False) -> list[ShardSpec]``
     Decompose the experiment into independent units of work.  Each shard
@@ -42,8 +44,6 @@ class ExperimentResult:
     rows: list[dict]
     #: rendered, human-readable report
     text: str
-    #: free-form extras (series, curves...)
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __str__(self) -> str:
         return self.text
@@ -51,7 +51,7 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One independent, cacheable unit of a sharded experiment.
+    """One independent, cacheable unit of an experiment's shard plan.
 
     ``runner`` is a ``"package.module:function"`` reference resolved inside
     the worker process; the function is called as ``fn(fast=fast, **params)``

@@ -176,7 +176,6 @@ def _result(data: dict, fast: bool) -> ExperimentResult:
         paper_ref="extension of §2.1 (MPICH-G2 multilevel collectives)",
         rows=rows,
         text=text,
-        extra={"points": data},
     )
 
 

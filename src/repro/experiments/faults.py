@@ -160,7 +160,6 @@ def _pingpong_result(curves: dict[str, dict[str, float]], fast: bool) -> Experim
         paper_ref="fault-injection extension of Figure 6, §4.2.1",
         rows=rows,
         text=text,
-        extra={"curves": curves},
     )
 
 
@@ -246,7 +245,6 @@ def _cg_result(times: dict[str, dict[str, float]], fast: bool) -> ExperimentResu
         paper_ref="fault-injection extension of Figure 11, §4.3",
         rows=rows,
         text=text,
-        extra={"times": times},
     )
 
 

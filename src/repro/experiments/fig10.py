@@ -47,18 +47,12 @@ def result_from_times(
             row[name] = rel
         table.add_row(cells)
         rows.append(row)
-    times = {
-        (bench, name): times_by_bench[bench][name]
-        for bench in NPB_ORDER
-        for name in IMPLEMENTATION_ORDER
-    }
     return ExperimentResult(
         "fig10",
         "Fig. 10: NPB relative to MPICH2 on the grid (8+8)",
         "Figure 10, §4.3",
         rows,
         "\n".join([table.render(), "", f"paper: {PAPER_NOTE}"]),
-        extra={"times": times},
     )
 
 

@@ -15,7 +15,6 @@ def _rebrand(result: ExperimentResult) -> ExperimentResult:
         "Figure 11, §4.3",
         result.rows,
         result.text.replace("Fig. 10", "Fig. 11"),
-        extra=result.extra,
     )
 
 

@@ -65,5 +65,4 @@ def run(fast: bool = False) -> ExperimentResult:
         "Figure 9, §4.2.3",
         rows,
         "\n".join([table.render(), "", chart]),
-        extra={"streams": streams},
     )

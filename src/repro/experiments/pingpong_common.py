@@ -54,7 +54,6 @@ def figure_result(
         paper_ref=paper_ref,
         rows=rows,
         text=text,
-        extra={"curves": curves},
     )
 
 

@@ -1,4 +1,10 @@
-"""Experiment registry: id -> runner, plus the shard-plan lookup."""
+"""Experiment registry: id -> runner, and every experiment's shard plan.
+
+An experiment with ``shards``/``merge`` hooks is its own plan.  One that
+defines ``run`` is a one-shard plan, ``experiment/<id>``, whose runner
+(:func:`run_whole`) runs it whole, so the campaign runner knows a single
+kind of task: the shard.
+"""
 
 from __future__ import annotations
 
@@ -32,8 +38,8 @@ from repro.npb import suite as npb_suite
 from repro.obs import runtime as _obs
 
 #: id -> defining module (or module-like namespace: ``experiments.faults``
-#: hosts two experiments).  An entry either defines ``run`` (it runs
-#: whole) or the ``shards``/``merge`` hooks (it runs as its shard plan).
+#: hosts two experiments).  An entry either defines ``run`` (a one-shard
+#: plan) or the ``shards``/``merge`` hooks (its own shard plan).
 MODULES: dict[str, Any] = {
     "table1": table1,
     "table2": table2,
@@ -110,35 +116,55 @@ class ShardPlan:
     merge: Callable[..., ExperimentResult]
 
 
-def get_shard_plan(experiment_id: str, fast: bool = False) -> Optional[ShardPlan]:
-    """The experiment's shard decomposition, or ``None`` if it runs whole.
+def run_whole(experiment_id: str, fast: bool = False) -> dict[str, Any]:
+    """Shard runner of an experiment that defines ``run``: the whole run."""
+    result = get_experiment(experiment_id)(fast=fast)
+    return {
+        "title": result.title,
+        "paper_ref": result.paper_ref,
+        "rows": result.rows,
+        "text": result.text,
+    }
 
-    An experiment opts in by defining module-level ``shards``/``merge``
-    hooks instead of ``run`` (see :mod:`repro.experiments.base`).
-    Experiments registered directly in :data:`EXPERIMENTS` (tests do this)
-    have no module entry and run whole.
+
+def _merge_whole(
+    experiment_id: str, payloads: dict[str, Any], fast: bool = False
+) -> ExperimentResult:
+    return ExperimentResult(experiment_id, **payloads[f"experiment/{experiment_id}"])
+
+
+def get_shard_plan(experiment_id: str, fast: bool = False) -> ShardPlan:
+    """The experiment's shard decomposition.
+
+    A module with ``shards``/``merge`` hooks (see
+    :mod:`repro.experiments.base`) is its own plan.  Every other
+    experiment — one defining ``run``, or one tests register directly in
+    :data:`EXPERIMENTS` — is one shard, ``experiment/<id>``, that runs it
+    whole.
     """
-    module = MODULES.get(experiment_id.lower())
+    experiment_id = experiment_id.lower()
+    module = MODULES.get(experiment_id)
     shards = getattr(module, "shards", None)
-    if shards is None:
-        get_experiment(experiment_id)  # raise ExperimentError for unknown ids
-        return None
+    if shards is not None:
+        return ShardPlan(experiment_id, tuple(shards(fast=fast)), module.merge)
+    get_experiment(experiment_id)  # raise ExperimentError for unknown ids
+    whole = ShardSpec(
+        task_id=f"experiment/{experiment_id}",
+        runner=f"{__name__}:run_whole",
+        params={"experiment_id": experiment_id},
+    )
     return ShardPlan(
-        experiment_id=experiment_id.lower(),
-        shards=tuple(shards(fast=fast)),
-        merge=module.merge,
+        experiment_id, (whole,), functools.partial(_merge_whole, experiment_id)
     )
 
 
-def run_sharded(experiment_id: str, fast: bool = False) -> ExperimentResult:
-    """Run a sharded experiment in this process: every shard, then merge.
+def run_plan(experiment_id: str, fast: bool = False) -> ExperimentResult:
+    """Run an experiment's shard plan in this process: every shard, then merge.
 
     Each shard records telemetry into the track named after its
     ``task_id`` — the track a campaign's shard worker records into.
     """
     plan = get_shard_plan(experiment_id, fast)
-    if plan is None:
-        raise ExperimentError(f"experiment {experiment_id!r} has no shard plan")
     payloads: dict[str, Any] = {}
     for shard in plan.shards:
         with _obs.track(shard.task_id):
@@ -149,6 +175,6 @@ def run_sharded(experiment_id: str, fast: bool = False) -> ExperimentResult:
 #: id -> ``fn(fast=False) -> ExperimentResult``
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     experiment_id: getattr(module, "run", None)
-    or functools.partial(run_sharded, experiment_id)
+    or functools.partial(run_plan, experiment_id)
     for experiment_id, module in MODULES.items()
 }

@@ -2,7 +2,7 @@
 
 All exporters consume the canonical *payload* form produced by
 :meth:`repro.obs.runtime.TelemetrySession.to_payload` (or
-:func:`repro.obs.runtime.merge_payloads` for a sharded run) and render
+:func:`repro.obs.runtime.merge_payloads` across a run's shards) and render
 byte-deterministically: tracks in sorted name order, record order within
 a track, sorted JSON keys, compact separators.  Two runs of the same
 experiment + seed produce identical bytes, serial or parallel — that is

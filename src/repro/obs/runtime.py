@@ -18,7 +18,7 @@ Design
 
 * **Tracks.**  Records land in the session's *current track* — a named
   bucket such as ``pingpong/grid/fully_tuned/openmpi``.  Tracks are the
-  unit of parallel merging: a sharded experiment records each shard into
+  unit of parallel merging: an experiment records each of its shards into
   the track named after its shard ``task_id`` while the serial path
   switches tracks at the same boundaries, so the exported telemetry is
   byte-identical between a serial run and a ``--jobs N`` run (exporters
@@ -58,14 +58,6 @@ class TelemetryConfig:
 
     spans: bool = True
     metrics: bool = True
-
-    def as_tuple(self) -> tuple[bool, bool]:
-        """Compact picklable form handed to runner worker processes."""
-        return (self.spans, self.metrics)
-
-    @classmethod
-    def from_tuple(cls, pair: "tuple[bool, bool] | None") -> "Optional[TelemetryConfig]":
-        return None if pair is None else cls(spans=pair[0], metrics=pair[1])
 
 
 def _labels_key(labels: dict) -> tuple:
@@ -137,7 +129,6 @@ class TelemetrySession:
         self.metrics = self.config.metrics
         self.tracks: dict[str, TrackData] = {}
         self._current = self._track(default_track)
-        self._default_name = default_track
 
     # -- tracks -----------------------------------------------------------------
     def _track(self, name: str) -> TrackData:

@@ -1,7 +1,7 @@
 """Parallel experiment orchestrator with content-addressed result caching.
 
-``repro run --jobs N`` and ``scripts/run_all_experiments.py`` are thin
-front-ends over :func:`repro.runner.pool.run_campaign`:
+``repro run`` is the one front end over
+:func:`repro.runner.pool.run_campaign`:
 
 * :mod:`repro.runner.pool` — process-per-task orchestration, shard dedup,
   cost-model (longest-first) dispatch, wall-clock timeouts, bounded

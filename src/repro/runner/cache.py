@@ -16,9 +16,11 @@ pinned ``digest=`` disables closures entirely, preserving the historical
 documents — the same structured artifacts the runner writes per run — so
 they double as machine-readable experiment records.
 
-Two task namespaces share the store: ``experiment/<id>`` for whole
-experiment results and the shard ``task_id``s of
-:class:`repro.experiments.base.ShardSpec` (e.g. ``npb/grid16/ft``).
+Two kinds of entry share the store: experiment results under
+``experiment/<id>`` and shard payloads under the ``task_id``s of
+:class:`repro.experiments.base.ShardSpec` (e.g. ``npb/grid16/ft``).  The
+one shard of an experiment that runs whole is ``experiment/<id>`` too;
+its key folds in the shard spec, so the two entries never collide.
 """
 
 from __future__ import annotations
@@ -461,7 +463,14 @@ def cache_stats(root: "Path | str | None" = None) -> CacheStats:
             continue
         stats.entries += 1
         stats.total_bytes += size
-        if path.name.startswith("experiment_"):
+        # An experiment that runs whole stores its one shard under its own
+        # ``experiment/<id>`` task id, so the file name cannot tell the
+        # two entries apart; the artifact's kind can.
+        try:
+            kind = json.loads(path.read_text(encoding="utf-8"))["artifact"]["kind"]
+        except (OSError, ValueError, KeyError, TypeError):
+            kind = None
+        if kind == "experiment":
             stats.experiments += 1
         else:
             stats.shards += 1

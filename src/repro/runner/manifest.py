@@ -55,7 +55,6 @@ def campaign_entry(campaign: "CampaignResult", label: str = "") -> dict[str, Any
                 "fast": run.fast,
                 "ok": run.ok,
                 "cached": run.cached,
-                "sharded": run.sharded,
                 "wall_s": round(run.wall_s, 3),
                 "trace_hash": run.trace_hash,
                 # Span-analytics roll-up of a traced run: span count, top
@@ -103,10 +102,8 @@ def record_campaign(
 def load_task_estimates(path: "Path | str | None" = None) -> dict[str, float]:
     """Historical wall seconds per task, for the cost-model scheduler.
 
-    Keys are shard ``task_id``s (from entries' ``shards`` maps) and
-    ``experiment/<id>`` (from per-experiment walls — meaningful for
-    unsharded experiments; a sharded experiment's wall is its shard sum,
-    but sharded experiments never appear as whole tasks on the pool).
+    Keys are shard ``task_id``s, read from entries' ``shards`` maps (an
+    experiment that defines ``run`` is the shard ``experiment/<id>``).
     Entries are folded oldest to newest so the latest observation wins.
     Estimates are deliberately mode-agnostic (fast and full walls share a
     key): the scheduler only needs relative order within one campaign,
@@ -121,12 +118,6 @@ def load_task_estimates(path: "Path | str | None" = None) -> dict[str, float]:
         for task_id, wall in (entry.get("shards") or {}).items():
             if isinstance(wall, (int, float)) and wall >= 0:
                 estimates[task_id] = float(wall)
-        for experiment_id, record in (entry.get("experiments") or {}).items():
-            if not isinstance(record, dict) or not record.get("ok"):
-                continue
-            wall = record.get("wall_s")
-            if isinstance(wall, (int, float)) and wall >= 0:
-                estimates[f"experiment/{experiment_id}"] = float(wall)
     return estimates
 
 

@@ -3,15 +3,15 @@
 Execution model
 ---------------
 A campaign is a list of :class:`ExperimentSpec`.  Each experiment is first
-looked up in the result cache.  Each miss becomes tasks: a sharded
-experiment (see :mod:`repro.experiments.base`) contributes its shards,
+looked up in the result cache.  Each miss contributes the shards of its
+plan (:func:`repro.experiments.registry.get_shard_plan`) as tasks,
 deduplicated campaign-wide by ``task_id`` (table6 and table7 share the
-four ray2mesh runs; figs 10/12/13 share the grid16 NPB points); an
-unsharded one is a single whole-experiment task.  Shards merge back in
-the parent.  That plan is the same at every ``jobs``; only the executor
-differs.  ``jobs <= 1`` runs the tasks one after another in this process;
-``jobs > 1`` runs each on a worker process governed by a
-:class:`RunnerPolicy`.
+four ray2mesh runs; figs 10/12/13 share the grid16 NPB points).  An
+experiment that defines ``run`` is one shard, ``experiment/<id>``.
+Shards merge back in the parent.  That plan is the same at every
+``jobs``; only the executor differs.  ``jobs <= 1`` runs the tasks one
+after another in this process; ``jobs > 1`` runs each on a worker
+process governed by a :class:`RunnerPolicy`.
 
 Shard payloads are cached by the function that computed them — the
 parent passes its cache root and source digest down (the digest is
@@ -20,10 +20,9 @@ a parent crash and is never recomputed.
 
 Every unit of work runs under :func:`repro.sim.core.trace_capture`, the
 same hook the determinism sanitizer uses, so each artifact carries an
-event-trace hash.  A sharded experiment records the canonical combination
-of its shard hashes (:func:`_combine_trace_hashes`); an unsharded one
-the hash of its whole run, with the rendered text folded in.  Either way
-the hash is the same at every ``jobs``.
+event-trace hash.  An experiment records the canonical combination of
+its shard hashes and its rendered text (:func:`_combine_trace_hashes`),
+so the hash is the same at every ``jobs``.
 
 Robustness
 ----------
@@ -72,10 +71,10 @@ _POLL_INTERVAL_S = 0.02
 class RunnerPolicy:
     """Fault-handling knobs of the worker pool (``jobs > 1``).
 
-    ``timeout_s`` is wall-clock per *task* (one shard or one unsharded
-    experiment), not per campaign; ``None`` disables timeouts.  Crashed
-    and timed-out tasks are retried up to ``retries`` times, sleeping
-    ``backoff_s * 2**attempt`` between attempts.
+    ``timeout_s`` is wall-clock per *task* (one shard), not per campaign;
+    ``None`` disables timeouts.  Crashed and timed-out tasks are retried
+    up to ``retries`` times, sleeping ``backoff_s * 2**attempt`` between
+    attempts.
     """
 
     timeout_s: Optional[float] = None
@@ -114,9 +113,8 @@ class ExperimentRun:
     fast: bool
     ok: bool
     cached: bool = False
-    sharded: bool = False
-    #: aggregate task seconds (for a sharded run: the sum over its
-    #: shards, including shards shared with other experiments)
+    #: aggregate task seconds: the sum over the experiment's shards,
+    #: including shards shared with other experiments
     wall_s: float = 0.0
     text: str = ""
     rows: list = field(default_factory=list)
@@ -143,7 +141,6 @@ class ExperimentRun:
             "experiment_id": self.experiment_id,
             "fast": self.fast,
             "ok": self.ok,
-            "sharded": self.sharded,
             "wall_s": round(self.wall_s, 3),
             "trace_hash": self.trace_hash,
             "trace_events": self.trace_events,
@@ -161,7 +158,6 @@ class ExperimentRun:
             fast=spec.fast,
             ok=bool(artifact.get("ok", False)),
             cached=True,
-            sharded=bool(artifact.get("sharded", False)),
             wall_s=float(artifact.get("wall_s", 0.0)),
             text=artifact.get("text", ""),
             rows=artifact.get("rows", []),
@@ -238,47 +234,33 @@ class CampaignResult:
 
 
 # --- task functions (module-level: picklable by reference) ---------------------
-def _traced(
-    fn: Callable[[], Any], track: str, telemetry: "tuple[bool, bool] | None"
-) -> tuple[Any, float, EventTraceHasher, Any]:
-    """``fn()`` under trace capture and, when ``telemetry`` is set, a
-    telemetry session recording into ``track`` by default.
-
-    Returns ``(result, wall seconds, hasher, session or None)``.
-    """
-    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
-    config = TelemetryConfig.from_tuple(telemetry)
-    sess = None
-    with trace_capture() as hasher:
-        if config is None:
-            result = fn()
-        else:
-            with telemetry_session(config, default_track=track) as sess:
-                result = fn()
-    return result, time.monotonic() - started, hasher, sess  # repro: noqa=DET002
-
-
 def _shard_worker(
     shard: ShardSpec,
     fast: bool,
     cache_root: str = "",
     cache_digest: str = "",
     cache_enabled: bool = False,
-    telemetry: "tuple[bool, bool] | None" = None,
+    telemetry: Optional[TelemetryConfig] = None,
 ) -> dict:
     """Execute one shard under trace capture; returns its artifact.
 
+    With ``telemetry`` set, a session records the shard into the track
+    named after its task_id — the track ``registry.run_plan`` switches to.
     When the parent hands down its cache coordinates, the artifact is
     stored *here*, where it was computed — the parent passes its
     already-computed source digest (computed once per campaign), and a
     completed shard survives even if the parent dies before collecting it.
     """
     runner = shard.resolve()
-    # The shard's records default into the track named after its task_id —
-    # the track ``registry.run_sharded`` switches to.
-    payload, elapsed, hasher, sess = _traced(
-        lambda: runner(fast=fast, **shard.params), shard.task_id, telemetry
-    )
+    started = time.monotonic()  # host-side timing, not sim state  # repro: noqa=DET002
+    sess = None
+    with trace_capture() as hasher:
+        if telemetry is None:
+            payload = runner(fast=fast, **shard.params)
+        else:
+            with telemetry_session(telemetry, default_track=shard.task_id) as sess:
+                payload = runner(fast=fast, **shard.params)
+    elapsed = time.monotonic() - started  # repro: noqa=DET002
     artifact = {
         "kind": "shard",
         "payload": payload,
@@ -292,36 +274,6 @@ def _shard_worker(
         cache = ResultCache(root=cache_root, digest=cache_digest, enabled=True)
         cache.store(shard.task_id, fast, artifact)
     return artifact
-
-
-def _experiment_worker(
-    experiment_id: str,
-    fast: bool,
-    telemetry: "tuple[bool, bool] | None" = None,
-) -> dict:
-    """Execute one whole experiment under trace capture."""
-    from repro.experiments import run_experiment
-
-    result, elapsed, hasher, sess = _traced(
-        lambda: run_experiment(experiment_id, fast=fast),
-        f"experiment/{experiment_id}",
-        telemetry,
-    )
-    # Same convention as the sanitizer: fold the rendered text so
-    # value-level divergence changes the hash too.
-    hasher.update_text(result.text)
-    payload = {
-        "wall_s": elapsed,
-        "trace_hash": hasher.hexdigest(),
-        "trace_events": hasher.events,
-        "title": result.title,
-        "paper_ref": result.paper_ref,
-        "rows": result.rows,
-        "text": result.text,
-    }
-    if sess is not None:
-        payload["telemetry"] = sess.to_payload()
-    return payload
 
 
 def _task_main(conn, target: Callable[..., Any], args: tuple) -> None:
@@ -351,7 +303,7 @@ def _describe_error(exc: BaseException) -> str:
 # --- the process-per-task engine --------------------------------------------------
 @dataclass
 class _Task:
-    """One unit of work for the engine (a shard or a whole experiment)."""
+    """One unit of work for the engine: one shard, keyed ``(task_id, fast)``."""
 
     key: tuple
     target: Callable[..., Any]
@@ -502,29 +454,9 @@ def _run_inline(tasks: list[_Task]) -> dict[tuple, tuple[str, Any]]:
     return outcomes
 
 
-def _run_from_worker_payload(spec: ExperimentSpec, payload: dict) -> ExperimentRun:
+def _failed_run(spec: ExperimentSpec, error: str) -> ExperimentRun:
     return ExperimentRun(
-        experiment_id=spec.experiment_id,
-        fast=spec.fast,
-        ok=True,
-        wall_s=payload["wall_s"],
-        text=payload["text"],
-        rows=payload["rows"],
-        title=payload["title"],
-        paper_ref=payload["paper_ref"],
-        trace_hash=payload["trace_hash"],
-        trace_events=payload["trace_events"],
-        telemetry=payload.get("telemetry"),
-    )
-
-
-def _failed_run(spec: ExperimentSpec, error: str, sharded: bool = False) -> ExperimentRun:
-    return ExperimentRun(
-        experiment_id=spec.experiment_id,
-        fast=spec.fast,
-        ok=False,
-        sharded=sharded,
-        error=error,
+        experiment_id=spec.experiment_id, fast=spec.fast, ok=False, error=error
     )
 
 
@@ -565,13 +497,7 @@ def _order_by_cost(tasks: list[_Task], estimates: dict[str, float]) -> None:
     before everything (an unknown might *be* the long pole); ties break on
     the label so the order is deterministic for a given manifest.
     """
-
-    def estimate(task: _Task) -> float:
-        kind, ident = task.key[0], task.key[1]
-        lookup = ident if kind == "shard" else f"experiment/{ident}"
-        return estimates.get(lookup, math.inf)
-
-    tasks.sort(key=lambda task: (-estimate(task), task.label))
+    tasks.sort(key=lambda task: (-estimates.get(task.key[0], math.inf), task.label))
 
 
 def _run_misses(
@@ -580,7 +506,7 @@ def _run_misses(
     jobs: int,
     policy: RunnerPolicy,
     progress: Optional[Callable[[str], None]],
-    telemetry: "tuple[bool, bool] | None" = None,
+    telemetry: Optional[TelemetryConfig] = None,
     estimates: "dict[str, float] | None" = None,
 ) -> tuple[dict[tuple[str, bool], ExperimentRun], int, int, dict[str, float]]:
     from repro.experiments.registry import ShardPlan, get_shard_plan
@@ -598,16 +524,6 @@ def _run_misses(
         except Exception as exc:  # noqa: BLE001
             runs[spec.key] = _failed_run(spec, _describe_error(exc))
             continue
-        if plan is None:
-            tasks.append(
-                _Task(
-                    key=("experiment", spec.experiment_id, spec.fast),
-                    target=_experiment_worker,
-                    args=(spec.experiment_id, spec.fast, telemetry),
-                    label=spec.experiment_id,
-                )
-            )
-            continue
         plans[spec.key] = plan
         for shard in plan.shards:
             shard_key = (shard.task_id, spec.fast)
@@ -622,7 +538,7 @@ def _run_misses(
             submitted.add(shard_key)
             tasks.append(
                 _Task(
-                    key=("shard", shard.task_id, spec.fast),
+                    key=shard_key,
                     target=_shard_worker,
                     # The task stores its own artifact: the parent
                     # resolves the shard's dependency-aware digest once and
@@ -648,10 +564,7 @@ def _run_misses(
         context = multiprocessing.get_context(_START_METHOD)
         outcomes, n_retries, n_timeouts = _run_tasks(tasks, jobs, policy, context)
 
-    for key, (status, payload) in outcomes.items():
-        if key[0] != "shard":
-            continue
-        shard_key = (key[1], key[2])
+    for shard_key, (status, payload) in outcomes.items():
         shard_results[shard_key] = (
             payload if status == "ok" else {"error": payload}
         )
@@ -669,15 +582,7 @@ def _run_misses(
     for spec in misses:
         if spec.key in runs:
             continue
-        experiment_key = ("experiment", spec.experiment_id, spec.fast)
-        if experiment_key in outcomes:
-            status, payload = outcomes[experiment_key]
-            if status == "ok":
-                run = _run_from_worker_payload(spec, payload)
-            else:
-                run = _failed_run(spec, payload)
-        else:
-            run = _merge_sharded(spec, plans[spec.key], shard_results)
+        run = _merge_plan(spec, plans[spec.key], shard_results)
         _finish_run(run, cache, progress)
         runs[spec.key] = run
     return runs, n_retries, n_timeouts, shard_walls
@@ -688,9 +593,8 @@ def _combine_trace_hashes(named_digests: dict[str, str], text: str) -> str:
 
     The shard digests are folded in *sorted shard-key order* (never
     completion order), then the merged rendered text, so the combined hash
-    is independent of worker scheduling.  It is, by construction, a
-    different value from the digest of an unsharded run; an artifact's
-    ``sharded`` flag says which kind it carries.
+    is independent of worker scheduling and value-level divergence in the
+    report changes it too.
     """
     hasher = EventTraceHasher()
     for key in sorted(named_digests):
@@ -700,7 +604,7 @@ def _combine_trace_hashes(named_digests: dict[str, str], text: str) -> str:
     return hasher.hexdigest()
 
 
-def _merge_sharded(
+def _merge_plan(
     spec: ExperimentSpec,
     plan: "Any",
     shard_results: dict[tuple[str, bool], dict],
@@ -723,18 +627,15 @@ def _merge_sharded(
         wall += float(artifact.get("wall_s", 0.0))
         events += int(artifact.get("trace_events", 0))
     if failed:
-        return _failed_run(
-            spec, "shard failure: " + "; ".join(failed), sharded=True
-        )
+        return _failed_run(spec, "shard failure: " + "; ".join(failed))
     try:
         result = plan.merge(payloads, fast=spec.fast)
     except Exception as exc:  # noqa: BLE001
-        return _failed_run(spec, f"merge failed: {_describe_error(exc)}", sharded=True)
+        return _failed_run(spec, f"merge failed: {_describe_error(exc)}")
     return ExperimentRun(
         experiment_id=spec.experiment_id,
         fast=spec.fast,
         ok=True,
-        sharded=True,
         # Shared shard walls are counted into every consumer's wall_s.
         wall_s=wall,
         text=result.text,
@@ -774,10 +675,9 @@ def run_campaign(
     handling on the worker pool (``jobs > 1``); ``jobs <= 1`` runs every
     task in this process, where a hung task cannot be killed.
 
-    ``estimates`` maps task ids (shard ``task_id``s and
-    ``experiment/<id>``) to historical wall seconds; the worker pool
-    dispatches longest-estimated-first so the makespan is not hostage to
-    a heavyweight landing last.  ``None`` loads the history recorded in
+    ``estimates`` maps shard ``task_id``s to historical wall seconds; the
+    worker pool dispatches longest-estimated-first so the makespan is not
+    hostage to a heavyweight landing last.  ``None`` loads the history recorded in
     ``BENCH_experiments.json`` (missing file: every task is unknown and
     the order degrades to the deterministic label order).
 
@@ -793,7 +693,6 @@ def run_campaign(
         cache = ResultCache(enabled=use_cache, digest="" if not use_cache else None)
     if policy is None:
         policy = DEFAULT_POLICY
-    telemetry_pair = telemetry.as_tuple() if telemetry is not None else None
     if estimates is None and jobs > 1:
         from repro.runner.manifest import load_task_estimates
 
@@ -822,7 +721,7 @@ def run_campaign(
 
     if misses:
         miss_runs, n_retries, n_timeouts, shard_walls = _run_misses(
-            misses, cache, jobs, policy, progress, telemetry_pair, estimates
+            misses, cache, jobs, policy, progress, telemetry, estimates
         )
         runs.update(miss_runs)
 

@@ -157,10 +157,7 @@ def test_shard_runner_modules_are_resolvable():
 
     graph = ImportGraph()
     for experiment_id in sorted(EXPERIMENTS):
-        plan = get_shard_plan(experiment_id, fast=True)
-        if plan is None:
-            continue
-        for shard in plan.shards:
+        for shard in get_shard_plan(experiment_id, fast=True).shards:
             assert shard.module in graph, shard.runner
 
 
@@ -201,8 +198,7 @@ def test_package_inits_outside_a_closure_are_reexport_only():
     for experiment_id in sorted(EXPERIMENTS):
         roots.add(experiment_module(experiment_id))
         plan = get_shard_plan(experiment_id, fast=True)
-        if plan is not None:
-            roots.update(shard.module for shard in plan.shards)
+        roots.update(shard.module for shard in plan.shards)
     omitted = set()
     for root in roots:
         closure = graph.closure(root)

@@ -127,13 +127,17 @@ def test_experiments_job_checks_serial_and_parallel_trace_hashes_agree(workflow)
     def index(command: str) -> int:
         return next(i for i, run in enumerate(steps) if command in run)
 
-    serial = index("repro run fig6 --fast --jobs 1 --no-cache --bench BENCH_experiments.json")
+    serial = index(
+        "repro run fig6 fig9 --fast --jobs 1 --no-cache --bench BENCH_experiments.json"
+    )
     # After the 4-worker campaign and the perf gate (which reads the
     # campaign's entry as the manifest's last one)...
     assert index("repro run all --fast --jobs 4") < index("check_perf_budget.py") < serial
-    # ...the step compares fig6's trace_hash across the last two entries.
+    # ...the step compares the trace_hash of a sweep (fig6) and of a whole
+    # experiment (fig9) across the last two entries.
     assert "['runs'][-2:]" in steps[serial]
-    assert "['experiments']['fig6']['trace_hash']" in steps[serial]
+    assert "['experiments'][eid]['trace_hash']" in steps[serial]
+    assert "for eid in ('fig6', 'fig9')" in steps[serial]
 
 
 def test_warm_rerun_step_lists_the_warm_store(workflow):

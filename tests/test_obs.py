@@ -338,6 +338,7 @@ def test_campaign_without_telemetry_attaches_none(tmp_path):
         "fig6",  # pingpong sweep, sharded per curve
         "fig11",  # NPB figure, sharded per benchmark point
         "faults_pingpong",  # fault sweep, sharded per curve
+        "fig9",  # a whole experiment: the one shard experiment/fig9
     ],
 )
 def test_parallel_telemetry_exports_are_byte_identical_to_serial(

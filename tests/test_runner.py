@@ -5,12 +5,10 @@ pool uses the fork start method (skipped where unavailable), so worker
 processes inherit the injected entries without pickling the functions.
 """
 
-import importlib.util
 import json
 import logging
 import multiprocessing
 import os
-import pathlib
 import sys
 import time
 
@@ -32,8 +30,6 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="pool tests require the fork start method",
 )
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _tiny_experiment(fast=False):
@@ -126,7 +122,7 @@ def test_sharded_parallel_output_is_byte_identical_to_serial(tmp_path):
         out_dir=tmp_path / "out",
     )
     run = campaign.runs[0]
-    assert serial.ok and serial.sharded and run.ok and run.sharded
+    assert serial.ok and run.ok
     assert serial.text == run_experiment("fig6", fast=True).text
     # One execution path: --jobs 1 records what --jobs 4 records.
     assert serial.trace_events > 0
@@ -194,7 +190,6 @@ def test_serial_campaign_runs_a_shared_shard_once(monkeypatch):
     assert serial.ok, serial.summary()
     assert sorted(_SHARED_CALLS) == ["a", "b", "c"]  # "b" ran once, for both
     assert [run.text for run in serial.runs] == ["a b", "b c"]
-    assert all(run.sharded for run in serial.runs)
 
     parallel = run_campaign(specs, jobs=2, use_cache=False)
     assert parallel.ok, parallel.summary()
@@ -310,8 +305,28 @@ def test_shard_plans_dedupe_across_experiments():
     assert grid16 <= {s.task_id for s in get_shard_plan("fig13", fast=True).shards}
 
 
-def test_unsharded_experiments_have_no_plan():
-    assert get_shard_plan("table1", fast=True) is None
+def test_every_experiment_is_a_shard_plan(tiny):
+    from repro.experiments import registry
+
+    for experiment_id in sorted(EXPERIMENTS):
+        plan = get_shard_plan(experiment_id, fast=True)
+        assert plan.experiment_id == experiment_id and plan.shards, experiment_id
+        if hasattr(registry.MODULES.get(experiment_id), "run"):
+            task_ids = tuple(shard.task_id for shard in plan.shards)
+            assert task_ids == (f"experiment/{experiment_id}",)
+    # An entry injected into the registry dict alone runs as a one-shard
+    # plan too, and its merge rebuilds the experiment's own result.
+    plan = get_shard_plan(tiny, fast=True)
+    (shard,) = plan.shards
+    assert shard.task_id == "experiment/tiny"
+    payload = shard.resolve()(fast=True, **shard.params)
+    merged = plan.merge({shard.task_id: payload}, fast=True)
+    assert (merged.title, merged.paper_ref, merged.rows, merged.text) == (
+        "Tiny",
+        "Table 0",
+        [{"x": 1}],
+        "tiny report",
+    )
 
 
 # --- failure surfacing ------------------------------------------------------------
@@ -498,49 +513,41 @@ def test_corrupt_entry_forces_recompute_then_reheals(tmp_path, tiny):
 
 
 # --- front-ends -------------------------------------------------------------------
-def _load_wrapper():
-    spec = importlib.util.spec_from_file_location(
-        "run_all_experiments", REPO / "scripts" / "run_all_experiments.py"
-    )
-    wrapper = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(wrapper)
-    return wrapper
+def test_cli_run_reports_failures_with_exit_code(tmp_path, monkeypatch, tiny, capsys):
+    from repro.cli import main
 
-
-def test_run_all_wrapper_reports_failures_with_exit_code(tmp_path, monkeypatch, tiny, capsys):
-    wrapper = _load_wrapper()
     monkeypatch.setitem(EXPERIMENTS, "boom", _raising_experiment)
     monkeypatch.chdir(tmp_path)  # manifest + cache land in the tmp dir
     # A stale report from an earlier run must not survive the failure.
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "boom.txt").write_text("stale report\n")
-    monkeypatch.setattr(
-        sys,
-        "argv",
-        ["run_all_experiments.py", "boom", tiny, "--out", str(tmp_path / "out")],
-    )
-    assert wrapper.main() == 1  # non-zero, but the sweep kept going
-    out = capsys.readouterr().out
-    assert "1/2 experiments ok" in out and "FAILED: boom" in out
+    rc = main(["run", "boom", tiny, "--full", "--out", str(tmp_path / "out")])
+    assert rc == 1  # non-zero, but the sweep kept going
+    captured = capsys.readouterr()
+    assert "[tiny:" in captured.out
+    assert "[boom: FAILED" in captured.err and "RuntimeError" in captured.err
     assert (tmp_path / "out" / "tiny.txt").exists()
     assert not (tmp_path / "out" / "boom.txt").exists()
     assert (tmp_path / "BENCH_experiments.json").exists()
 
 
-def test_run_all_wrapper_fast_is_uniform(tmp_path, monkeypatch, tiny, capsys):
-    """--fast applies to every experiment — the wrapper produces the same
-    bytes as ``repro run all --fast``, so either front-end can regenerate
-    the ``results/fast`` goldens CI diffs against."""
-    wrapper = _load_wrapper()
+def test_cli_run_fast_is_uniform(tmp_path, monkeypatch, tiny):
+    """--fast applies to every experiment of the campaign, so ``repro run
+    all --fast --out results/fast`` regenerates the goldens CI diffs."""
+    from repro.cli import main
+
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(
-        sys,
-        "argv",
-        ["run_all_experiments.py", "table1", tiny, "--fast", "--out", "out"],
-    )
-    assert wrapper.main() == 0
+    assert main(["run", "table1", tiny, "--fast", "--out", "out"]) == 0
     for report in ("table1.txt", "tiny.txt"):
         assert "fast=True]" in (tmp_path / "out" / report).read_text()
+
+
+def test_cli_run_runs_a_repeated_id_once(tmp_path, monkeypatch, tiny, capsys):
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", tiny, tiny, "--no-cache"]) == 0
+    assert capsys.readouterr().out.count("[tiny:") == 1
 
 
 def test_cli_run_with_jobs_out_and_bench(tmp_path, monkeypatch, capsys):
@@ -650,7 +657,7 @@ def test_merge_attributes_shared_shard_wall_to_every_consumer():
     """Regression: table7 used to record wall_s=0.0 because all shard wall
     time landed on table6; every consumer must count the shared shards."""
     from repro.experiments.base import ExperimentResult, ShardSpec
-    from repro.runner.pool import ExperimentRun, _merge_sharded
+    from repro.runner.pool import ExperimentRun, _merge_plan
 
     shards = tuple(
         ShardSpec(task_id=f"ray2mesh/{site}", runner="unused:unused")
@@ -669,7 +676,7 @@ def test_merge_attributes_shared_shard_wall_to_every_consumer():
         ("ray2mesh/nancy", True): {"payload": {}, "wall_s": 10.0, "trace_hash": "a"},
         ("ray2mesh/rennes", True): {"payload": {}, "wall_s": 2.5, "trace_hash": "b"},
     }
-    run = _merge_sharded(ExperimentSpec("table7", fast=True), plan, shard_results)
+    run = _merge_plan(ExperimentSpec("table7", fast=True), plan, shard_results)
     assert run.ok
     assert run.wall_s == pytest.approx(12.5)
 
@@ -678,7 +685,7 @@ def test_merge_attributes_shared_shard_wall_to_every_consumer():
         ExperimentSpec("table7", fast=True), run.artifact()
     )
     assert revived.wall_s == pytest.approx(12.5)
-    assert revived.sharded and revived.trace_hash == run.trace_hash
+    assert revived.trace_hash == run.trace_hash
 
 
 # --- cost-model scheduling --------------------------------------------------------
@@ -689,15 +696,15 @@ def test_order_by_cost_longest_first():
         pass
 
     tasks = [
-        _Task(key=("shard", "a", True), target=noop, args=(), label="a"),
-        _Task(key=("shard", "b", True), target=noop, args=(), label="b"),
-        _Task(key=("experiment", "x", True), target=noop, args=(), label="x"),
-        _Task(key=("shard", "new", True), target=noop, args=(), label="new"),
+        _Task(key=("a", True), target=noop, args=(), label="a"),
+        _Task(key=("b", True), target=noop, args=(), label="b"),
+        _Task(key=("experiment/x", True), target=noop, args=(), label="experiment/x"),
+        _Task(key=("new", True), target=noop, args=(), label="new"),
     ]
     estimates = {"a": 1.0, "b": 30.0, "experiment/x": 5.0}
     _order_by_cost(tasks, estimates)
     # Unknown history first (it might be the long pole), then descending.
-    assert [t.label for t in tasks] == ["new", "b", "x", "a"]
+    assert [t.label for t in tasks] == ["new", "b", "experiment/x", "a"]
 
 
 def test_order_by_cost_without_history_is_label_order():
@@ -717,21 +724,23 @@ def test_load_task_estimates_latest_wins(tmp_path):
     manifest = tmp_path / "bench.json"
     manifest.write_text(json.dumps({"schema": 1, "runs": [
         {
-            "shards": {"npb/grid16/ft": 9.0},
-            "experiments": {"fig3": {"ok": True, "wall_s": 2.0}},
+            "shards": {"npb/grid16/ft": 9.0, "experiment/table1": 2.0},
+            "experiments": {"table1": {"ok": True, "wall_s": 2.0}},
         },
         {
-            "shards": {"npb/grid16/ft": 4.5},
+            "shards": {"npb/grid16/ft": 4.5, "experiment/table1": 1.0},
             "experiments": {
-                "fig3": {"ok": True, "wall_s": 1.0},
-                "broken": {"ok": False, "wall_s": 99.0},
+                "table1": {"ok": True, "wall_s": 7.0},
+                "fig10": {"ok": True, "wall_s": 30.0},
             },
         },
     ]}), encoding="utf-8")
-    estimates = load_task_estimates(manifest)
-    assert estimates["npb/grid16/ft"] == 4.5  # newest entry wins
-    assert estimates["experiment/fig3"] == 1.0
-    assert "experiment/broken" not in estimates  # failures are not history
+    # The newest entry wins, and whole-task walls come from ``shards``: an
+    # experiment's own wall (a sum over its shards) is never an estimate.
+    assert load_task_estimates(manifest) == {
+        "npb/grid16/ft": 4.5,
+        "experiment/table1": 1.0,
+    }
 
 
 def test_load_task_estimates_missing_manifest(tmp_path):
@@ -744,14 +753,26 @@ def test_load_task_estimates_missing_manifest(tmp_path):
 def test_campaign_counts_hits_and_misses(tmp_path, tiny):
     cache = ResultCache(root=tmp_path, digest="digest-a")
     first = run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
-    assert first.cache_misses >= 1 and first.cache_hits == 0
-    assert first.cache_stores >= 1
-    assert "1 miss" in first.cache_summary()
+    # A cold whole experiment misses and stores twice: its experiment
+    # entry and its one shard, ``experiment/tiny``.
+    assert first.cache_misses == 2 and first.cache_hits == 0
+    assert first.cache_stores == 2
+    assert "2 misses" in first.cache_summary()
 
     cache2 = ResultCache(root=tmp_path, digest="digest-a")
     second = run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache2)
     assert second.cache_hits == 1 and second.cache_stores == 0
     assert second.cache_summary().startswith("cache: 1 hit")
+
+
+def test_cache_stats_tells_an_experiment_entry_from_its_shard(tmp_path, tiny):
+    from repro.runner import cache_stats
+
+    cache = ResultCache(root=tmp_path, digest="digest-a")
+    run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
+    # Both entries carry the task id ``experiment/tiny``.
+    stats = cache_stats(tmp_path)
+    assert (stats.entries, stats.experiments, stats.shards) == (2, 1, 1)
 
 
 def test_campaign_writes_stats_sidecar(tmp_path, tiny):

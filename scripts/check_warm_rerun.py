@@ -2,13 +2,13 @@
 """CI incremental-invalidation gate: a warm re-run must actually be warm.
 
 CI runs the fast campaign cold, appends a trailing comment to a leaf
-module (``src/repro/obs/report.py`` — imported by no experiment), re-runs
+module (``src/repro/obs/report.py`` — imported by no shard), re-runs
 the campaign with the cache on, and then runs this script against the
 most recent ``BENCH_experiments.json`` entry.  Dependency-aware cache
 keys mean the edit must invalidate nothing: the gate fails when fewer
-than ``min_cached_fraction`` of the experiments replayed from cache, or
-when the warm campaign's wall exceeds ``max_wall_s`` (both from the
-``warm_rerun`` block of ``benchmarks/budgets.json``).
+than ``min_cached_fraction`` of the experiments had every shard of the
+experiment hit, or when the warm campaign's wall exceeds ``max_wall_s``
+(both from the ``warm_rerun`` block of ``benchmarks/budgets.json``).
 
 This is the regression guard for the whole incremental-campaign engine:
 if cache keys ever degrade back to whole-tree digests, the leaf edit

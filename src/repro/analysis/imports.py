@@ -26,7 +26,7 @@ repro.experiments import fig10`` records only ``fig10``); that is sound
 because every initialiser a closure leaves out is re-export only, which
 ``tests/test_analysis_imports.py``
 (``test_package_inits_outside_a_closure_are_reexport_only``) checks for
-every experiment and shard root.  Dynamic imports
+every shard root.  Dynamic imports
 (``importlib.import_module``) are invisible — the one dynamic site that
 matters, the shard-runner resolver in :mod:`repro.runner.pool`, is
 handled by using the runner's own module as the closure root.

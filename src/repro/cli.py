@@ -21,8 +21,7 @@ Examples::
     repro flame fig10 --svg --out f.svg   # deterministic flamegraph SVG
     repro profile table7            # cProfile hotspot table of one experiment
     repro profile fig9 --record     # also log the top rows to the manifest
-    repro cache ls fig7             # cached results + provenance, no re-run
-    repro cache ls madeleine --text # every cached report that mentions it
+    repro cache ls fig7             # fig7's cached shards + provenance, no re-run
     repro cache stats               # entry count, bytes, last campaign hits
     repro faults list               # the named fault scenarios
     repro lint                      # lint src/repro for determinism hazards
@@ -314,23 +313,19 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     ls = cache_sub.add_parser(
         "ls",
-        help="look up cached results and their provenance without re-running",
+        help="look up cached shard entries and their provenance without "
+        "re-running",
     )
     ls.add_argument(
         "pattern",
-        help="substring of a task id, title, paper ref or rendered report, "
-        "e.g. fig7, madeleine, ray2mesh",
+        help="substring of a shard task id (e.g. ray2mesh, grid16), or an "
+        "experiment id, which also lists its shard plan's entries (e.g. fig7)",
     )
     ls.add_argument(
         "--root",
         metavar="DIR",
         default=None,
         help="cache directory (default .repro-cache/)",
-    )
-    ls.add_argument(
-        "--text",
-        action="store_true",
-        help="print each matching experiment's cached rendered report too",
     )
     stats = cache_sub.add_parser(
         "stats",
@@ -429,6 +424,20 @@ def _cmd_sanitize(args) -> int:
     return 0 if report.deterministic else 1
 
 
+def _plan_task_ids(experiment_id: str) -> frozenset[str]:
+    """The task ids of the experiment's fast and full shard plans; empty
+    when ``experiment_id`` names no experiment."""
+    from repro.experiments.registry import EXPERIMENTS, get_shard_plan
+
+    if experiment_id.lower() not in EXPERIMENTS:
+        return frozenset()
+    return frozenset(
+        shard.task_id
+        for fast in (True, False)
+        for shard in get_shard_plan(experiment_id, fast).shards
+    )
+
+
 def _cmd_cache(args) -> int:
     from repro.runner.cache import (
         cache_stats,
@@ -442,17 +451,13 @@ def _cmd_cache(args) -> int:
         print(cache_stats(root=args.root).render())
         return 0
     if args.cache_command == "ls":
-        entries = list_entries(args.pattern, root=args.root)
+        entries = list_entries(
+            args.pattern, root=args.root, plan_ids=_plan_task_ids(args.pattern)
+        )
         n = len(entries)
         print(f"cache ls {args.pattern!r}: {n or 'no'} match{'' if n == 1 else 'es'}")
         for path, document in entries:
             print(render_entry(path, document))
-        if args.text:
-            for _path, document in entries:
-                text = document["artifact"].get("text")
-                if text:
-                    print()
-                    print(text)
         return 0 if entries else 1
 
     try:

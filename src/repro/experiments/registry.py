@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -61,25 +61,6 @@ MODULES: dict[str, Any] = {
     "faults_cg": faults.faults_cg,
     "coll_hier": coll_hier,
 }
-
-
-def experiment_module(experiment_id: str) -> Optional[str]:
-    """Dotted module defining ``experiment_id`` — the dependency root for
-    its cache key — or ``None`` for ids injected directly into
-    :data:`EXPERIMENTS` (tests), which fall back to whole-tree digests.
-
-    Works for both real modules (``fig3``) and module-like namespaces
-    (``experiments.faults`` hosts two experiments whose hook functions
-    carry the defining module).
-    """
-    entry = MODULES.get(experiment_id.lower())
-    if entry is None:
-        return None
-    name = getattr(entry, "__name__", None)
-    if isinstance(name, str) and "." in name:
-        return name
-    hook = getattr(entry, "merge", None) or getattr(entry, "run", None)
-    return getattr(hook, "__module__", None)
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:

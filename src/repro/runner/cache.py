@@ -1,26 +1,25 @@
 """Content-addressed result cache under ``.repro-cache/``.
 
+The store holds one kind of entry: a shard artifact (payload, wall,
+trace hash) under the ``task_id`` of its
+:class:`repro.experiments.base.ShardSpec`, e.g. ``npb/grid16/ft``; the
+one shard of an experiment that runs whole is ``experiment/<id>``.  An
+experiment is never stored: the runner merges it from its shards on
+every run.  Entries are small JSON documents, so they double as
+machine-readable shard records.
+
 Cache keys are ``blake2b(task id | fast flag | source digest | shard
 spec | salt | runtime)``, the runtime being the interpreter's minor
 version and numpy's version (:func:`runtime_salt`).  The source digest
-is *dependency-aware*: when the task's root module is known (every
-registry experiment and every shard runner), only the module's import
-closure is digested
+is *dependency-aware*: when the shard runner's module is known, only
+its import closure is digested
 (:class:`repro.analysis.imports.DependencyDigests`), so touching
 ``obs/report.py`` leaves every simulation shard warm while touching
 ``tcp/congestion.py`` — which every simulated byte flows through —
 correctly invalidates them all.  Tasks without a known root (tests
-injecting ad-hoc experiments) fall back to the whole-tree digest; a
+injecting ad-hoc shard runners) fall back to the whole-tree digest; a
 pinned ``digest=`` disables closures entirely, preserving the historical
-"one digest per store" semantics tests rely on.  Entries are small JSON
-documents — the same structured artifacts the runner writes per run — so
-they double as machine-readable experiment records.
-
-Two kinds of entry share the store: experiment results under
-``experiment/<id>`` and shard payloads under the ``task_id``s of
-:class:`repro.experiments.base.ShardSpec` (e.g. ``npb/grid16/ft``).  The
-one shard of an experiment that runs whole is ``experiment/<id>`` too;
-its key folds in the shard spec, so the two entries never collide.
+"one digest per store" semantics tests rely on.
 """
 
 from __future__ import annotations
@@ -424,12 +423,10 @@ class CacheStats:
     root: Path
     entries: int = 0
     total_bytes: int = 0
-    experiments: int = 0
-    shards: int = 0
     #: counters persisted by the last campaign's :meth:`ResultCache.write_stats`
     last_campaign: dict = field(default_factory=dict)
 
-    def summary_line(self) -> str:
+    def render(self) -> str:
         parts = [
             f"{self.entries} entr{'y' if self.entries == 1 else 'ies'}",
             f"{self.total_bytes} bytes",
@@ -441,14 +438,6 @@ class CacheStats:
                 f"{lc.get('misses', 0)} misses, {lc.get('stores', 0)} stored"
             )
         return f"cache {self.root}: " + ", ".join(parts)
-
-    def render(self) -> str:
-        lines = [
-            self.summary_line(),
-            f"  experiment entries: {self.experiments}",
-            f"  shard entries:      {self.shards}",
-        ]
-        return "\n".join(lines)
 
 
 def cache_stats(root: "Path | str | None" = None) -> CacheStats:
@@ -463,17 +452,6 @@ def cache_stats(root: "Path | str | None" = None) -> CacheStats:
             continue
         stats.entries += 1
         stats.total_bytes += size
-        # An experiment that runs whole stores its one shard under its own
-        # ``experiment/<id>`` task id, so the file name cannot tell the
-        # two entries apart; the artifact's kind can.
-        try:
-            kind = json.loads(path.read_text(encoding="utf-8"))["artifact"]["kind"]
-        except (OSError, ValueError, KeyError, TypeError):
-            kind = None
-        if kind == "experiment":
-            stats.experiments += 1
-        else:
-            stats.shards += 1
     stats_path = stats.root / STATS_NAME
     if stats_path.exists():
         try:
@@ -487,10 +465,12 @@ def cache_stats(root: "Path | str | None" = None) -> CacheStats:
 
 # --- `repro cache ls` --------------------------------------------------------------
 def list_entries(
-    pattern: str, root: "Path | str | None" = None
+    pattern: str,
+    root: "Path | str | None" = None,
+    plan_ids: frozenset[str] = frozenset(),
 ) -> list[tuple[Path, dict]]:
-    """Entries whose task id, title, paper ref or rendered text contains
-    ``pattern`` (case-insensitive), experiments first.  Reads only."""
+    """Entries whose task id contains ``pattern`` (case-insensitive) or
+    is one of ``plan_ids``, sorted by task id.  Reads only."""
     needle = pattern.lower()
     found: list[tuple[Path, dict]] = []
     for path in entry_files(Path(root) if root is not None else DEFAULT_CACHE_ROOT):
@@ -498,43 +478,27 @@ def list_entries(
             document = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             continue  # a corrupt entry is evicted by the load that trips on it
-        if not isinstance(document, dict) or "task_id" not in document:
+        if not isinstance(document, dict) or not isinstance(
+            document.get("artifact"), dict
+        ):
             continue
-        artifact = document.get("artifact")
-        if not isinstance(artifact, dict):
-            continue
-        fields = (
-            document["task_id"],
-            artifact.get("title"),
-            artifact.get("paper_ref"),
-            artifact.get("text"),
-        )
-        if any(isinstance(f, str) and needle in f.lower() for f in fields):
+        task_id = document.get("task_id")
+        if isinstance(task_id, str) and (
+            needle in task_id.lower() or task_id in plan_ids
+        ):
             found.append((path, document))
-    found.sort(
-        key=lambda entry: (
-            entry[1]["artifact"].get("kind") != "experiment",
-            str(entry[1]["task_id"]),
-            str(entry[0]),
-        )
-    )
+    found.sort(key=lambda entry: (entry[1]["task_id"], str(entry[0])))
     return found
 
 
 def render_entry(path: Path, document: dict) -> str:
-    """One entry's provenance: task id, kind, fast flag, wall, digest
-    prefix, then its title and path."""
-    artifact = document["artifact"]
+    """One entry's provenance: task id, fast flag, wall, digest prefix,
+    then its path."""
     digest = str(document.get("source_digest", "")).removeprefix("closure:")
-    lines = [
-        f"{document['task_id']}  [{artifact.get('kind', 'shard')}]  "
+    return (
+        f"{document['task_id']}  "
         f"fast={bool(document.get('fast', False))}  "
-        f"wall {float(artifact.get('wall_s') or 0.0):.1f}s  "
-        f"digest {digest[:12] or '-'}"
-    ]
-    title = artifact.get("title")
-    if title:
-        ref = f" ({artifact['paper_ref']})" if artifact.get("paper_ref") else ""
-        lines.append(f"  {title}{ref}")
-    lines.append(f"  {path}")
-    return "\n".join(lines)
+        f"wall {float(document['artifact'].get('wall_s') or 0.0):.1f}s  "
+        f"digest {digest[:12] or '-'}\n"
+        f"  {path}"
+    )

@@ -2,21 +2,24 @@
 
 Execution model
 ---------------
-A campaign is a list of :class:`ExperimentSpec`.  Each experiment is first
-looked up in the result cache.  Each miss contributes the shards of its
-plan (:func:`repro.experiments.registry.get_shard_plan`) as tasks,
+A campaign is a list of :class:`ExperimentSpec`.  Every experiment
+contributes the shards of its plan
+(:func:`repro.experiments.registry.get_shard_plan`) as tasks,
 deduplicated campaign-wide by ``task_id`` (table6 and table7 share the
 four ray2mesh runs; figs 10/12/13 share the grid16 NPB points).  An
-experiment that defines ``run`` is one shard, ``experiment/<id>``.
-Shards merge back in the parent.  That plan is the same at every
-``jobs``; only the executor differs.  ``jobs <= 1`` runs the tasks one
-after another in this process; ``jobs > 1`` runs each on a worker
-process governed by a :class:`RunnerPolicy`.
+experiment that defines ``run`` is one shard, ``experiment/<id>``.  Each
+shard is looked up in the result cache; only the misses run.  Shards
+merge back in the parent, so an experiment is merged from its shards
+every time, cached or not; it counts as cached when every one of its
+shards hit.  That plan is the same at every ``jobs``; only the executor
+differs.  ``jobs <= 1`` runs the tasks one after another in this
+process; ``jobs > 1`` runs each on a worker process governed by a
+:class:`RunnerPolicy`.
 
-Shard payloads are cached by the function that computed them — the
-parent passes its cache root and source digest down (the digest is
-computed exactly once per campaign) — so a completed shard survives even
-a parent crash and is never recomputed.
+The shard is the only thing the cache holds.  A shard is stored by the
+function that computed it — the parent passes its cache root and source
+digest down (the digest is computed exactly once per campaign) — so a
+completed shard survives even a parent crash and is never recomputed.
 
 Every unit of work runs under :func:`repro.sim.core.trace_capture`, the
 same hook the determinism sanitizer uses, so each artifact carries an
@@ -112,6 +115,7 @@ class ExperimentRun:
     experiment_id: str
     fast: bool
     ok: bool
+    #: every shard of the experiment hit the cache in this campaign
     cached: bool = False
     #: aggregate task seconds: the sum over the experiment's shards,
     #: including shards shared with other experiments
@@ -125,8 +129,8 @@ class ExperimentRun:
     error: Optional[str] = None
     #: merged telemetry payload (``repro.obs``); present only when the
     #: campaign ran with telemetry enabled.  Deliberately NOT part of
-    #: :meth:`artifact`: telemetry runs bypass the result cache, and the
-    #: cached/golden artifacts must stay byte-identical either way.
+    #: :meth:`artifact`: the written artifacts must stay byte-identical
+    #: with telemetry on or off.
     telemetry: Optional[dict] = None
     #: compact span-analytics summary (``repro.obs.aggregate.rollup``)
     #: derived from ``telemetry``; recorded into the campaign manifest so
@@ -135,9 +139,8 @@ class ExperimentRun:
     rollup: Optional[dict] = None
 
     def artifact(self) -> dict[str, Any]:
-        """The structured JSON artifact stored in the cache / out dir."""
+        """The structured JSON artifact written under ``<out>/json/``."""
         return {
-            "kind": "experiment",
             "experiment_id": self.experiment_id,
             "fast": self.fast,
             "ok": self.ok,
@@ -150,23 +153,6 @@ class ExperimentRun:
             "text": self.text,
             "error": self.error,
         }
-
-    @classmethod
-    def from_artifact(cls, spec: ExperimentSpec, artifact: dict) -> "ExperimentRun":
-        return cls(
-            experiment_id=spec.experiment_id,
-            fast=spec.fast,
-            ok=bool(artifact.get("ok", False)),
-            cached=True,
-            wall_s=float(artifact.get("wall_s", 0.0)),
-            text=artifact.get("text", ""),
-            rows=artifact.get("rows", []),
-            title=artifact.get("title", ""),
-            paper_ref=artifact.get("paper_ref", ""),
-            trace_hash=artifact.get("trace_hash", ""),
-            trace_events=int(artifact.get("trace_events", 0)),
-            error=artifact.get("error"),
-        )
 
 
 @dataclass
@@ -262,7 +248,6 @@ def _shard_worker(
                 payload = runner(fast=fast, **shard.params)
     elapsed = time.monotonic() - started  # repro: noqa=DET002
     artifact = {
-        "kind": "shard",
         "payload": payload,
         "wall_s": round(elapsed, 3),
         "trace_hash": hasher.hexdigest(),
@@ -460,33 +445,6 @@ def _failed_run(spec: ExperimentSpec, error: str) -> ExperimentRun:
     )
 
 
-def _experiment_root(experiment_id: str) -> Optional[str]:
-    """The experiment's defining module — its cache dependency root."""
-    try:
-        from repro.experiments.registry import experiment_module
-
-        return experiment_module(experiment_id)
-    except Exception:  # noqa: BLE001 - fall back to whole-tree digests
-        return None
-
-
-def _finish_run(
-    run: ExperimentRun,
-    cache: ResultCache,
-    progress: Optional[Callable[[str], None]],
-) -> None:
-    if run.ok:
-        cache.store(
-            f"experiment/{run.experiment_id}",
-            run.fast,
-            run.artifact(),
-            module=_experiment_root(run.experiment_id),
-        )
-    if progress is not None:
-        state = "failed" if not run.ok else ("cached" if run.cached else "ok")
-        progress(f"{run.experiment_id}: {run.wall_s:7.1f}s [{state}]")
-
-
 def _order_by_cost(tasks: list[_Task], estimates: dict[str, float]) -> None:
     """Longest-estimated-first (LPT) dispatch order, in place.
 
@@ -500,8 +458,8 @@ def _order_by_cost(tasks: list[_Task], estimates: dict[str, float]) -> None:
     tasks.sort(key=lambda task: (-estimates.get(task.key[0], math.inf), task.label))
 
 
-def _run_misses(
-    misses: list[ExperimentSpec],
+def _run_plans(
+    specs: list[ExperimentSpec],
     cache: ResultCache,
     jobs: int,
     policy: RunnerPolicy,
@@ -509,6 +467,8 @@ def _run_misses(
     telemetry: Optional[TelemetryConfig] = None,
     estimates: "dict[str, float] | None" = None,
 ) -> tuple[dict[tuple[str, bool], ExperimentRun], int, int, dict[str, float]]:
+    """Every experiment's plan: load each shard (deduplicated across the
+    campaign), run the misses, then merge each experiment from its shards."""
     from repro.experiments.registry import ShardPlan, get_shard_plan
 
     runs: dict[tuple[str, bool], ExperimentRun] = {}
@@ -518,7 +478,7 @@ def _run_misses(
     #: (shard task_id, fast) -> completed shard artifact
     shard_results: dict[tuple[str, bool], dict] = {}
 
-    for spec in misses:
+    for spec in specs:
         try:
             plan = get_shard_plan(spec.experiment_id, spec.fast)
         except Exception as exc:  # noqa: BLE001
@@ -579,12 +539,19 @@ def _run_misses(
         if "wall_s" in artifact
     }
 
-    for spec in misses:
-        if spec.key in runs:
-            continue
-        run = _merge_plan(spec, plans[spec.key], shard_results)
-        _finish_run(run, cache, progress)
-        runs[spec.key] = run
+    for spec in specs:
+        if spec.key not in runs:
+            plan = plans[spec.key]
+            run = _merge_plan(spec, plan, shard_results)
+            # Cached: every shard of the plan hit, none ran in this campaign.
+            run.cached = run.ok and submitted.isdisjoint(
+                (shard.task_id, spec.fast) for shard in plan.shards
+            )
+            runs[spec.key] = run
+        run = runs[spec.key]
+        if progress is not None:
+            state = "failed" if not run.ok else ("cached" if run.cached else "ok")
+            progress(f"{spec.experiment_id}: {run.wall_s:7.1f}s [{state}]")
     return runs, n_retries, n_timeouts, shard_walls
 
 
@@ -698,32 +665,9 @@ def run_campaign(
 
         estimates = load_task_estimates()
 
-    runs: dict[tuple[str, bool], ExperimentRun] = {}
-    misses: list[ExperimentSpec] = []
-    n_retries = 0
-    n_timeouts = 0
-    shard_walls: dict[str, float] = {}
-    for spec in specs:
-        if spec.key in runs or spec in misses:
-            continue
-        artifact = cache.load(
-            f"experiment/{spec.experiment_id}",
-            spec.fast,
-            module=_experiment_root(spec.experiment_id),
-        )
-        if artifact is not None and artifact.get("ok"):
-            run = ExperimentRun.from_artifact(spec, artifact)
-            if progress is not None:
-                progress(f"{spec.experiment_id}: {run.wall_s:7.1f}s [cached]")
-            runs[spec.key] = run
-        else:
-            misses.append(spec)
-
-    if misses:
-        miss_runs, n_retries, n_timeouts, shard_walls = _run_misses(
-            misses, cache, jobs, policy, progress, telemetry, estimates
-        )
-        runs.update(miss_runs)
+    runs, n_retries, n_timeouts, shard_walls = _run_plans(
+        list(dict.fromkeys(specs)), cache, jobs, policy, progress, telemetry, estimates
+    )
 
     ordered = [runs[spec.key] for spec in specs]
     if telemetry is not None and telemetry.spans:

@@ -147,6 +147,9 @@ def test_warm_rerun_step_lists_the_warm_store(workflow):
     assert not [name for name in ("index", "query") if f"repro {name}" in commands]
     (warm,) = [run for run in steps if "scripts/check_warm_rerun.py" in run]
     assert warm.index("scripts/check_warm_rerun.py") < warm.index("repro cache ls fig7")
+    # fig7 is an experiment id: the listing is its shard plan's entries
+    # (tests/test_runner_index.py), and ``--text`` is gone.
+    assert "repro cache ls fig7" in warm.splitlines()
 
 
 def test_check_sh_is_valid_shell():

@@ -469,9 +469,17 @@ def test_workers_store_with_the_parent_digest(tmp_path, tiny):
     cache = ResultCache(root=tmp_path, digest="pinned-digest")
     campaign = run_campaign([ExperimentSpec(tiny, fast=True)], jobs=2, cache=cache)
     assert campaign.ok
-    assert cache.path("experiment/tiny", True).exists()
+    assert _shard_path(cache, tiny).exists()
     rerun = run_campaign([ExperimentSpec(tiny, fast=True)], jobs=2, cache=cache)
     assert rerun.runs[0].cached
+
+
+def _shard_path(cache, experiment_id, tag=None):
+    """Where ``cache`` keeps a shard of the experiment's fast plan: its only
+    shard, or the one whose task id ends in ``/<tag>``."""
+    shards = get_shard_plan(experiment_id, fast=True).shards
+    (shard,) = [s for s in shards if tag is None or s.task_id.endswith(f"/{tag}")]
+    return cache.path(shard.task_id, True, module=shard.module, spec=shard.cache_spec())
 
 
 # --- cache corruption: miss + evict + warn ----------------------------------------
@@ -504,7 +512,7 @@ def test_wrong_shape_cache_document_is_evicted(tmp_path, caplog):
 def test_corrupt_entry_forces_recompute_then_reheals(tmp_path, tiny):
     cache = ResultCache(root=tmp_path, digest="digest-a")
     run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
-    cache.path("experiment/tiny", True).write_text("not json at all")
+    _shard_path(cache, tiny).write_text("not json at all")
     rerun = run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
     assert rerun.runs[0].ok
     assert not rerun.runs[0].cached  # corruption degraded to a recompute
@@ -653,24 +661,24 @@ def test_result_cache_prune_wrapper(tmp_path, tiny):
 
 
 # --- shared-shard wall attribution (tables 6/7 share the ray2mesh shards) ---------
-def test_merge_attributes_shared_shard_wall_to_every_consumer():
+def test_merge_attributes_shared_shard_wall_to_every_consumer(tmp_path, monkeypatch):
     """Regression: table7 used to record wall_s=0.0 because all shard wall
     time landed on table6; every consumer must count the shared shards."""
+    from types import SimpleNamespace
+
+    from repro.experiments import registry
     from repro.experiments.base import ExperimentResult, ShardSpec
-    from repro.runner.pool import ExperimentRun, _merge_plan
+    from repro.runner.pool import _merge_plan
 
     shards = tuple(
         ShardSpec(task_id=f"ray2mesh/{site}", runner="unused:unused")
         for site in ("nancy", "rennes")
     )
-
-    class Plan:
-        pass
-
-    plan = Plan()
-    plan.shards = shards
-    plan.merge = lambda payloads, fast: ExperimentResult(
-        "table7", "T7", "Table 7", [], "merged"
+    plan = SimpleNamespace(
+        shards=shards,
+        merge=lambda payloads, fast: ExperimentResult(
+            "table7", "T7", "Table 7", [], "merged"
+        ),
     )
     shard_results = {
         ("ray2mesh/nancy", True): {"payload": {}, "wall_s": 10.0, "trace_hash": "a"},
@@ -680,12 +688,25 @@ def test_merge_attributes_shared_shard_wall_to_every_consumer():
     assert run.ok
     assert run.wall_s == pytest.approx(12.5)
 
-    # The attribution survives the artifact round trip.
-    revived = ExperimentRun.from_artifact(
-        ExperimentSpec("table7", fast=True), run.artifact()
+    # A warm campaign merges the same attribution from the cached shards.
+    cache = ResultCache(root=tmp_path, digest="digest-a")
+    for shard in shards:
+        cache.store(
+            shard.task_id,
+            True,
+            shard_results[(shard.task_id, True)],
+            module=shard.module,
+            spec=shard.cache_spec(),
+        )
+    monkeypatch.setitem(
+        registry.MODULES,
+        "table7",
+        SimpleNamespace(shards=lambda fast=False: shards, merge=plan.merge),
     )
-    assert revived.wall_s == pytest.approx(12.5)
-    assert revived.trace_hash == run.trace_hash
+    (warm,) = run_campaign([ExperimentSpec("table7", fast=True)], cache=cache).runs
+    assert warm.ok and warm.cached
+    assert warm.wall_s == pytest.approx(12.5)
+    assert warm.trace_hash == run.trace_hash
 
 
 # --- cost-model scheduling --------------------------------------------------------
@@ -711,8 +732,7 @@ def test_order_by_cost_without_history_is_label_order():
     from repro.runner.pool import _Task, _order_by_cost
 
     tasks = [
-        _Task(key=("shard", n, True), target=None, args=(), label=n)
-        for n in ("c", "a", "b")
+        _Task(key=(n, True), target=None, args=(), label=n) for n in ("c", "a", "b")
     ]
     _order_by_cost(tasks, {})
     assert [t.label for t in tasks] == ["a", "b", "c"]
@@ -753,11 +773,11 @@ def test_load_task_estimates_missing_manifest(tmp_path):
 def test_campaign_counts_hits_and_misses(tmp_path, tiny):
     cache = ResultCache(root=tmp_path, digest="digest-a")
     first = run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
-    # A cold whole experiment misses and stores twice: its experiment
-    # entry and its one shard, ``experiment/tiny``.
-    assert first.cache_misses == 2 and first.cache_hits == 0
-    assert first.cache_stores == 2
-    assert "2 misses" in first.cache_summary()
+    # A cold whole experiment misses and stores once: its one shard,
+    # ``experiment/tiny``.
+    assert first.cache_misses == 1 and first.cache_hits == 0
+    assert first.cache_stores == 1
+    assert first.cache_summary() == "cache: 0 hits, 1 miss, 1 stored"
 
     cache2 = ResultCache(root=tmp_path, digest="digest-a")
     second = run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache2)
@@ -765,14 +785,40 @@ def test_campaign_counts_hits_and_misses(tmp_path, tiny):
     assert second.cache_summary().startswith("cache: 1 hit")
 
 
-def test_cache_stats_tells_an_experiment_entry_from_its_shard(tmp_path, tiny):
+def test_cache_stats_counts_one_entry_per_shard(tmp_path, monkeypatch, tiny):
+    from repro.experiments import registry
     from repro.runner import cache_stats
 
+    monkeypatch.setitem(registry.MODULES, "left", _plan_entry("left", ("a", "b")))
     cache = ResultCache(root=tmp_path, digest="digest-a")
-    run_campaign([ExperimentSpec(tiny, fast=True)], cache=cache)
-    # Both entries carry the task id ``experiment/tiny``.
-    stats = cache_stats(tmp_path)
-    assert (stats.entries, stats.experiments, stats.shards) == (2, 1, 1)
+    specs = [ExperimentSpec(tiny, fast=True), ExperimentSpec("left", fast=True)]
+    assert run_campaign(specs, cache=cache).ok
+    # ``experiment/tiny``, ``shared/a`` and ``shared/b``; no experiment entry.
+    assert cache_stats(tmp_path).entries == 3
+
+
+def test_warm_rerun_recomputes_only_a_deleted_shard(tmp_path, monkeypatch):
+    """An experiment is merged from its shards on every run, so losing one
+    shard entry costs exactly that shard, and the merge still matches."""
+    from repro.experiments import registry
+
+    monkeypatch.setitem(registry.MODULES, "left", _plan_entry("left", ("a", "b")))
+    specs = [ExperimentSpec("left", fast=True)]
+    cache = ResultCache(root=tmp_path, digest="digest-a")
+    (cold,) = run_campaign(specs, cache=cache).runs
+    assert cold.ok and not cold.cached
+
+    _shard_path(cache, "left", "b").unlink()
+    _SHARED_CALLS.clear()
+    warm = run_campaign(specs, cache=ResultCache(root=tmp_path, digest="digest-a"))
+    assert _SHARED_CALLS == ["b"]
+    assert (warm.cache_hits, warm.cache_misses, warm.cache_stores) == (1, 1, 1)
+    (run,) = warm.runs
+    assert run.ok and not run.cached
+    assert (run.text, run.trace_hash) == (cold.text, cold.trace_hash)
+
+    healed = run_campaign(specs, cache=ResultCache(root=tmp_path, digest="digest-a"))
+    assert healed.runs[0].cached and healed.cache_hits == 2
 
 
 def test_campaign_writes_stats_sidecar(tmp_path, tiny):

@@ -1,76 +1,89 @@
 """Cache lookup: ``repro cache ls`` and ``repro cache stats`` read the store
-directly, matching a pattern against each entry's task id, title, paper
-ref and rendered text."""
+directly.  ``cache ls`` matches a pattern against each shard entry's task
+id; an experiment id also lists the entries of its shard plans."""
 
 import pytest
 
 from repro.cli import main
 from repro.runner.cache import ResultCache, list_entries, render_entry
 
+#: fig7's fast shard plan: one ping-pong sweep per implementation
+FIG7_SHARDS = [
+    f"pingpong/grid/fully_tuned/{impl}"
+    for impl in ("gridmpi", "madeleine", "mpich2", "openmpi", "tcp")
+]
 
-def _experiment_artifact(experiment_id="fig7", **overrides):
-    artifact = {
-        "kind": "experiment",
-        "experiment_id": experiment_id,
-        "fast": True,
-        "ok": True,
-        "sharded": False,
-        "wall_s": 4.2,
-        "trace_hash": "abc123",
+
+def _shard_artifact(payload=None, wall_s=1.5, trace_hash="def456"):
+    """The artifact a shard worker stores."""
+    return {
+        "payload": payload if payload is not None else {},
+        "wall_s": wall_s,
+        "trace_hash": trace_hash,
         "trace_events": 10,
-        "title": "Throughput vs message size",
-        "paper_ref": "Fig. 7",
-        "rows": [{"impl": "madeleine", "size_kb": 128}],
-        "text": "rendered fig7 report: madeleine peaks at 128 kB",
-        "error": None,
     }
-    artifact.update(overrides)
-    return artifact
 
 
 @pytest.fixture()
 def store(tmp_path):
-    """A cache root holding one experiment entry and one shard entry."""
+    """A cache root holding fig7's five shards, an NPB point and the one
+    shard of table2, which runs whole."""
     cache = ResultCache(root=tmp_path, digest="closure:digest-a")
-    cache.store("experiment/fig7", True, _experiment_artifact())
+    for task_id in FIG7_SHARDS:
+        cache.store(task_id, True, _shard_artifact({"sizes": [1, 2]}))
+    cache.store("npb/grid16/ft", True, _shard_artifact())
     cache.store(
-        "npb/grid16/ft",
+        "experiment/table2",
         True,
-        {"kind": "shard", "payload": {}, "wall_s": 1.5, "trace_hash": "def456"},
+        _shard_artifact(
+            {
+                "title": "Madeleine tuning",
+                "paper_ref": "Table 2",
+                "rows": [],
+                "text": "rendered table2 report: madeleine",
+            },
+            wall_s=4.2,
+        ),
     )
     return tmp_path
 
 
-def _task_ids(pattern, root):
-    return [document["task_id"] for _path, document in list_entries(pattern, root)]
+def _task_ids(pattern, root, plan_ids=frozenset()):
+    return [
+        document["task_id"]
+        for _path, document in list_entries(pattern, root, plan_ids=plan_ids)
+    ]
 
 
 def test_build_index_covers_cache_entries(store):
-    # "/" matches every task id: experiments list first, then shards.
+    # "/" matches every task id; entries sort by task id.
     entries = list_entries("/", store)
     assert [document["task_id"] for _path, document in entries] == [
-        "experiment/fig7",
+        "experiment/table2",
         "npb/grid16/ft",
+        *FIG7_SHARDS,
     ]
-    (fig7_path, fig7), (shard_path, shard) = entries
-    assert fig7_path.parent == store and shard_path.parent == store
-    assert fig7["source_digest"] and fig7["artifact"]["wall_s"] == 4.2
-    assert shard["artifact"]["kind"] == "shard"
+    for path, document in entries:
+        assert path.parent == store
+        assert document["source_digest"] and "payload" in document["artifact"]
+    assert entries[0][1]["artifact"]["wall_s"] == 4.2
 
 
 def test_query_matches_experiment_scenario_and_impl(store):
-    assert _task_ids("fig7", store) == ["experiment/fig7"]
-    # the title, the paper ref and the rendered text are searchable
-    assert _task_ids("throughput", store) == ["experiment/fig7"]
-    assert _task_ids("Fig. 7", store) == ["experiment/fig7"]
-    assert _task_ids("madeleine", store) == ["experiment/fig7"]
-    # shard ids match on substring too
     assert _task_ids("grid16", store) == ["npb/grid16/ft"]
+    assert _task_ids("madeleine", store) == ["pingpong/grid/fully_tuned/madeleine"]
+    assert _task_ids("fully_tuned", store) == FIG7_SHARDS
+    # only the task id is matched: not a whole shard's title or rendered text
+    assert _task_ids("Table 2", store) == []
+    assert _task_ids("rendered", store) == []
     assert _task_ids("nonexistent-thing", store) == []
+    # entries named in plan_ids are listed whatever the pattern
+    assert _task_ids("fig7", store) == []
+    assert _task_ids("fig7", store, frozenset(FIG7_SHARDS[:2])) == FIG7_SHARDS[:2]
 
 
 def test_query_is_case_insensitive(store):
-    assert _task_ids("MADELEINE", store) == ["experiment/fig7"]
+    assert _task_ids("MADELEINE", store) == ["pingpong/grid/fully_tuned/madeleine"]
     assert _task_ids("GRID16", store) == ["npb/grid16/ft"]
 
 
@@ -83,46 +96,32 @@ def test_index_ignores_corrupt_entries(store):
 
 
 def test_artifact_text_roundtrip(store):
-    ((_path, document),) = list_entries("fig7", store)
-    assert document["artifact"]["text"] == (
-        "rendered fig7 report: madeleine peaks at 128 kB"
+    ((_path, document),) = list_entries("experiment/table2", store)
+    assert document["artifact"]["payload"]["text"] == (
+        "rendered table2 report: madeleine"
     )
 
 
 def test_render_query_mentions_provenance(store):
-    ((path, document),) = list_entries("fig7", store)
-    lines = render_entry(path, document).splitlines()
-    assert lines == [
-        "experiment/fig7  [experiment]  fast=True  wall 4.2s  digest digest-a",
-        "  Throughput vs message size (Fig. 7)",
+    ((path, document),) = list_entries("table2", store)
+    assert render_entry(path, document).splitlines() == [
+        "experiment/table2  fast=True  wall 4.2s  digest digest-a",
         f"  {path}",
     ]
     ((path, document),) = list_entries("grid16", store)
     assert render_entry(path, document).splitlines() == [
-        "npb/grid16/ft  [shard]  fast=True  wall 1.5s  digest digest-a",
+        "npb/grid16/ft  fast=True  wall 1.5s  digest digest-a",
         f"  {path}",
     ]
 
 
-def test_ls_finds_an_experiment_by_its_rendered_text(store, capsys):
-    """fig10's rows carry no implementation name, only its report's
-    columns do: the text match still finds it."""
-    cache = ResultCache(root=store, digest="closure:digest-a")
-    cache.store(
-        "experiment/fig10",
-        True,
-        _experiment_artifact(
-            "fig10",
-            title="NPB relative to MPICH2",
-            paper_ref="Fig. 10",
-            rows=[{"kernel": "bt", "ratio": 0.93}],
-            text="kernel  GridMPI  MPICH-Madeleine  OpenMPI",
-        ),
-    )
-    assert main(["cache", "ls", "madeleine", "--root", str(store)]) == 0
+def test_ls_experiment_id_lists_its_shard_plan_entries(store, capsys):
+    """No task id contains "fig7": its entries are found through its plan."""
+    assert main(["cache", "ls", "FIG7", "--root", str(store)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("cache ls 'madeleine': 2 matches")
-    assert "experiment/fig10  [experiment]" in out
+    assert out.startswith("cache ls 'FIG7': 5 matches\n")
+    listed = [line.split()[0] for line in out.splitlines()[1:] if not line[0].isspace()]
+    assert listed == FIG7_SHARDS
 
 
 def test_ls_writes_nothing_under_the_store(store, capsys):
@@ -143,11 +142,11 @@ def test_index_and_query_commands_are_gone(command, capsys):
 
 
 # --- CLI front-ends -----------------------------------------------------------------
-def test_cli_query_text_prints_the_cached_report(store, capsys):
-    assert main(["cache", "ls", "fig7", "--root", str(store), "--text"]) == 0
-    out = capsys.readouterr().out
-    assert "experiment/fig7" in out and "Fig. 7" in out
-    assert out.rstrip().endswith("rendered fig7 report: madeleine peaks at 128 kB")
+def test_cli_ls_has_no_text_option(store, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "ls", "fig7", "--root", str(store), "--text"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --text" in capsys.readouterr().err
 
 
 def test_cli_query_miss_exits_nonzero(store, capsys):
@@ -161,7 +160,14 @@ def test_cli_cache_stats(store, capsys):
     cache.write_stats()
     assert main(["cache", "stats", "--root", str(store)]) == 0
     out = capsys.readouterr().out
-    assert "2 entries" in out
-    assert "experiment entries: 1" in out
-    assert "shard entries:      1" in out
-    assert "3 hits, 1 misses, 1 stored" in out
+    # one line: every entry is a shard, so there is no split to report
+    assert out.splitlines() == [
+        f"cache {store}: 7 entries, {_entry_bytes(store)} bytes, "
+        "last campaign: 3 hits, 1 misses, 1 stored"
+    ]
+
+
+def _entry_bytes(root):
+    from repro.runner.cache import entry_files
+
+    return sum(path.stat().st_size for path in entry_files(root))

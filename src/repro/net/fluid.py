@@ -21,10 +21,11 @@ who crosses what.  An arriving flow extends the one plan its route
 touches, or builds a new plan (no plan touched) or a merged one (several
 plans or solo flows); a departing flow is dropped from its plan, which
 splits when the flow was the only link between what is left (a walk over
-the plan's own indices decides).  Every mutation re-solves only the
-component(s) it touched: flows outside share no constraint with it and
-provably keep their rates.  A flow's bytes are settled only when its rate
-changes, so a solve writes nothing to the flows it leaves alone.
+the plan's own indices decides).  Every mutation queues only the
+component(s) it touched for the tick's solve (see "One solve per tick"):
+flows outside share no constraint with it and provably keep their rates.
+A flow's bytes are settled only when its rate changes, so a solve writes
+nothing to the flows it leaves alone.
 
 Solo flows
 ----------
@@ -48,14 +49,25 @@ come off their pipes' residuals) and solves only the rest, starting its
 walk of the plan's sorted cap list at the level.  Arrivals and capacity
 changes fill from zero.
 
-Coalesced firings
------------------
-A completion callback departs every flow due at its tick before it solves
-anything; each component those departures left is solved once, at the end,
-from the lowest rate that departed from it.  Nothing reads a rate between
-those departures (``done.succeed`` only schedules), so this equals one
-solve per departure.  It stops at one callback: TCP reads a flow's rate
-right after it starts the flow and after each cap push.
+One solve per tick
+------------------
+No mutation solves on the spot.  An arrival that extends or merges plans,
+a cap push, a departure and a capacity change each record ``plan ->
+level`` in one pending map; levels combine by ``min``, arrivals, merges
+and capacity changes give 0, a plan merged away drops its entry and the
+parts of a split inherit it.  The tick's first mutation queues one engine
+callback at the current tick, which solves everything pending at once; a
+completion callback departs every flow due at its tick and solves the
+same map at its end.  Between a mutation and that solve a plan's rates
+are stale: :meth:`FluidNetwork.settled` hands a reader the event fired
+after the solve (the TCP window driver waits on it).
+
+A level taken from a rate that has not been re-solved is still a safe
+lower bound.  A resumed fill leaves every flow at or above ``min(its old
+rate, the level)``, and exactly where it was below the level; so the true
+level of a later mutation is at least ``min`` of its stale level and the
+earlier levels, and the ``min`` over pending levels freezes only flows
+that keep their rates through every pending mutation.
 
 Completion timer
 ----------------
@@ -68,8 +80,8 @@ stale (the flow's ``_arm`` no longer names them) and are dropped lazily,
 and the heap is rebuilt once stale entries outnumber live flows.
 
 The differential test in ``tests/test_net_fluid.py`` checks this solver
-against a whole-network progressive-filling oracle after every mutation
-of randomized workloads.
+against a whole-network progressive-filling oracle after each tick's
+solve in randomized workloads.
 """
 
 from __future__ import annotations
@@ -324,8 +336,12 @@ class FluidNetwork:
         self._timer_ticks: set[int] = set()
         #: set while ``_on_timer`` finishes flows: it solves and re-arms at the end
         self._firing = False
-        #: plans a firing's departures left to solve -> their fill level
+        #: plans the tick's mutations left to solve -> their fill level
         self._pending: dict[_ComponentPlan, float] = {}
+        #: whether an ``_on_flush`` callback is queued at the current tick
+        self._flush_queued = False
+        #: fired after the pending solve (see :meth:`settled`); ``None`` until asked
+        self._settled: Optional[Event] = None
 
     # -- public API -------------------------------------------------------------
     def start_flow(
@@ -340,6 +356,8 @@ class FluidNetwork:
         Returns the :class:`Flow`; its ``done`` event triggers when the last
         byte leaves the last pipe.  ``rate_cap_bps`` bounds the flow's rate
         (TCP window cap); it may be changed later with :meth:`set_rate_cap`.
+        A flow alone on its pipes gets its rate at once; one that shares a
+        pipe gets it from the tick's solve (see :meth:`settled`).
         """
         route = tuple(pipes)
         if not route:
@@ -391,9 +409,11 @@ class FluidNetwork:
                 [flow, *partners, *(f for p in joined for f in p.flow_index)]
             )
             covered = plan.pipe_index
+            for merged in joined:
+                self._pending.pop(merged, None)
         for pipe in covered:
             plans[pipe] = plan
-        self._solve(((plan, 0.0),))
+        self._defer(plan, 0.0)
         return flow
 
     def set_rate_cap(self, flow: Flow, rate_cap_bps: float) -> None:
@@ -421,7 +441,7 @@ class FluidNetwork:
         if plan is None:
             self._apply(((flow, _lone_rate(flow)),))
         else:
-            self._solve(((plan, min(rate, rate_cap_bps)),))
+            self._defer(plan, min(rate, rate_cap_bps))
 
     def set_pipe_capacity(self, pipe: Pipe, capacity_bps: "Rate | float") -> None:
         """Change a pipe's capacity mid-simulation (fault injection: link
@@ -436,7 +456,7 @@ class FluidNetwork:
         self.recomputations += 1
         plan = self._plans.get(pipe)
         if plan is not None:
-            self._solve(((plan, 0.0),))
+            self._defer(plan, 0.0)
         elif (flow := self._solo.get(pipe)) is not None:
             self._apply(((flow, _lone_rate(flow)),))
 
@@ -447,6 +467,18 @@ class FluidNetwork:
         self._settle(flow)
         flow.done.fail(exc)
         self._depart(flow)
+
+    def settled(self, flow: Flow) -> Optional[Event]:
+        """``None`` when ``flow``'s rate is this tick's solved rate, else
+        the event fired once the pending solve of its component has run."""
+        pending = self._pending
+        if not pending or flow not in self.flows:
+            return None
+        if self._plans.get(flow.pipes[0]) not in pending:
+            return None
+        if self._settled is None:
+            self._settled = self.env.event()
+        return self._settled
 
     # -- internals ------------------------------------------------------------------
     def _settle(self, flow: Flow) -> None:
@@ -459,14 +491,14 @@ class FluidNetwork:
         flow._last_update = self.env.now
 
     def _depart(self, flow: Flow) -> None:
-        """Remove a finished or aborted flow and re-solve what it leaves.
+        """Remove a finished or aborted flow and queue what it leaves.
 
         Pipes left without a live flow leave the map.  The flows still on
         its other pipes ("anchors") stay one component unless the flow was
         their only link: with two or more anchors, a walk from the first
         checks that it reaches the rest, and the plan splits if not.  What
-        is left resumes filling at the flow's rate, or is queued if firing.
-        A solo flow only unmaps its pipes.
+        is left is queued to resume filling at the flow's rate.  A solo
+        flow only unmaps its pipes.
         """
         self.recomputations += 1
         self.flows.discard(flow)
@@ -487,16 +519,16 @@ class FluidNetwork:
                 anchors.append(pidx)
             else:
                 del plans[pipe]
-        work = self._pending if self._firing else {}
-        level = work.pop(plan, math.inf)
+        level = self._pending.pop(plan, math.inf)
         if flow.rate_bps < level:
             level = flow.rate_bps
         if len(anchors) > 1:
-            work.update(dict.fromkeys(self._split(plan, anchors), level))
+            for part in self._split(plan, anchors):
+                self._defer(part, level)
         elif anchors:
-            work[plan] = level
-        if not self._firing:
-            self._solve(work.items())  # empty when the flow was alone: re-arms only
+            self._defer(plan, level)
+        else:
+            self._arm_timer()  # the flow was alone in its plan
 
     def _split(self, plan: _ComponentPlan, anchors: "list[int]") -> "list[_ComponentPlan]":
         """``[plan]`` if its live flows still connect every anchor (a pipe
@@ -538,15 +570,42 @@ class FluidNetwork:
                 self._plans[pipe] = part
         return parts
 
+    def _defer(self, plan: _ComponentPlan, level: float) -> None:
+        """Queue ``plan`` for the tick's solve, resumed at no more than
+        ``level``; the tick's first mutation queues :meth:`_on_flush`."""
+        pending = self._pending
+        if level < pending.get(plan, math.inf):
+            pending[plan] = level
+        if not self._firing and not self._flush_queued:
+            self._flush_queued = True
+            self.env.call_at(self.env.now_ticks, self._on_flush)
+
+    def _on_flush(self) -> None:
+        """The engine callback queued by a tick's first mutation."""
+        self._flush_queued = False
+        self._flush()
+
+    def _flush(self) -> None:
+        """Solve every pending plan at once, re-arm, and fire the event
+        :meth:`settled` handed out."""
+        if self._pending:
+            work, self._pending = self._pending, {}
+            self._solve(work.items())
+        else:
+            self._arm_timer()
+        settled, self._settled = self._settled, None
+        if settled is not None:
+            settled.succeed()
+
     def _solve(self, plans: "Collection[tuple[_ComponentPlan, float]]") -> None:
         """Re-solve whole components and re-arm the flows whose rate moved.
 
         ``plans`` pairs each component with the level its fill resumes at
         (see :meth:`_fill`).  Every flow sharing a pipe with a component is
         itself in it, so pipe capacities need no adjustment for external
-        traffic.  Several components (a split, or a firing) re-arm in uid
-        order, as one solve over their union would; :meth:`_apply` writes
-        the rates.
+        traffic.  Several components (whatever one tick left pending) re-arm
+        in uid order, as one solve over their union would; :meth:`_apply`
+        writes the rates.
         """
         self.solve_rounds += len(plans)
         if len(plans) == 1:
@@ -796,8 +855,4 @@ class FluidNetwork:
             flow.done.succeed(flow)
             self._depart(flow)
         self._firing = False
-        if self._pending:
-            work, self._pending = self._pending, {}
-            self._solve(work.items())
-        else:
-            self._arm_timer()  # every flow departed alone: nothing to solve
+        self._flush()

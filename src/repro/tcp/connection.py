@@ -52,9 +52,14 @@ counted in one step, each still sampled at its own time.  Injected-loss
 draws are taken ahead in stream order and consumed one per round, as if
 drawn then.  The fluid solver calls the driver back whenever it changes
 the flow's rate; a change that flips the ``0.98 * cap`` test re-arms the
-wake-up at the first grid tick after it.  Ties: a completion at a grid
-tick cancels that tick's round, and the test at a grid tick the driver
-sleeps through sees every rate change made at that tick.
+wake-up at the first grid tick after it.  The driver tests the tick's
+solved rate: a start or a cap push leaves a flow that shares its pipes to
+one fluid solve later in the tick, and the driver waits for that solve
+(:meth:`~repro.net.fluid.FluidNetwork.settled`) before it reads the rate,
+so it decides on the allocation that holds after the tick, not on one
+that only some of the tick's starts have shaped.  Ties: a completion at a
+grid tick cancels that tick's round, and the test at a grid tick the
+driver sleeps through sees every rate change made at that tick.
 
 Calibration
 -----------
@@ -476,8 +481,15 @@ class _Direction:
         poll_ticks = delay_to_ticks(LAZY_POLL_RTTS * rtt)
         alarm = _Alarm(env, flow)
         anchor = env.now_ticks
+        fluid = self.fluid
         try:
             while True:
+                # Decide on the tick's solved rate: a start or a cap push
+                # leaves the flow's component to one solve later this tick.
+                while (settled := fluid.settled(flow)) is not None:
+                    yield settled
+                if flow.done.triggered:
+                    break  # it finished (or failed) while the tick settled
                 # The congestion window only evolves while it is the binding
                 # constraint (congestion window validation); when the path
                 # share limits the flow instead, the grid spaces out.

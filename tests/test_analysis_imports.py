@@ -101,12 +101,14 @@ def test_engine_modules_salt_every_digest(pkg):
 
 
 # --- the real tree's invalidation matrix ------------------------------------------
-#: experiment/shard-runner roots the cache actually keys by
+#: the shard-runner modules the cache keys by, one per shard family
 ROOTS = (
-    "repro.experiments.npb_runs",       # NPB figures' shard runner
-    "repro.experiments.table6",         # ray2mesh shard runner (tables 6/7)
-    "repro.experiments.pingpong_common",  # pingpong sweeps' shard runner
-    "repro.experiments.fig3",           # an unsharded pingpong figure
+    "repro.experiments.npb_runs",       # NPB figures (figs 10-13)
+    "repro.experiments.table6",         # ray2mesh per site (tables 6/7)
+    "repro.experiments.pingpong_common",  # pingpong sweeps (figs 3, 5, 6, 7)
+    "repro.experiments.registry",       # the six whole experiments: the widest key
+    "repro.experiments.coll_hier",      # hierarchical collectives
+    "repro.experiments.faults",         # fault scenarios (faults_cg, faults_pingpong)
 )
 
 
@@ -126,10 +128,18 @@ def baseline():
 @pytest.mark.parametrize(
     ("touched", "cold"),
     [
-        # An NPB kernel chills only the NPB runner.
-        ("repro.npb.cg", {"repro.experiments.npb_runs"}),
-        # The ray2mesh app chills only tables 6/7.
-        ("repro.apps.ray2mesh", {"repro.experiments.table6"}),
+        # An NPB kernel chills the NPB runner, faults_cg, and the whole
+        # experiments' registry key: tables 1-5 and fig9 re-run too.
+        (
+            "repro.npb.cg",
+            {
+                "repro.experiments.npb_runs",
+                "repro.experiments.registry",
+                "repro.experiments.faults",
+            },
+        ),
+        # The ray2mesh app chills tables 6/7 and the registry key.
+        ("repro.apps.ray2mesh", {"repro.experiments.table6", "repro.experiments.registry"}),
         # A pure reporting module chills nothing: the whole point.
         ("repro.obs.report", set()),
         # Every simulated byte flows through TCP congestion control, so
@@ -147,6 +157,19 @@ def test_invalidation_matrix(baseline, touched, cold):
 
 def test_every_root_is_known_to_the_graph(baseline):
     assert all(digest is not None for digest in baseline.values())
+
+
+def test_every_shard_runner_module_is_a_root():
+    """The matrix above covers every key the cache really uses."""
+    from repro.experiments import EXPERIMENTS
+    from repro.experiments.registry import get_shard_plan
+
+    modules = {
+        shard.module
+        for experiment_id in EXPERIMENTS
+        for shard in get_shard_plan(experiment_id, True).shards
+    }
+    assert modules == set(ROOTS)
 
 
 def test_shard_runner_modules_are_resolvable():

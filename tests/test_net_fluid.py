@@ -27,6 +27,12 @@ def net(env):
     return FluidNetwork(env)
 
 
+def settle(env):
+    """Run the current tick's events, the network's pending solve among
+    them: a mutation leaves its component to one solve later in the tick."""
+    env.run(until=env.now)
+
+
 def run_flow(env, net, pipes, nbytes, cap=math.inf):
     flow = net.start_flow("f", pipes, nbytes, rate_cap_bps=cap)
     env.run(until=flow.done)
@@ -326,9 +332,10 @@ def _check_plans(network):
 
 def _drive_workload(seed, sparse=False):
     """Run a randomized flow history, checking every rate against the
-    oracle after every operation and every completion, and every solve
-    against the max-min invariants; returns the number of oracle checks
-    and the number of completions that shared their tick with another.
+    oracle after the solve that follows every operation and every
+    completion, and every solve against the max-min invariants; returns
+    the number of oracle checks and the number of completions that shared
+    their tick with another.
 
     A burst starts several identical flows at once: they finish on one
     tick, so a single completion callback departs them all.
@@ -349,6 +356,11 @@ def _drive_workload(seed, sparse=False):
     finished_at = []
 
     def check(when):
+        # Queued behind the tick's solve, which the mutation queued first.
+        env.call_at(env.now_ticks, lambda: check_solved(when))
+
+    def check_solved(when):
+        assert not network._pending, f"a solve is still pending {when}"
         _check_against_oracle(network, pipes, when)
         _check_plans(network)
         # stale completion entries never outgrow the live population
@@ -456,15 +468,18 @@ def test_plan_shrunk_to_one_flow_fills_to_its_lone_rate(env, net, cap):
         keeper = net.start_flow("keeper", [a, b], 100 * MB, rate_cap_bps=rate_cap)
         short = net.start_flow("short", [a], MB)
         plan = net._plans[a]
+        settle(env)
         rounds, visits = net.solve_rounds, net.fill_visits
         env.run(until=short.done)
         assert net._plans[a] is net._plans[b] is plan and list(plan.flow_index) == [keeper]
         assert (net.solve_rounds, net.fill_visits) == (rounds + 1, visits + 1)
         assert keeper.rate_bps == min(rate_cap, a.capacity_bps)
         net.set_pipe_capacity(b, 2.5e8 / 3)  # a fill from zero
+        settle(env)
         assert keeper.rate_bps == min(rate_cap, b.capacity_bps)
         assert net.solve_rounds == rounds + 2
         net.set_pipe_capacity(b, 2.5e10 / 3)
+        settle(env)
         assert keeper.rate_bps == min(rate_cap, a.capacity_bps)
 
 
@@ -539,6 +554,7 @@ def test_departing_bridge_splits_and_each_side_solves_alone(env, net):
     state = (right.remaining_bits, right._last_update, right._arm)
     rounds = net.solve_rounds
     net.set_rate_cap(left, Mbps(100))
+    settle(env)
     assert net.solve_rounds == rounds + 1
     assert left.rate_bps == Mbps(100)
     assert (right.remaining_bits, right._last_update, right._arm) == state
@@ -565,6 +581,7 @@ def test_arriving_bridge_merges_two_components(env, net):
     plan = net._plans[a]
     assert net._plans[b] is plan and net._plans[c] is plan and not net._solo
     assert list(plan.flow_index) == [left, right, bridge]
+    settle(env)
     assert left.rate_bps == right.rate_bps == bridge.rate_bps == Gbps(1) / 2
 
 
@@ -576,6 +593,7 @@ def test_solve_leaves_other_components_untouched(env, net):
     state = (other.remaining_bits, other._last_update, other._arm)
     net.start_flow("newcomer", [a], 100 * MB)
     net.set_rate_cap(mine, Mbps(300))
+    settle(env)
     assert mine._last_update == env.now  # settled: its rate moved
     assert (other.remaining_bits, other._last_update, other._arm) == state
 
@@ -587,6 +605,7 @@ def test_only_flows_whose_rate_moves_are_settled(env, net):
     env.run(until=0.01)
     state = (held.remaining_bits, held._last_update, held._arm)
     net.set_rate_cap(moved, Mbps(200))
+    settle(env)
     assert moved.rate_bps == Mbps(200) and moved._last_update == env.now
     assert held.rate_bps == Mbps(100)
     assert (held.remaining_bits, held._last_update, held._arm) == state
@@ -656,6 +675,8 @@ def test_second_flow_on_a_solo_pipe_builds_the_plan_of_both(env, net):
     plan = net._plans[a]
     assert net._plans[b] is plan and net._plans[c] is plan and not net._solo
     assert list(plan.flow_index) == [solo, newcomer] and plan.pipes == [a, b, c]
+    assert net.solve_rounds == 0  # the solve waits for the tick's other mutations
+    settle(env)
     assert net.solve_rounds == 1
     assert (solo.rate_bps, newcomer.rate_bps) == (Mbps(700), Mbps(300))
     # the join settled the bytes the solo flow sent at its old rate
@@ -709,7 +730,7 @@ def test_abort_of_a_solo_flow_unmaps_its_pipes(env, net):
     assert (net.recomputations, net.solve_rounds) == (2, 0)
 
 
-# -- coalesced firings and resumed fills ---------------------------------------
+# -- one solve per tick, coalesced firings and resumed fills --------------------
 
 
 def test_flows_finishing_on_one_tick_are_solved_once(env, net):
@@ -717,6 +738,7 @@ def test_flows_finishing_on_one_tick_are_solved_once(env, net):
     burst = [net.start_flow(f"s{i}", [a], MB) for i in range(4)]
     long = net.start_flow("long", [a, b], 100 * MB)
     other = net.start_flow("other", [b], 100 * MB)
+    settle(env)
     rounds = net.solve_rounds
     env.run(until=burst[0].done)
     assert all(flow.done.triggered for flow in burst)
@@ -733,6 +755,7 @@ def test_departure_refills_only_flows_at_or_above_its_rate(env, net):
     ]
     fastest = net.start_flow("fastest", [pipe], MB)
     peer = net.start_flow("peer", [pipe], 100 * MB)
+    settle(env)
     assert fastest.rate_bps == peer.rate_bps == Mbps(370)
     state = [(f.remaining_bits, f._last_update, f._arm) for f in capped]
     visits = net.fill_visits
@@ -749,6 +772,7 @@ def test_firing_resumes_at_the_lowest_rate_it_departed(env, net):
     held = net.start_flow("held", [p, r], 100 * MB)
     fast = net.start_flow("fast", [r], 3.75 * MB, rate_cap_bps=Mbps(300))
     net.start_flow("keeper", [r], 100 * MB, rate_cap_bps=Mbps(50))
+    settle(env)
     assert (slow.rate_bps, held.rate_bps, fast.rate_bps) == (Mbps(100), Mbps(200), Mbps(300))
     visits = net.fill_visits
     env.run(until=slow.done)
@@ -760,11 +784,79 @@ def test_firing_resumes_at_the_lowest_rate_it_departed(env, net):
     _check_against_oracle(net, [p, r], "after both departed")
 
 
+def test_same_tick_arrivals_and_cap_pushes_cost_one_solve(env, net):
+    """Every mutation of one component within a tick waits for one solve:
+    arrivals that extend and merge its plan, then cap pushes on old and
+    new flows alike."""
+    a, b = Pipe("a", Gbps(1)), Pipe("b", Mbps(600))
+    with maxmin_checked():
+        first = net.start_flow("first", [a], 100 * MB)
+        env.run(until=0.01)
+        assert net._solo == {a: first}
+        rounds, recomputations = net.solve_rounds, net.recomputations
+        flows = [
+            net.start_flow(f"f{i}", [a, b] if i % 2 else [b], 100 * MB) for i in range(4)
+        ]
+        net.set_rate_cap(first, Mbps(100))
+        net.set_rate_cap(flows[0], Mbps(50))
+        net.set_rate_cap(flows[3], Mbps(70))
+        assert net.solve_rounds == rounds and flows[3].rate_bps == 0.0
+        settle(env)
+        assert net.solve_rounds == rounds + 1
+        # four arrivals and two pushes; the push on the unsolved f3 moves no rate
+        assert net.recomputations == recomputations + 6
+        _check_against_oracle(net, [a, b], "after the arrivals' tick")
+        _check_plans(net)
+
+        env.run(until=0.02)
+        rounds = net.solve_rounds
+        for flow, cap in zip(flows, (Mbps(20), Mbps(300), Mbps(40))):
+            net.set_rate_cap(flow, cap)
+        settle(env)
+        assert net.solve_rounds == rounds + 1
+        _check_against_oracle(net, [a, b], "after the cap pushes' tick")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_same_tick_burst_on_one_plan_matches_the_oracle(seed):
+    """A cap push, an abort and a second cap push on one plan within one
+    tick resume one fill at the lowest of their levels, each taken from
+    a rate no solve has refreshed; the result is the oracle's."""
+    rng = random.Random(seed)
+    env = Environment()
+    net = FluidNetwork(env)
+    pipes = [Pipe(f"p{i}", rng.choice([1e8, 2.5e8, 9.37e8, 1e9])) for i in range(4)]
+    with maxmin_checked():
+        flows = [
+            net.start_flow(
+                f"f{i}",
+                rng.sample(pipes, rng.randint(1, 3)),
+                rng.uniform(1e8, 1e9),
+                rate_cap_bps=math.inf if rng.random() < 0.4 else rng.uniform(1e7, 6e8),
+            )
+            for i in range(rng.randint(6, 10))
+        ]
+        env.run(until=rng.uniform(1e-3, 1e-2))
+        plan = max({id(p): p for p in net._plans.values()}.values(), key=lambda p: len(p.flow_index))
+        pushed, aborted, repushed = rng.sample(list(plan.flow_index), 3)
+        # caps around the current rates, so that few pushes are no-ops
+        net.set_rate_cap(pushed, pushed.rate_bps * rng.uniform(0.1, 1.5))
+        aborted.done._defused = True  # the abort is the point
+        net.abort_flow(aborted, RuntimeError("link flap"))
+        net.set_rate_cap(repushed, repushed.rate_bps * rng.uniform(0.1, 1.5))
+        assert net._pending
+        settle(env)
+    assert not net._pending
+    _check_against_oracle(net, pipes, "after the burst's tick")
+    _check_plans(net)
+    assert len(flows) > len(net.flows)
+
+
 def test_reduced_ray2mesh_keeps_max_min_and_pins_solver_counts():
     """A real run through TCP and MPI, every solve and completion checked:
-    it covers solo flows, coalesced firings, resumed fills and TCP cap
-    pushes.  The exact counts are pinned; an intentional solver change
-    re-seeds them (with a CHANGES.md line)."""
+    it covers solo flows, same-tick solves, coalesced firings, resumed fills
+    and TCP cap pushes.  The exact counts are pinned; an intentional solver
+    change re-seeds them (with a CHANGES.md line)."""
     env = get_environment("fully_tuned")
     with maxmin_checked() as tally:
         result = run_ray2mesh(
@@ -777,7 +869,7 @@ def test_reduced_ray2mesh_keeps_max_min_and_pins_solver_counts():
     assert result.total_rays == 20_000
     (net,) = tally.networks
     assert not net.flows and tally.completions > 0
-    assert (net.recomputations, net.solve_rounds, net.fill_visits) == (1146, 747, 59478)
+    assert (net.recomputations, net.solve_rounds, net.fill_visits) == (1146, 261, 17941)
 
 
 def test_fig5_runs_every_flow_solo(monkeypatch):

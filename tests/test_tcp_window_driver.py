@@ -4,6 +4,8 @@
 fast-forwarded: it wakes every RTT while the flow is window-limited (every
 8 RTTs otherwise) on a timeout raced against the flow's completion, and
 runs one window round per wake-up.  It is kept here as the reference.
+Both drivers wait for the fluid solve a start or a cap push leaves pending
+in its tick (``FluidNetwork.settled``) before they test the rate.
 
 The property test runs one randomized workload under each driver: WAN
 transfers contending for the site access links from staggered starts,
@@ -25,11 +27,12 @@ import random
 
 import pytest
 
+from repro.analysis.perturb import perturbation_ranker
 from repro.faults import CrossTraffic, FaultProfile, FaultScenario, LinkFlap
 from repro.net import FluidNetwork
 from repro.net.grid5000 import build_pair_testbed, build_ray2mesh_testbed
 from repro.sim import Environment
-from repro.sim.core import install_trace_sink, remove_trace_sink
+from repro.sim.core import install_trace_sink, remove_trace_sink, tie_ranker
 from repro.sim.sync import any_of
 from repro.tcp import (
     DEFAULT_SYSCTLS,
@@ -43,9 +46,14 @@ from repro.units import KB, MB, Mbps, delay_to_ticks
 
 
 def polling_drive(self, flow, sent_cap):
-    """Reference window driver: one wake-up per RTT (generator)."""
+    """Reference window driver: one wake-up per RTT (generator).  Like the
+    fast-forward driver, it tests the tick's solved rate."""
     env = self.env
     while not flow.done.triggered:
+        while (settled := self.fluid.settled(flow)) is not None:
+            yield settled
+        if flow.done.triggered:
+            break
         window_limited = flow.rate_bps >= 0.98 * sent_cap
         tick = env.timeout(self.rtt if window_limited else 8 * self.rtt)
         yield any_of(env, (flow.done, tick))
@@ -316,6 +324,49 @@ def test_tie_rules_match_polling_oracle(scenario, push_log, monkeypatch):
         patch.setattr(_Direction, "_drive", polling_drive)
         assert run() == fast
     assert push_log == fast_pushes
+
+
+def _same_tick_transfers(seed, push_log):
+    """Two window-limited transfers start on one tick through an uplink a
+    background flow already crosses; returns their sorted cap pushes under
+    ``perturbation_ranker(seed)`` (``None``: FIFO ties)."""
+    ranker = None if seed is None else perturbation_ranker(seed)
+    push_log.clear()
+    with tie_ranker(ranker):
+        env = Environment()
+        net = build_pair_testbed(nodes_per_site=2)
+        fabric = Fabric(env, net, TUNED_SYSCTLS)
+        rennes, nancy = net.clusters["rennes"].nodes, net.clusters["nancy"].nodes
+        conns = [fabric.connect(rennes[i], nancy[i], TcpOptions()) for i in range(2)]
+        first = conns[0].direction(rennes[0])
+        cap = first.window() * 8.0 / first.rtt
+
+        def sender(i):
+            return (yield from conns[i].transmit(rennes[i], 16 * MB))
+
+        # The two starts are the first two queue entries, so every seed
+        # below runs them in the reverse of FIFO order.
+        senders = [env.process(sender(i)) for i in range(2)]
+        # Beside the background flow the uplink fits one initial window's
+        # rate but not two; it recovers once that flow has left.
+        uplink = net.clusters["rennes"].uplink
+        nominal = uplink.capacity_bps
+        fabric.fluid.set_pipe_capacity(uplink, 2.4 * cap)
+        fabric.fluid.start_flow("background", [uplink], 40 * KB)
+        env.call_at(delay_to_ticks(0.2), lambda: fabric.fluid.set_pipe_capacity(uplink, nominal))
+        env.run()
+    assert all(sender.ok for sender in senders)
+    return sorted(push_log)
+
+
+def test_same_tick_starts_push_the_same_caps_in_any_tick_order(push_log):
+    """Each driver tests the tick's solved rate, not the one left by
+    whichever start ran first, so the cap pushes do not depend on the
+    order of the two starts."""
+    fifo = _same_tick_transfers(None, push_log)
+    assert len({name for _, name, _ in fifo}) == 2
+    for seed in (1, 2, 3):
+        assert _same_tick_transfers(seed, push_log) == fifo, f"perturbation seed {seed}"
 
 
 # --- engine cost ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Ablation benchmarks: isolate each design choice the paper credits.
 
 Beyond the paper's figures, these quantify the individual mechanisms:
-GridMPI's collective algorithms, pacing, the threshold tuning, the buffer
-tuning, and the 'future work' hierarchical broadcast.
+GridMPI's collective algorithms, pacing, the threshold tuning and the
+buffer tuning.
 """
 
 import pytest
@@ -36,21 +36,6 @@ def test_van_de_geijn_bcast_ablation(benchmark, fast, report):
     with_vdg, without = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nFT on the grid: Van de Geijn {with_vdg:.2f}s vs binomial {without:.2f}s")
     assert with_vdg < without
-
-
-def test_hierarchical_bcast_extension(benchmark, fast, report):
-    """The paper's §5 'topology-aware' future work: a hierarchical
-    broadcast also beats binomial on the grid."""
-    env = get_environment("fully_tuned")
-    base = env.impl("mpich2")
-    hierarchical = base.with_collective("bcast", "hierarchical")
-
-    def run():
-        return _ft_time(base), _ft_time(hierarchical)
-
-    binomial, hier = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nFT on the grid: binomial {binomial:.2f}s vs hierarchical {hier:.2f}s")
-    assert hier < binomial
 
 
 def test_pacing_ablation(benchmark, fast, report):

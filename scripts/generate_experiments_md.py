@@ -43,8 +43,8 @@ PAPER_SUMMARY = {
     ),
     "coll_hier": (
         "Beyond the paper: §2.1 credits MPICH-G2's topology-aware "
-        "collectives; this experiment generalises the model's bcast "
-        "hierarchy to reduce/allreduce/gather and compares each against "
+        "collectives; this experiment generalises its bcast hierarchy "
+        "to reduce/allreduce/gather and compares each against "
         "MPICH2's flat default on the cyclically-placed 8+8 grid, timing "
         "one call per size and counting WAN crossings."
     ),

@@ -10,18 +10,15 @@ from repro.apps.pingpong import (
     tcp_stream,
 )
 from repro.apps.ray2mesh import Ray2MeshResult, run_ray2mesh
-from repro.apps.simri import SimriResult, run_simri
 
 __all__ = [
     "PingPongCurve",
     "PingPongPoint",
     "Ray2MeshResult",
-    "SimriResult",
     "StreamSample",
     "mpi_pingpong",
     "mpi_stream",
     "run_ray2mesh",
-    "run_simri",
     "tcp_pingpong",
     "tcp_stream",
 ]

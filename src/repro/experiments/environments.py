@@ -24,8 +24,15 @@ from repro.impls.base import MpiImplementation
 from repro.net import build_pair_testbed
 from repro.net.topology import Network, Node
 from repro.tcp.sysctl import DEFAULT_SYSCTLS, SysctlConfig, TUNED_SYSCTLS
-from repro.tuning.advisor import GRID_EAGER_THRESHOLD
-from repro.units import MB
+from repro.units import MB, Size
+
+#: §4.2.1's socket buffer size: the Rennes-Nancy bandwidth-delay product is
+#: 1.45 MB, and the paper rounds up to 4 MB "for compatibility with the rest
+#: of the grid" (every inter-site path's BDP fits)
+GRID_BUFFER_BYTES: Size = Size(4 * MB)
+
+#: Table 5's tuned threshold ("65 MB": above the 64 MB sweep maximum)
+GRID_EAGER_THRESHOLD: Size = Size(65 * MB)
 
 
 @dataclass(frozen=True)
@@ -47,19 +54,19 @@ def default_environment() -> GridEnvironment:
     return GridEnvironment("default", DEFAULT_SYSCTLS, lambda impl: impl)
 
 
-def tcp_tuned_environment(buffer_bytes: int = 4 * MB) -> GridEnvironment:
+def tcp_tuned_environment() -> GridEnvironment:
     return GridEnvironment(
         "tcp_tuned",
         TUNED_SYSCTLS,
-        lambda impl: impl.with_socket_buffers(buffer_bytes),
+        lambda impl: impl.with_socket_buffers(GRID_BUFFER_BYTES),
     )
 
 
-def fully_tuned_environment(buffer_bytes: int = 4 * MB) -> GridEnvironment:
+def fully_tuned_environment() -> GridEnvironment:
     return GridEnvironment(
         "fully_tuned",
         TUNED_SYSCTLS,
-        lambda impl: impl.with_socket_buffers(buffer_bytes).with_eager_threshold(
+        lambda impl: impl.with_socket_buffers(GRID_BUFFER_BYTES).with_eager_threshold(
             GRID_EAGER_THRESHOLD
         ),
     )

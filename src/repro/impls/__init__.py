@@ -10,14 +10,12 @@ modes (§4.3: MPICH-Madeleine times out on BT and SP).
 from repro.impls.base import MpiImplementation
 from repro.impls.registry import (
     ALL_IMPLEMENTATIONS,
-    EXTENDED_IMPLEMENTATIONS,
     IMPLEMENTATION_ORDER,
     get_implementation,
 )
 
 __all__ = [
     "ALL_IMPLEMENTATIONS",
-    "EXTENDED_IMPLEMENTATIONS",
     "IMPLEMENTATION_ORDER",
     "MpiImplementation",
     "get_implementation",

@@ -67,14 +67,6 @@ class MpiImplementation:
     #: the largest eager threshold the implementation supports (OpenMPI's
     #: TCP BTL caps its eager limit at 32 MB — hence Table 5's tuned value)
     max_eager_threshold: float = math.inf
-    #: parallel TCP streams for large inter-site messages (MPICH-G2's
-    #: GridFTP-style striping; 1 = single socket per pair)
-    parallel_streams: int = 1
-    #: stripe messages at or above this size (bytes)
-    stream_threshold: int = 0
-    #: high-speed fabrics driven natively for intra-cluster traffic
-    #: (Table 1's heterogeneity column; empty = TCP everywhere)
-    native_fabrics: frozenset = frozenset()
     #: deterministic WAN degradation applied to every connection this
     #: implementation opens (None = the paper's clean dedicated path)
     fault_profile: Optional[FaultProfile] = None

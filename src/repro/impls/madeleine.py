@@ -29,7 +29,6 @@ MPICH_MADELEINE = MpiImplementation(
     probe_loss_rounds=18,
     collectives={},
     known_failures=frozenset({"bt", "sp"}),
-    native_fabrics=frozenset({"myrinet", "infiniband"}),  # SCI/VIA/Quadrics too
     features=FeatureNotes(
         long_distance="None",
         heterogeneity="Gateways between TCP, SCI, VIA, Myrinet MX/GM, Quadrics",

@@ -26,7 +26,6 @@ OPENMPI = MpiImplementation(
     copy_bandwidth=DEFAULT_COPY_BANDWIDTH,
     buffer_policy=BufferPolicy.fixed(128 * KB, 128 * KB),
     max_eager_threshold=32 * MB,
-    native_fabrics=frozenset({"myrinet", "infiniband"}),
     ss_cap_divisor=2.0,
     probe_loss_rounds=18,
     collectives={},

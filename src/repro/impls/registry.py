@@ -7,8 +7,6 @@ from repro.impls.base import MpiImplementation
 from repro.impls.gridmpi import GRIDMPI
 from repro.impls.madeleine import MPICH_MADELEINE
 from repro.impls.mpich2 import MPICH2
-from repro.impls.mpichg2 import MPICH_G2
-from repro.impls.mpichvmi import MPICH_VMI
 from repro.impls.openmpi import OPENMPI
 
 #: the paper's presentation order (MPICH2 is the reference)
@@ -17,14 +15,6 @@ IMPLEMENTATION_ORDER = ("mpich2", "gridmpi", "madeleine", "openmpi")
 #: the four implementations the paper benchmarks
 ALL_IMPLEMENTATIONS: dict[str, MpiImplementation] = {
     impl.name: impl for impl in (MPICH2, GRIDMPI, MPICH_MADELEINE, OPENMPI)
-}
-
-#: plus the two the paper only describes (§2.1.5-2.1.6) — modelled as
-#: extensions, available to the benchmarks under benchmarks/test_extensions
-EXTENDED_IMPLEMENTATIONS: dict[str, MpiImplementation] = {
-    **ALL_IMPLEMENTATIONS,
-    MPICH_G2.name: MPICH_G2,
-    MPICH_VMI.name: MPICH_VMI,
 }
 
 
@@ -41,15 +31,11 @@ def get_implementation(name: str) -> MpiImplementation:
         "mpichmad": "madeleine",
         "openmpi": "openmpi",
         "ompi": "openmpi",
-        "mpichg2": "mpichg2",
-        "g2": "mpichg2",
-        "mpichvmi": "mpichvmi",
-        "vmi": "mpichvmi",
     }
     resolved = aliases.get(key)
     if resolved is None:
         raise MpiError(
             f"unknown MPI implementation {name!r}; have "
-            f"{sorted(EXTENDED_IMPLEMENTATIONS)}"
+            f"{sorted(ALL_IMPLEMENTATIONS)}"
         )
-    return EXTENDED_IMPLEMENTATIONS[resolved]
+    return ALL_IMPLEMENTATIONS[resolved]

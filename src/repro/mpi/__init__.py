@@ -2,9 +2,10 @@
 
 Semantically this is a (subset of an) MPI implementation written from
 scratch: tag/source matching with wildcards and the non-overtaking rule,
-an eager/rendezvous point-to-point protocol over the TCP model, a suite of
-collective algorithms (binomial, Van de Geijn, recursive doubling,
-Rabenseifner, ring, Bruck, pairwise), and a runtime that places ranks on
+an eager/rendezvous point-to-point protocol over the TCP model, the
+collective algorithms the experiments select (binomial, Van de Geijn,
+recursive doubling, Rabenseifner, ring, pairwise, dissemination and the
+site-hierarchical variants), and a runtime that places ranks on
 nodes and runs SPMD generator programs to completion.
 
 The behavioural differences between MPICH2, GridMPI, MPICH-Madeleine and

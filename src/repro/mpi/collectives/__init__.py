@@ -7,22 +7,22 @@ tree vs Van de Geijn's scatter+ring is what produces GridMPI's FT/IS wins
 in Fig. 10, not a formula.
 
 Registry keys are the strings stored in each implementation's
-``collectives`` table (:mod:`repro.impls`):
+``collectives`` table (:mod:`repro.impls`).  The registry holds what a
+rendered result runs: the engine defaults, the algorithms an
+implementation pins, and the ``hierarchical`` variants the ``coll_hier``
+experiment measures.
 
 ===========  =====================================================
 operation    algorithms
 ===========  =====================================================
-bcast        ``binomial`` | ``linear`` | ``van_de_geijn`` |
-             ``hierarchical`` | ``pipeline``
+bcast        ``binomial`` | ``van_de_geijn``
 reduce       ``binomial`` | ``hierarchical``
 allreduce    ``recursive_doubling`` | ``rabenseifner`` |
-             ``reduce_bcast`` | ``hierarchical``
-allgather    ``ring`` | ``recursive_doubling`` | ``bruck``
-alltoall     ``pairwise`` | ``bruck``
-gather       ``binomial`` | ``linear`` | ``hierarchical``
-scatter      ``binomial`` | ``linear``
-barrier      ``dissemination`` | ``hierarchical``
-scan         ``linear``
+             ``hierarchical``
+allgather    ``ring``
+alltoallv    ``pairwise``
+gather       ``binomial`` | ``hierarchical``
+barrier      ``dissemination``
 ===========  =====================================================
 
 The ``hierarchical`` family (the paper's §5 future work, after
@@ -32,69 +32,30 @@ exchange among the elected leaders, LAN-local distribute.
 """
 
 from repro.errors import MpiError
-from repro.mpi.collectives.allgather import allgather_recursive_doubling, allgather_ring
+from repro.mpi.collectives.allgather import allgather_ring
 from repro.mpi.collectives.allreduce import (
     allreduce_hierarchical,
     allreduce_rabenseifner,
     allreduce_recursive_doubling,
-    allreduce_reduce_bcast,
 )
-from repro.mpi.collectives.alltoall import alltoall_pairwise, alltoallv_pairwise
-from repro.mpi.collectives.barrier import barrier_dissemination, barrier_hierarchical
-from repro.mpi.collectives.bcast import (
-    bcast_binomial,
-    bcast_hierarchical,
-    bcast_linear,
-    bcast_van_de_geijn,
-)
-from repro.mpi.collectives.bruck import allgather_bruck, alltoall_bruck
-from repro.mpi.collectives.pipeline import bcast_pipeline, scan_linear
-from repro.mpi.collectives.gather_scatter import (
-    gather_binomial,
-    gather_hierarchical,
-    gather_linear,
-    gatherv_linear,
-    scatter_binomial,
-    scatter_linear,
-    scatterv_linear,
-)
+from repro.mpi.collectives.alltoall import alltoallv_pairwise
+from repro.mpi.collectives.barrier import barrier_dissemination
+from repro.mpi.collectives.bcast import bcast_binomial, bcast_van_de_geijn
+from repro.mpi.collectives.gather import gather_binomial, gather_hierarchical
 from repro.mpi.collectives.reduce import reduce_binomial, reduce_hierarchical
 
 ALGORITHMS = {
-    "bcast": {
-        "binomial": bcast_binomial,
-        "linear": bcast_linear,
-        "van_de_geijn": bcast_van_de_geijn,
-        "hierarchical": bcast_hierarchical,
-        "pipeline": bcast_pipeline,
-    },
+    "bcast": {"binomial": bcast_binomial, "van_de_geijn": bcast_van_de_geijn},
     "reduce": {"binomial": reduce_binomial, "hierarchical": reduce_hierarchical},
     "allreduce": {
         "recursive_doubling": allreduce_recursive_doubling,
         "rabenseifner": allreduce_rabenseifner,
-        "reduce_bcast": allreduce_reduce_bcast,
         "hierarchical": allreduce_hierarchical,
     },
-    "allgather": {
-        "ring": allgather_ring,
-        "recursive_doubling": allgather_recursive_doubling,
-        "bruck": allgather_bruck,
-    },
-    "alltoall": {"pairwise": alltoall_pairwise, "bruck": alltoall_bruck},
+    "allgather": {"ring": allgather_ring},
     "alltoallv": {"pairwise": alltoallv_pairwise},
-    "scan": {"linear": scan_linear},
-    "gather": {
-        "binomial": gather_binomial,
-        "linear": gather_linear,
-        "hierarchical": gather_hierarchical,
-    },
-    "gatherv": {"linear": gatherv_linear},
-    "scatter": {"binomial": scatter_binomial, "linear": scatter_linear},
-    "scatterv": {"linear": scatterv_linear},
-    "barrier": {
-        "dissemination": barrier_dissemination,
-        "hierarchical": barrier_hierarchical,
-    },
+    "gather": {"binomial": gather_binomial, "hierarchical": gather_hierarchical},
+    "barrier": {"dissemination": barrier_dissemination},
 }
 
 #: algorithm used when an implementation does not pin one
@@ -103,14 +64,9 @@ DEFAULTS = {
     "reduce": "binomial",
     "allreduce": "recursive_doubling",
     "allgather": "ring",
-    "alltoall": "pairwise",
     "alltoallv": "pairwise",
     "gather": "binomial",
-    "gatherv": "linear",
-    "scatter": "binomial",
-    "scatterv": "linear",
     "barrier": "dissemination",
-    "scan": "linear",
 }
 
 

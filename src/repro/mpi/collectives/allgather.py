@@ -1,11 +1,7 @@
-"""Allgather algorithms (each rank contributes one block, all get all).
+"""Allgather (each rank contributes one block, all get all): the ring.
 
-``ring``
-    P-1 pipelined neighbour exchanges; bandwidth-optimal, the block
-    crosses each WAN cut only once per position.
-``recursive_doubling``
-    log2(P) rounds with doubling block sizes (power-of-two only; falls
-    back to ring otherwise).
+P-1 pipelined neighbour exchanges; bandwidth-optimal, the block crosses
+each WAN cut only once per position.
 """
 
 from __future__ import annotations
@@ -29,30 +25,3 @@ def allgather_ring(comm, tag: int, nbytes_each: int, payload: Any):
         yield from send_req.wait()
     return blocks
 
-
-def allgather_recursive_doubling(comm, tag: int, nbytes_each: int, payload: Any):
-    size, rank = comm.size, comm.rank
-    if size & (size - 1):
-        blocks = yield from allgather_ring(comm, tag, nbytes_each, payload)
-        return blocks
-    blocks: list[Any] = [None] * size
-    blocks[rank] = payload
-    mask = 1
-    while mask < size:
-        partner = rank ^ mask
-        base = (rank // (mask * 2)) * (mask * 2)
-        if rank & mask:
-            mine = range(base + mask, base + 2 * mask)
-            theirs = range(base, base + mask)
-        else:
-            mine = range(base, base + mask)
-            theirs = range(base + mask, base + 2 * mask)
-        send_req = comm._cisend(
-            partner, nbytes_each * mask, [blocks[i] for i in mine], tag
-        )
-        received, _ = yield from comm._crecv(partner, tag)
-        yield from send_req.wait()
-        for i, block in zip(theirs, received):
-            blocks[i] = block
-        mask <<= 1
-    return blocks

@@ -15,8 +15,6 @@
     back to recursive doubling for small vectors, non-power-of-two rank
     counts, and opaque payloads (where the semantically required vector
     split is impossible).
-``reduce_bcast``
-    naive composition, kept as an ablation baseline.
 ``hierarchical``
     topology-aware (§5 future work): LAN-local combine to each site
     leader, one symmetric WAN exchange among the leaders (every leader
@@ -33,14 +31,13 @@ from typing import Any
 import numpy as np
 
 from repro.obs import runtime as _obs
-from repro.mpi.collectives.bcast import SEGMENT_SWITCH_BYTES, bcast_binomial
+from repro.mpi.collectives.bcast import SEGMENT_SWITCH_BYTES
 from repro.mpi.collectives.hierarchy import (
     hier_span,
     local_bcast,
     local_reduce,
     site_layout,
 )
-from repro.mpi.collectives.reduce import reduce_binomial
 from repro.mpi.collectives.segutil import chunk_sizes, is_array
 
 
@@ -184,12 +181,6 @@ def allreduce_rabenseifner(comm, tag: int, nbytes: int, payload: Any, op):
     return np.concatenate(
         [np.asarray(segments[i]).reshape(-1) for i in range(size)]
     ).reshape(shape)
-
-
-def allreduce_reduce_bcast(comm, tag: int, nbytes: int, payload: Any, op):
-    result = yield from reduce_binomial(comm, tag, 0, nbytes, payload, op)
-    result = yield from bcast_binomial(comm, tag, 0, nbytes, result)
-    return result
 
 
 def allreduce_hierarchical(comm, tag: int, nbytes: int, payload: Any, op):

@@ -1,4 +1,5 @@
-"""All-to-all exchange: pairwise algorithm (P-1 balanced rounds).
+"""All-to-all exchange with per-destination sizes (``alltoallv``): the
+pairwise algorithm, P-1 balanced rounds.
 
 Each round r exchanges with partner ``rank XOR r`` (power-of-two P) or the
 rotation partner otherwise, keeping every NIC busy with exactly one send
@@ -20,20 +21,6 @@ def _partners(size: int, rank: int):
     else:  # rotation: send to rank+r, receive from rank-r
         for r in range(1, size):
             yield (rank + r) % size, (rank - r) % size
-
-
-def alltoall_pairwise(comm, tag: int, nbytes_each: int, payloads: Optional[Sequence]):
-    size, rank = comm.size, comm.rank
-    if payloads is not None and len(payloads) != size:
-        raise MpiError(f"alltoall needs {size} payloads, got {len(payloads)}")
-    result: list[Any] = [None] * size
-    result[rank] = payloads[rank] if payloads is not None else None
-    for dst, src in _partners(size, rank):
-        item = payloads[dst] if payloads is not None else None
-        send_req = comm._cisend(dst, nbytes_each, item, tag)
-        result[src], _ = yield from comm._crecv(src, tag)
-        yield from send_req.wait()
-    return result
 
 
 def alltoallv_pairwise(

@@ -1,23 +1,8 @@
-"""Barrier algorithms.
+"""Barrier: the dissemination algorithm.
 
-``dissemination``
-    ceil(log2 P) rounds of 1-byte notifications; on a grid split every
-    round sends across the WAN.
-``hierarchical``
-    topology-aware (§5 future work): local arrival gather to each site
-    leader, one WAN round trip per non-coordinator site, local release
-    broadcast — ``2(S-1)`` WAN notifications instead of one per rank
-    per dissemination round.
+ceil(log2 P) rounds of 1-byte notifications; on a grid split every round
+sends across the WAN.
 """
-
-from __future__ import annotations
-
-from repro.mpi.collectives.hierarchy import (
-    hier_span,
-    local_bcast,
-    local_gather,
-    site_layout,
-)
 
 
 def barrier_dissemination(comm, tag: int):
@@ -33,43 +18,3 @@ def barrier_dissemination(comm, tag: int):
         yield from send_req.wait()
         step <<= 1
 
-
-def barrier_hierarchical(comm, tag: int):
-    """LAN arrival gather -> WAN leader round trip -> LAN release."""
-    if comm.size == 1:
-        return
-    layout = site_layout(comm, 0)
-    if layout.single_site:
-        yield from barrier_dissemination(comm, tag)
-        return
-    rank = comm.rank
-    coordinator = layout.leaders[0]
-
-    # Phase 1 (LAN): every rank signals arrival up to its site leader.
-    t_lan = comm.env.now
-    yield from local_gather(comm, tag, layout, 1, None)
-    if len(layout.local) > 1:
-        hier_span(comm, "barrier", "lan", t_lan, 1, layout)
-
-    # Phase 2 (WAN): leaders check in with the coordinator and wait for
-    # the release — everyone has arrived once the coordinator has heard
-    # from every site.
-    if layout.is_leader:
-        t_wan = comm.env.now
-        if rank == coordinator:
-            for leader in layout.leaders:
-                if leader != coordinator:
-                    yield from comm._crecv(leader, tag)
-            for leader in layout.leaders:
-                if leader != coordinator:
-                    yield from comm._csend(leader, 1, None, tag)
-        else:
-            yield from comm._csend(coordinator, 1, None, tag)
-            yield from comm._crecv(coordinator, tag)
-        hier_span(comm, "barrier", "wan", t_wan, 1, layout)
-
-    # Phase 3 (LAN): leaders release their site.
-    t_out = comm.env.now
-    yield from local_bcast(comm, tag, layout, 1, None)
-    if len(layout.local) > 1:
-        hier_span(comm, "barrier", "lan", t_out, 1, layout)

@@ -4,18 +4,12 @@
     log2(P) rounds; each tree edge moves the full message.  On a grid
     split, several edges cross the WAN with the whole payload — the
     default that GridMPI improves on.
-``linear``
-    root sends to every rank in turn (baseline; serialises at the root
-    NIC).
 ``van_de_geijn``
     scatter + ring allgather (GridMPI's large-message broadcast,
     after Matsuda et al. Cluster'06): every WAN crossing carries only a
     1/P segment, and the ring pipelines them.  Below
     ``SEGMENT_SWITCH_BYTES`` it falls back to binomial, as real
     implementations do.
-``hierarchical``
-    topology-aware (the paper's §5 future work): one leader per site
-    receives over the WAN, then broadcasts locally with a binomial tree.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.obs import runtime as _obs
-from repro.mpi.collectives.hierarchy import hier_span, local_bcast, site_layout
 from repro.mpi.collectives.segutil import (
     chunk_sizes,
     is_array,
@@ -52,16 +45,6 @@ def bcast_binomial(comm, tag: int, root: int, nbytes: int, payload: Any):
             dst = (vrank + mask + root) % size
             yield from comm._csend(dst, nbytes, payload, tag)
         mask >>= 1
-    return payload
-
-
-def bcast_linear(comm, tag: int, root: int, nbytes: int, payload: Any):
-    if comm.rank == root:
-        for dst in range(comm.size):
-            if dst != root:
-                yield from comm._csend(dst, nbytes, payload, tag)
-        return payload
-    payload, _ = yield from comm._crecv(root, tag)
     return payload
 
 
@@ -155,26 +138,3 @@ def bcast_van_de_geijn(comm, tag: int, root: int, nbytes: int, payload: Any):
         return join_array(segments, shape if shape is not None else (-1,))
     return segments[0]
 
-
-def bcast_hierarchical(comm, tag: int, root: int, nbytes: int, payload: Any):
-    """Topology-aware: WAN once per site, then local binomial trees."""
-    layout = site_layout(comm, root)
-    rank = comm.rank
-
-    # Phase 1: root -> other leaders (WAN, leader-election order).
-    t_wan = comm.env.now
-    if rank == root:
-        for leader in layout.leaders:
-            if leader != root:
-                yield from comm._csend(leader, nbytes, payload, tag)
-    elif layout.is_leader:
-        payload, _ = yield from comm._crecv(root, tag)
-    if layout.is_leader:
-        hier_span(comm, "bcast", "wan", t_wan, nbytes, layout)
-
-    # Phase 2: leader -> local ranks (binomial within the cluster).
-    t_lan = comm.env.now
-    if len(layout.local) > 1:
-        payload = yield from local_bcast(comm, tag, layout, nbytes, payload)
-        hier_span(comm, "bcast", "lan", t_lan, nbytes, layout)
-    return payload

@@ -228,58 +228,10 @@ class Communicator:
         )
         return result
 
-    def gatherv(self, payload: Any = None, nbytes: int = 0, root: int = 0):
-        self._check_rank(root, "root")
-        self._job.trace.record_collective("gatherv")
-        tag = self._next_coll_tag()
-        result = yield from self._algorithm("gatherv")(self, tag, root, nbytes, payload)
-        return result
-
-    def scatter(
-        self,
-        payloads: Optional[Sequence] = None,
-        nbytes_each: int = 0,
-        root: int = 0,
-    ):
-        self._check_rank(root, "root")
-        self._job.trace.record_collective("scatter")
-        tag = self._next_coll_tag()
-        result = yield from self._algorithm("scatter")(
-            self, tag, root, nbytes_each, payloads
-        )
-        return result
-
-    def scatterv(
-        self,
-        nbytes_list: Optional[Sequence[int]] = None,
-        payloads: Optional[Sequence] = None,
-        root: int = 0,
-    ):
-        self._check_rank(root, "root")
-        self._job.trace.record_collective("scatterv")
-        tag = self._next_coll_tag()
-        result = yield from self._algorithm("scatterv")(
-            self, tag, root, nbytes_list, payloads
-        )
-        return result
-
-    def scan(self, payload: Any = None, nbytes: int = 0, op: ReduceOp = SUM):
-        """Inclusive prefix reduction (``MPI_Scan``)."""
-        self._job.trace.record_collective("scan")
-        tag = self._next_coll_tag()
-        result = yield from self._algorithm("scan")(self, tag, nbytes, payload, op)
-        return result
-
     def allgather(self, payload: Any = None, nbytes_each: int = 0):
         self._job.trace.record_collective("allgather")
         tag = self._next_coll_tag()
         result = yield from self._algorithm("allgather")(self, tag, nbytes_each, payload)
-        return result
-
-    def alltoall(self, payloads: Optional[Sequence] = None, nbytes_each: int = 0):
-        self._job.trace.record_collective("alltoall")
-        tag = self._next_coll_tag()
-        result = yield from self._algorithm("alltoall")(self, tag, nbytes_each, payloads)
         return result
 
     def alltoallv(

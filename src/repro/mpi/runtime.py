@@ -116,14 +116,7 @@ class MpiJob:
             for cluster, config in sysctls.items():
                 self.fabric.set_sysctls(config, cluster=cluster)
 
-        self.transport = Transport(
-            self.fabric,
-            self.placement,
-            impl.tcp_options(),
-            parallel_streams=getattr(impl, "parallel_streams", 1),
-            stream_threshold=getattr(impl, "stream_threshold", 0),
-            native_fabrics=getattr(impl, "native_fabrics", frozenset()),
-        )
+        self.transport = Transport(self.fabric, self.placement, impl.tcp_options())
         self.mailboxes = [
             Mailbox(self.env, r, impl.copy_bandwidth) for r in range(self.nprocs)
         ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import NetworkConfigError
 from repro.net.fluid import Pipe
@@ -39,8 +38,7 @@ class Route:
 
 
 class Node:
-    """A compute host: CPU speed plus a full-duplex NIC (and, on clusters
-    with a high-speed fabric, a second pair of fabric ports)."""
+    """A compute host: CPU speed plus a full-duplex NIC."""
 
     def __init__(
         self,
@@ -59,13 +57,6 @@ class Node:
         self.gflops = float(gflops)
         self.nic_tx = Pipe(f"{name}.tx", nic_bps)
         self.nic_rx = Pipe(f"{name}.rx", nic_bps)
-        #: high-speed fabric ports (Myrinet/Infiniband), present when the
-        #: cluster declares one (paper §5: heterogeneity future work)
-        self.fabric_tx: Optional[Pipe] = None
-        self.fabric_rx: Optional[Pipe] = None
-        if cluster.fabric != "ethernet":
-            self.fabric_tx = Pipe(f"{name}.{cluster.fabric}.tx", cluster.fabric_bps)
-            self.fabric_rx = Pipe(f"{name}.{cluster.fabric}.rx", cluster.fabric_bps)
 
     @property
     def flops(self) -> float:
@@ -80,25 +71,14 @@ class Node:
 
 
 class Cluster:
-    """A site: a set of nodes behind a non-blocking switch + WAN access.
-
-    ``fabric`` may name a high-speed interconnect ("myrinet",
-    "infiniband") available *in addition* to Ethernet; implementations
-    that support it natively (MPICH-Madeleine, OpenMPI) then use it for
-    intra-cluster traffic.
-    """
+    """A site: a set of nodes behind a non-blocking switch + WAN access."""
 
     def __init__(
         self,
         name: str,
         wan_access_bps: float = Gbps(1),
         intra_rtt: float = usec(41),
-        fabric: str = "ethernet",
-        fabric_bps: float = Gbps(2),
-        fabric_rtt: float = usec(16),
     ):
-        if fabric not in ("ethernet", "myrinet", "infiniband"):
-            raise NetworkConfigError(f"unknown fabric {fabric!r}")
         self.name = name
         self.nodes: list[Node] = []
         self.uplink = Pipe(f"{name}.uplink", wan_access_bps)
@@ -106,11 +86,6 @@ class Cluster:
         #: round-trip time between two nodes of this cluster (the paper
         #: measures 41 us for raw TCP on GbE).
         self.intra_rtt = float(intra_rtt)
-        self.fabric = fabric
-        self.fabric_bps = float(fabric_bps)
-        #: wire round-trip of the high-speed fabric (Myrinet 2000: a few us
-        #: of MPI latency)
-        self.fabric_rtt = float(fabric_rtt)
 
     def add_nodes(
         self, count: int, nic_bps: float = Gbps(1), gflops: float = 1.0
@@ -142,13 +117,10 @@ class Network:
         name: str,
         wan_access_bps: float = Gbps(1),
         intra_rtt: float = usec(41),
-        **cluster_kwargs,
     ) -> Cluster:
         if name in self.clusters:
             raise NetworkConfigError(f"duplicate cluster {name!r}")
-        cluster = Cluster(
-            name, wan_access_bps=wan_access_bps, intra_rtt=intra_rtt, **cluster_kwargs
-        )
+        cluster = Cluster(name, wan_access_bps=wan_access_bps, intra_rtt=intra_rtt)
         self.clusters[name] = cluster
         return cluster
 

@@ -1,48 +1,10 @@
-"""The paper's tuning methodology (§4.2) as a reusable API.
+"""The paper's tuning methodology (§4.2): :mod:`repro.tuning.sweep`
+measures ideal eager/rendezvous thresholds empirically (Table 5).
 
-:mod:`repro.tuning.advisor` computes bandwidth-delay products, derives the
-sysctl and per-implementation settings the paper arrives at, and renders
-them as the concrete commands/file edits of §4.2.1-4.2.2.
-:mod:`repro.tuning.sweep` measures ideal eager/rendezvous thresholds
-empirically (Table 5).
-:mod:`repro.tuning.measure` closes the loop: per-link RTT/bandwidth
-probes that feed the advisor with measurements instead of declared
-topology constants.
+The tuned values themselves (4 MB socket buffers, a 65 MB eager
+threshold) are the constants of :mod:`repro.experiments.environments`.
 """
 
-from repro.tuning.advisor import (
-    GRID_BUFFER_BYTES,
-    GRID_EAGER_THRESHOLD,
-    TuningRecipe,
-    advise_buffer_bytes,
-    bdp_bytes,
-    render_recipe,
-    tune_for_grid,
-)
-from repro.tuning.measure import (
-    LinkProbe,
-    advise_eager_threshold,
-    measured_buffer_bytes,
-    probe_link,
-    probe_network,
-    worst_inter_site_pair,
-)
 from repro.tuning.sweep import measure_ideal_threshold, threshold_sweep
 
-__all__ = [
-    "GRID_BUFFER_BYTES",
-    "GRID_EAGER_THRESHOLD",
-    "LinkProbe",
-    "TuningRecipe",
-    "advise_buffer_bytes",
-    "advise_eager_threshold",
-    "bdp_bytes",
-    "measure_ideal_threshold",
-    "measured_buffer_bytes",
-    "probe_link",
-    "probe_network",
-    "render_recipe",
-    "threshold_sweep",
-    "tune_for_grid",
-    "worst_inter_site_pair",
-]
+__all__ = ["measure_ideal_threshold", "threshold_sweep"]

@@ -1,50 +1,19 @@
-"""Tests for the §5 heterogeneity extension: high-speed fabrics for
-intra-cluster traffic, TCP for the WAN."""
+"""Heterogeneity (§2.1.7, §5): every modelled implementation talks TCP,
+inside a cluster and across the WAN alike."""
 
 import pytest
 
-from repro.errors import NetworkConfigError
 from repro.impls import get_implementation
 from repro.mpi import MpiJob
-from repro.mpi.transport import FabricLink
-from repro.net import Network
+from repro.net import build_pair_testbed
 from repro.tcp import TUNED_SYSCTLS
-from repro.units import Gbps, MB, msec, to_usec, usec
+from repro.units import to_usec
 
 
-def myrinet_testbed():
-    """Two clusters: Rennes-like with Myrinet, Nancy-like Ethernet-only."""
-    net = Network("hetero")
-    myri = net.add_cluster(
-        "rennes", intra_rtt=usec(58), fabric="myrinet",
-        fabric_bps=Gbps(2), fabric_rtt=usec(16),
-    )
-    myri.add_nodes(4, gflops=1.1)
-    net.add_cluster("nancy", intra_rtt=usec(58)).add_nodes(4, gflops=1.0)
-    net.set_rtt("rennes", "nancy", msec(11.6))
-    return net
-
-
-def test_fabric_declared_on_nodes():
-    net = myrinet_testbed()
-    rennes_node = net.clusters["rennes"].nodes[0]
-    nancy_node = net.clusters["nancy"].nodes[0]
-    assert rennes_node.fabric_tx is not None
-    assert rennes_node.fabric_tx.capacity_bps == Gbps(2)
-    assert nancy_node.fabric_tx is None
-
-
-def test_unknown_fabric_rejected():
-    net = Network()
-    with pytest.raises(NetworkConfigError):
-        net.add_cluster("x", fabric="carrier-pigeon")
-
-
-def test_native_impl_uses_fabric_locally():
-    """Madeleine on a Myrinet cluster: ~11 us one-way latency instead of 62."""
-    net = myrinet_testbed()
-    impl = get_implementation("madeleine")
-    job = MpiJob(net, impl, net.clusters["rennes"].nodes[:2], sysctls=TUNED_SYSCTLS)
+def one_byte_latency(impl_name, placement_of):
+    net = build_pair_testbed(nodes_per_site=2)
+    job = MpiJob(net, get_implementation(impl_name), placement_of(net),
+                 sysctls=TUNED_SYSCTLS)
 
     def program(ctx):
         if ctx.rank == 0:
@@ -53,94 +22,21 @@ def test_native_impl_uses_fabric_locally():
             yield from ctx.comm.recv(0)
             return ctx.wtime()
 
-    latency = to_usec(job.run(program).returns[1])
-    # fabric one-way (8 us wire + 3 us host) + Madeleine's 21 us overhead
-    assert latency == pytest.approx(32, abs=3)
-    assert latency < 45  # clearly below the TCP path (41 + overhead)
-
-
-def test_tcp_only_impl_ignores_fabric():
-    """GridMPI (no low-latency network support, Table 1) stays on TCP."""
-    net = myrinet_testbed()
-    impl = get_implementation("gridmpi")
-    job = MpiJob(net, impl, net.clusters["rennes"].nodes[:2], sysctls=TUNED_SYSCTLS)
-
-    def program(ctx):
-        if ctx.rank == 0:
-            yield from ctx.comm.send(1, nbytes=1)
-        else:
-            yield from ctx.comm.recv(0)
-            return ctx.wtime()
-
-    latency = to_usec(job.run(program).returns[1])
-    assert latency == pytest.approx(46, abs=2)  # the Table 4 TCP figure
-
-
-def test_fabric_bandwidth_2gbps():
-    net = myrinet_testbed()
-    impl = get_implementation("madeleine").with_eager_threshold(65 * MB)
-    job = MpiJob(net, impl, net.clusters["rennes"].nodes[:2], sysctls=TUNED_SYSCTLS)
-
-    def program(ctx):
-        if ctx.rank == 0:
-            t0 = ctx.wtime()
-            yield from ctx.comm.send(1, nbytes=16 * MB)
-            yield from ctx.comm.recv(1)
-            return 16 * MB * 8 / ((ctx.wtime() - t0) / 2) / 1e6
-        yield from ctx.comm.recv(0)
-        yield from ctx.comm.send(0, nbytes=16 * MB)
-
-    bandwidth = job.run(program).returns[0]
-    assert 1500 <= bandwidth <= 2000  # beyond anything GbE TCP can do
+    return to_usec(job.run(program).returns[1])
 
 
 def test_inter_site_still_tcp():
     """Across the WAN even Madeleine falls back to TCP (the paper's
     §2.1.2: Madeleine uses TCP for long distance)."""
-    net = myrinet_testbed()
-    impl = get_implementation("madeleine")
-    placement = [net.clusters["rennes"].nodes[0], net.clusters["nancy"].nodes[0]]
-    job = MpiJob(net, impl, placement, sysctls=TUNED_SYSCTLS)
-
-    def program(ctx):
-        if ctx.rank == 0:
-            yield from ctx.comm.send(1, nbytes=1)
-        else:
-            yield from ctx.comm.recv(0)
-            return ctx.wtime()
-
-    latency = to_usec(job.run(program).returns[1])
+    latency = one_byte_latency(
+        "madeleine",
+        lambda net: [net.clusters["rennes"].nodes[0], net.clusters["nancy"].nodes[0]],
+    )
     assert latency == pytest.approx(5826, abs=3)  # Table 4's grid value
 
 
-def test_fabric_speeds_up_local_collectives():
-    """An allreduce within the Myrinet cluster: native beats TCP-only."""
-    net = myrinet_testbed()
-    placement = net.clusters["rennes"].nodes[:4]
-
-    def duration(impl_name):
-        impl = get_implementation(impl_name).with_eager_threshold(65 * MB)
-        job = MpiJob(net, impl, placement, sysctls=TUNED_SYSCTLS)
-
-        def program(ctx):
-            t0 = ctx.wtime()
-            yield from ctx.comm.allreduce(None, nbytes=4 * MB)
-            return ctx.wtime() - t0
-
-        return max(job.run(program).returns)
-
-    madeleine = duration("madeleine")
-    gridmpi = duration("gridmpi")
-    assert madeleine < gridmpi
-
-
-def test_fabric_link_requires_ports():
-    net = myrinet_testbed()
-    nancy_nodes = net.clusters["nancy"].nodes
-    from repro.errors import MpiError
-    from repro.net.fluid import FluidNetwork
-    from repro.sim import Environment
-
-    fluid = FluidNetwork(Environment())
-    with pytest.raises(MpiError):
-        FabricLink(fluid, nancy_nodes[0], nancy_nodes[1])
+def test_tcp_only_impl_ignores_fabric():
+    """GridMPI (no low-latency network support, Table 1) stays on TCP
+    inside a cluster."""
+    latency = one_byte_latency("gridmpi", lambda net: net.clusters["rennes"].nodes[:2])
+    assert latency == pytest.approx(46, abs=2)  # the Table 4 TCP figure

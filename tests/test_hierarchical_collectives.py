@@ -18,7 +18,7 @@ from repro.net import build_pair_testbed
 from repro.tcp import TUNED_SYSCTLS
 from tests.conftest import make_cluster_job, make_grid_job
 
-HIER_OPS = ("reduce", "allreduce", "gather", "barrier", "bcast")
+HIER_OPS = ("reduce", "allreduce", "gather")
 
 
 def make_interleaved_job(nprocs=8, impl=None, **kwargs):
@@ -126,12 +126,8 @@ def test_single_site_degrades_to_flat_default(op):
             yield from ctx.comm.reduce(data, nbytes=data.nbytes, op=SUM)
         elif op == "allreduce":
             yield from ctx.comm.allreduce(data, nbytes=data.nbytes, op=SUM)
-        elif op == "gather":
-            yield from ctx.comm.gather(data, nbytes_each=data.nbytes)
-        elif op == "bcast":
-            yield from ctx.comm.bcast(data, nbytes=data.nbytes)
         else:
-            yield from ctx.comm.barrier()
+            yield from ctx.comm.gather(data, nbytes_each=data.nbytes)
 
     def run(algo_name):
         impl = get_implementation("mpich2")
@@ -206,21 +202,6 @@ def test_gather_hierarchical_matches_flat_bytes(job_maker, root):
     hier = run("hierarchical")
     assert hier[root] == flat[root]
     assert hier[root] == [[r, "payload", r**2] for r in range(8)]
-
-
-@pytest.mark.parametrize("nprocs", [2, 5, 8])
-def test_barrier_hierarchical_releases_everyone(nprocs):
-    def program(ctx):
-        yield from ctx.comm.barrier()
-        return ctx.wtime()
-
-    impl = get_implementation("mpich2").with_collective("barrier", "hierarchical")
-    job = make_interleaved_job(nprocs=nprocs, impl=impl) if nprocs % 2 == 0 else (
-        make_lopsided_job(nprocs=nprocs, impl=impl)
-    )
-    result = job.run(program)
-    assert result.timed_out is False
-    assert len(result.returns) == nprocs
 
 
 # --- WAN-crossing contract ---------------------------------------------------------

@@ -21,8 +21,9 @@ def test_lookup_aliases():
     assert get_implementation("mpich-madeleine").name == "madeleine"
     assert get_implementation("MPICH-Mad").name == "madeleine"
     assert get_implementation("Open MPI").name == "openmpi"
-    with pytest.raises(MpiError):
-        get_implementation("lam/mpi")
+    for unknown in ("lam/mpi", "mpich-g2", "mpich-vmi"):  # Table 1 rows only
+        with pytest.raises(MpiError):
+            get_implementation(unknown)
 
 
 def test_table4_overheads():

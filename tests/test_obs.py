@@ -453,3 +453,22 @@ def test_profile_renders_a_hotspot_table():
     text = profile_report("table1", fast=True, top=5).text
     assert "table1" in text
     assert "cumulative" in text
+
+
+def test_trace_schema_catalog_lists_exactly_the_registered_collectives():
+    """``scripts/validate_trace.py --schema`` accepts a ``coll.<op>`` span
+    for every registered collective operation and for no other, and its
+    ``coll.<op>.hier.*`` phases for exactly the ops with a hierarchical
+    variant."""
+    import importlib.util
+    import pathlib
+
+    from repro.mpi.collectives import ALGORITHMS
+
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "validate_trace.py"
+    spec = importlib.util.spec_from_file_location("validate_trace", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert set(module._COLL_OPS.split("|")) == set(ALGORITHMS)
+    hierarchical = {op for op, table in ALGORITHMS.items() if "hierarchical" in table}
+    assert set(module._HIER_OPS.split("|")) == hierarchical

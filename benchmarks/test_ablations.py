@@ -5,14 +5,12 @@ GridMPI's collective algorithms, pacing, the threshold tuning and the
 buffer tuning.
 """
 
-import pytest
-
 from repro.apps.pingpong import mpi_pingpong, mpi_stream
 from repro.experiments.environments import get_environment, grid_placement, pingpong_pair
 from repro.impls import get_implementation
 from repro.npb import run_npb
 from repro.tcp import TUNED_MAX_ONLY_SYSCTLS, TUNED_SYSCTLS
-from repro.units import KB, MB
+from repro.units import MB
 
 
 def _ft_time(impl, cls="A"):

@@ -13,7 +13,6 @@ pre-flight check for that migration.
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, Iterator
 
 from repro.analysis.dataflow import DimFinding, DimInterpreter

@@ -17,7 +17,6 @@ from repro.errors import MpiError
 from repro.faults.profile import FaultProfile
 from repro.tcp.buffers import BufferPolicy
 from repro.tcp.connection import TcpOptions
-from repro.units import usec
 
 
 @dataclass(frozen=True)

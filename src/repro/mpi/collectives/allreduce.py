@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.obs import runtime as _obs
 from repro.mpi.collectives.bcast import SEGMENT_SWITCH_BYTES
 from repro.mpi.collectives.hierarchy import (
@@ -38,7 +36,7 @@ from repro.mpi.collectives.hierarchy import (
     local_reduce,
     site_layout,
 )
-from repro.mpi.collectives.segutil import chunk_sizes, is_array
+from repro.mpi.collectives.segutil import chunk_sizes, is_array, join_array
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -108,6 +106,8 @@ def allreduce_rabenseifner(comm, tag: int, nbytes: int, payload: Any, op):
     if payload is None:
         segments: dict[int, object] = {i: None for i in range(size)}
     else:
+        import numpy as np
+
         flat = np.asarray(payload).reshape(-1)
         bounds = np.array_split(np.arange(flat.size), size)
         segments = {i: flat[idx] for i, idx in enumerate(bounds)}
@@ -178,9 +178,7 @@ def allreduce_rabenseifner(comm, tag: int, nbytes: int, payload: Any, op):
 
     if payload is None:
         return None
-    return np.concatenate(
-        [np.asarray(segments[i]).reshape(-1) for i in range(size)]
-    ).reshape(shape)
+    return join_array([segments[i] for i in range(size)], shape)
 
 
 def allreduce_hierarchical(comm, tag: int, nbytes: int, payload: Any, op):

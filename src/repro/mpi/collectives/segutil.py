@@ -8,15 +8,21 @@ Three payload regimes flow through the collectives:
 * anything else (opaque) — carried whole; segment-based algorithms either
   carry the whole object per segment (broadcast-like, harmless) or refuse
   (reduction-scatter, where splitting is semantically required).
+
+A payload can only be an array once numpy is loaded, so :func:`is_array`
+reads ``sys.modules`` instead of importing it, and the other two regimes run
+without numpy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import MpiError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def chunk_sizes(nbytes: int, parts: int) -> list[int]:
@@ -31,17 +37,22 @@ def split_array(arr: Optional[np.ndarray], parts: int) -> Optional[list]:
     """Split an array into ``parts`` balanced 1-D segments (None-safe)."""
     if arr is None:
         return None
+    import numpy as np
+
     flat = np.asarray(arr).reshape(-1)
     return np.array_split(flat, parts)
 
 
 def join_array(segments: list, shape) -> np.ndarray:
     """Reassemble segments produced by :func:`split_array`."""
+    import numpy as np
+
     return np.concatenate([np.asarray(s).reshape(-1) for s in segments]).reshape(shape)
 
 
 def is_array(payload: Any) -> bool:
-    return isinstance(payload, np.ndarray)
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(payload, np.ndarray)
 
 
 def payload_shape(payload: Any):

@@ -2,14 +2,14 @@
 
 Reduction operations work on ``None`` (size-only timing runs), scalars and
 numpy arrays alike, so the same collective code drives both the timing
-skeletons and the numerical verification kernels.
+skeletons and the numerical verification kernels.  An operand can only be an
+array once numpy is loaded, so the scalar path never imports it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
-
-import numpy as np
+import sys
+from typing import Any, Callable
 
 #: wildcard source for receives
 ANY_SOURCE = -1
@@ -39,20 +39,23 @@ class ReduceOp:
         return f"ReduceOp({self.name})"
 
 
-def _pairwise(np_fn, py_fn):
+def _pairwise(ufunc: str, py_fn):
+    """``numpy.<ufunc>`` when either operand is an array, else ``py_fn``."""
+
     def fn(a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return np_fn(a, b)
+        np = sys.modules.get("numpy")
+        if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return getattr(np, ufunc)(a, b)
         return py_fn(a, b)
 
     return fn
 
 
-SUM = ReduceOp("sum", _pairwise(np.add, lambda a, b: a + b))
-PROD = ReduceOp("prod", _pairwise(np.multiply, lambda a, b: a * b))
-MAX = ReduceOp("max", _pairwise(np.maximum, max))
-MIN = ReduceOp("min", _pairwise(np.minimum, min))
-LAND = ReduceOp("land", _pairwise(np.logical_and, lambda a, b: bool(a) and bool(b)))
-LOR = ReduceOp("lor", _pairwise(np.logical_or, lambda a, b: bool(a) or bool(b)))
-BAND = ReduceOp("band", _pairwise(np.bitwise_and, lambda a, b: a & b))
-BOR = ReduceOp("bor", _pairwise(np.bitwise_or, lambda a, b: a | b))
+SUM = ReduceOp("sum", _pairwise("add", lambda a, b: a + b))
+PROD = ReduceOp("prod", _pairwise("multiply", lambda a, b: a * b))
+MAX = ReduceOp("max", _pairwise("maximum", max))
+MIN = ReduceOp("min", _pairwise("minimum", min))
+LAND = ReduceOp("land", _pairwise("logical_and", lambda a, b: bool(a) and bool(b)))
+LOR = ReduceOp("lor", _pairwise("logical_or", lambda a, b: bool(a) or bool(b)))
+BAND = ReduceOp("band", _pairwise("bitwise_and", lambda a, b: a & b))
+BOR = ReduceOp("bor", _pairwise("bitwise_or", lambda a, b: a | b))

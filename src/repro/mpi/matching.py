@@ -29,7 +29,7 @@ sensitivity the perturbation sanitizer exists to forbid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import MpiError, MpiTruncationError
 from repro.mpi.message import Envelope, Status

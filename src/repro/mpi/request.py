@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import MpiError
-from repro.mpi.message import Status
 from repro.sim.core import Environment, Event
 
 

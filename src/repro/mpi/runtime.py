@@ -18,7 +18,7 @@ Every rank runs the same program (SPMD), starting at virtual time zero::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import MpiError
@@ -37,7 +37,12 @@ from repro.tcp.sysctl import DEFAULT_SYSCTLS, SysctlConfig
 
 
 class RankContext:
-    """Everything one rank's program can touch."""
+    """Everything one rank's program can touch.
+
+    ``rng`` is the rank's deterministic random stream, ``rank<r>`` in the
+    job's :class:`RngRegistry`.  It is built on first read and cached there,
+    so a program that draws nothing never builds a generator or loads numpy.
+    """
 
     def __init__(self, job: "MpiJob", rank: int):
         self.job = job
@@ -45,8 +50,10 @@ class RankContext:
         self.comm: Communicator = job.comms[rank]
         self.node: Node = job.placement[rank]
         self.env: Environment = job.env
-        #: deterministic per-rank random stream
-        self.rng = job.rngs.stream(f"rank{rank}")
+
+    @property
+    def rng(self):
+        return self.job.rngs.stream(f"rank{self.rank}")
 
     @property
     def size(self) -> int:

@@ -13,7 +13,7 @@ inter-site routes add the two site access pipes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import NetworkConfigError
 from repro.net.fluid import Pipe

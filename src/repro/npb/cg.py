@@ -17,8 +17,6 @@ exchanges pay the full 5.8 ms one way).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mpi.constants import SUM
 from repro.npb.common import (
     PROBLEM,
@@ -106,6 +104,8 @@ def make_verify_program(nprocs: int, n: int = 64, iters: int = 30):
     """A real distributed CG: solve ``A x = b`` for a small SPD matrix with
     row-block partitioning; the distributed residual must match a serial
     CG run and the solution must approach ``numpy.linalg.solve``."""
+    import numpy as np
+
     rng = verify_rng("cg")
     m = rng.standard_normal((n, n))
     a = m @ m.T + n * np.eye(n)  # SPD, well conditioned

@@ -9,14 +9,14 @@ reference values rounded to three digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import WorkloadError
 from repro.obs import runtime as _obs
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: master seed of every verify-mode problem-data stream
 NPB_VERIFY_SEED = 2007

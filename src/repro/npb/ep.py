@@ -9,10 +9,8 @@ yardstick (grid relative performance ≈ 1 in Fig. 12).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mpi.constants import SUM
-from repro.npb.common import PROBLEM, per_rank_flops, validate_config, verify_rng
+from repro.npb.common import per_rank_flops, validate_config, verify_rng
 
 
 def make_program(cls: str, nprocs: int, sample_iters=None):
@@ -33,6 +31,7 @@ def make_program(cls: str, nprocs: int, sample_iters=None):
 def make_verify_program(nprocs: int, pairs_per_rank: int = 4000):
     """Real math at small scale: each rank draws Gaussian pairs and tallies
     annulus counts; the allreduced table must equal the serial tally."""
+    import numpy as np
 
     def serial_counts() -> np.ndarray:
         counts = np.zeros(10)

@@ -13,8 +13,6 @@ win on the grid (Fig. 10).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mpi.constants import SUM
 from repro.npb.common import (
     PROBLEM,
@@ -55,6 +53,8 @@ def make_verify_program(nprocs: int, n: int = 32):
     """Real math: a distributed 3D FFT by slab decomposition — local 2D
     FFTs, a slab exchange (allgather, the volume redistribution), then the
     final-axis FFT — must match ``numpy.fft.fftn`` exactly."""
+    import numpy as np
+
     rng = verify_rng("ft")
     volume = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     expected = np.fft.fftn(volume)

@@ -12,8 +12,6 @@ which is why IS stays poor on the grid in Fig. 12.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mpi.constants import SUM
 from repro.npb.common import (
     PROBLEM,
@@ -74,6 +72,7 @@ def make_verify_program(nprocs: int, keys_per_rank: int = 2000, max_key: int = 1
     """A real distributed bucket sort: after the histogram allreduce and
     the alltoallv redistribution, the concatenation of per-rank sorted
     runs must equal the serial sort of all keys."""
+    import numpy as np
 
     def all_keys():
         return np.concatenate(

@@ -9,8 +9,6 @@ every rank has six neighbours at every level.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.npb.common import (
     PROBLEM,
     grid_3d,
@@ -45,7 +43,7 @@ def make_program(cls: str, nprocs: int, sample_iters=None):
     params = PROBLEM["mg"][cls]
     n, nit = params["n"], params["nit"]
     dims = grid_3d(nprocs)
-    levels = max(1, int(np.log2(n)) - 1)
+    levels = max(1, n.bit_length() - 2)
     flops_per_iter = per_rank_flops("mg", cls, nprocs) / nit
 
     # local subgrid extents at the top level
@@ -104,6 +102,8 @@ def make_program(cls: str, nprocs: int, sample_iters=None):
 def make_verify_program(nprocs: int, n: int = 64, iters: int = 25):
     """Real math: 1D Jacobi smoothing with halo exchange must match the
     serial computation exactly."""
+    import numpy as np
+
     rng = verify_rng("mg")
     initial = rng.standard_normal(n)
 

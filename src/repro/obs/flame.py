@@ -18,9 +18,6 @@ deterministic across worker counts, which is what makes
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
-
-from repro.obs import aggregate as _agg
 
 __all__ = [
     "render_collapsed",

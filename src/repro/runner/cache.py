@@ -31,6 +31,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from importlib.metadata import version
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -80,11 +81,10 @@ def runtime_salt() -> str:
 
     Results depend on both: numpy draws every RNG stream and verifies the
     NPB kernels.  An entry stored under one runtime must miss under
-    another.
+    another.  The version is read from the installed distribution's
+    metadata, so computing a key does not import numpy.
     """
-    import numpy
-
-    return f"py={sys.version_info[0]}.{sys.version_info[1]}|numpy={numpy.__version__}"
+    return f"py={sys.version_info[0]}.{sys.version_info[1]}|numpy={version('numpy')}"
 
 
 def spec_material(runner: str, params: dict[str, Any]) -> str:

@@ -12,14 +12,17 @@ True
 
 Streams are :class:`numpy.random.Generator` instances seeded with
 ``SeedSequence(master_seed).spawn`` keyed by the hash of the name, so adding
-a new consumer never perturbs existing ones.
+a new consumer never perturbs existing ones.  numpy is imported when the
+first stream is built, so a run that asks for no stream never loads it.
 """
 
 from __future__ import annotations
 
 import zlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RngRegistry:
@@ -33,6 +36,8 @@ class RngRegistry:
         """Return the stream for ``name``, creating it deterministically."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             # crc32 gives a stable 32-bit key for the name; combined with the
             # master seed it yields an independent, reproducible child seed.
             key = zlib.crc32(name.encode("utf-8"))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.errors import TcpError
-from repro.units import KB, MB
+from repro.units import MB
 
 
 @dataclass(frozen=True)

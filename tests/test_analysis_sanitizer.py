@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import SanitizeReport, sanitize, trace_experiment
+from repro.analysis.sanitizer import sanitize, trace_experiment
 from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentResult
 from repro.sim.core import (

@@ -1,8 +1,6 @@
 """Experiment-layer tests: every table/figure runs (fast mode) and shows
 the paper's qualitative shape."""
 
-import math
-
 import pytest
 
 from repro.errors import ExperimentError

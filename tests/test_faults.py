@@ -18,7 +18,7 @@ from repro import faults
 from repro.apps.pingpong import tcp_pingpong
 from repro.errors import FaultConfigError
 from repro.experiments.environments import get_environment, pingpong_pair
-from repro.faults import FaultProfile, FaultScenario, get_scenario
+from repro.faults import FaultProfile, get_scenario
 from repro.faults.scenarios import CrossTraffic, LinkFlap
 from repro.sim import Environment
 from repro.tcp import Fabric, TUNED_SYSCTLS, TcpOptions

@@ -2,13 +2,11 @@
 
 import math
 
-import pytest
-
 from repro.impls import get_implementation
 from repro.mpi import MpiJob, SUM
 from repro.net import build_pair_testbed, build_ray2mesh_testbed
 from repro.tcp import DEFAULT_SYSCTLS, TUNED_SYSCTLS
-from repro.units import KB, MB, msec
+from repro.units import MB, msec
 
 
 def test_collective_across_four_sites():

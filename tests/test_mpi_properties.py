@@ -6,14 +6,11 @@ exactly reproducible.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.impls import get_implementation
 from repro.mpi import MAX, MIN, SUM
 from repro.mpi.collectives.segutil import chunk_sizes, join_array, split_array
-from repro.net import build_pair_testbed
-from repro.tcp import TUNED_SYSCTLS
 from repro.units import KB
 from tests.conftest import make_cluster_job
 

@@ -7,8 +7,9 @@ import pytest
 from repro.errors import MpiError
 from repro.impls import get_implementation
 from repro.mpi import MpiJob
-from repro.mpi.constants import COLLECTIVE_CONTEXT, POINT_TO_POINT_CONTEXT
+from repro.mpi.constants import POINT_TO_POINT_CONTEXT
 from repro.net import build_pair_testbed
+from repro.sim import RngRegistry
 from repro.tcp import DEFAULT_SYSCTLS, TUNED_SYSCTLS
 from repro.units import KB
 from tests.conftest import make_cluster_job, make_grid_job
@@ -97,6 +98,15 @@ def test_per_rank_rng_deterministic_and_distinct():
         draws[attempt] = job.run(program).returns
     assert draws[0] == draws[1]
     assert draws[0][0] != draws[0][1]
+
+
+def test_rank_rng_is_the_registry_stream_built_on_first_read():
+    job = make_cluster_job(nprocs=2, seed=7)
+    assert job.rngs._streams == {}
+    ctx = job.contexts[1]
+    assert ctx.rng is ctx.rng is job.rngs.stream("rank1")
+    reference = RngRegistry(7).stream("rank1")
+    assert ctx.rng.random(4).tolist() == reference.random(4).tolist()
 
 
 def test_sysctls_dict_per_cluster():

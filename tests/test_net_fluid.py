@@ -9,7 +9,7 @@ from repro.apps import run_ray2mesh
 from repro.errors import NetworkConfigError
 from repro.experiments.environments import get_environment
 from repro.experiments.registry import run_experiment
-from repro.net import Flow, FluidNetwork, Pipe
+from repro.net import FluidNetwork, Pipe
 from repro.net.fluid import _ComponentPlan
 from repro.net.grid5000 import build_ray2mesh_testbed
 from repro.sim import Environment

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.impls import get_implementation
 from repro.mpi import MpiJob
-from repro.mpi.constants import COLLECTIVE_CONTEXT, POINT_TO_POINT_CONTEXT
+from repro.mpi.constants import POINT_TO_POINT_CONTEXT
 from repro.net import build_pair_testbed
 from repro.npb import BENCHMARK_NAMES, COMM_TYPE, run_npb, validate_config
 from repro.npb.suite import clear_memo

@@ -1,7 +1,5 @@
 """Tests for the ASCII table and chart renderers."""
 
-import math
-
 import pytest
 
 from repro.report import Table, bar_chart, line_chart

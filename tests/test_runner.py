@@ -24,7 +24,7 @@ from repro.runner import (
     record_campaign,
     run_campaign,
 )
-from repro.runner.cache import source_digest
+from repro.runner.cache import runtime_salt, source_digest
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -107,6 +107,14 @@ def test_source_digest_changes_with_content(tmp_path):
     before = source_digest(tmp_path)
     (tmp_path / "m.py").write_text("x = 2\n")
     assert source_digest(tmp_path) != before
+
+
+def test_runtime_salt_keeps_the_imported_numpy_version():
+    # Entries stored when the salt read ``numpy.__version__`` must still hit.
+    import numpy
+
+    expected = f"py={sys.version_info[0]}.{sys.version_info[1]}|numpy={numpy.__version__}"
+    assert runtime_salt() == expected
 
 
 # --- parallel == serial -----------------------------------------------------------
@@ -857,7 +865,7 @@ def test_salt_segregates_entries(tmp_path, tiny):
 
 @pytest.mark.parametrize("change", ["python", "numpy"])
 def test_runtime_change_misses(tmp_path, monkeypatch, change):
-    import numpy
+    from repro.runner import cache as cache_module
 
     cache = ResultCache(root=tmp_path)
     cache.store("experiment/tiny", True, {"ok": True})
@@ -866,7 +874,9 @@ def test_runtime_change_misses(tmp_path, monkeypatch, change):
         major, minor = sys.version_info[:2]
         monkeypatch.setattr(sys, "version_info", (major, minor + 1, 0, "final", 0))
     else:
-        monkeypatch.setattr(numpy, "__version__", numpy.__version__ + ".post1")
+        # the salt reads the installed numpy's metadata, not the module
+        installed = cache_module.version
+        monkeypatch.setattr(cache_module, "version", lambda dist: installed(dist) + ".post1")
     other = ResultCache(root=tmp_path)
     monkeypatch.undo()
     assert other.load("experiment/tiny", True) is None

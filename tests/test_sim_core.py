@@ -367,7 +367,7 @@ def test_tie_ranker_restored_after_block():
 
 
 def test_tick_representable_delays_round_trip_exactly():
-    from repro.units import TICKS_PER_SECOND, delay_to_ticks, ticks_to_seconds
+    from repro.units import delay_to_ticks, ticks_to_seconds
 
     for ticks in (1, 41_540, 536, 3_500_000_000, 123_456_789_012_345):
         seconds = ticks_to_seconds(ticks)

@@ -13,7 +13,7 @@ from repro.tcp import (
     TUNED_SYSCTLS,
     TcpOptions,
 )
-from repro.units import KB, MB, Mbps, to_usec, usec
+from repro.units import KB, MB, to_usec, usec
 
 
 def make_fabric(sysctls=DEFAULT_SYSCTLS, nodes_per_site=2):

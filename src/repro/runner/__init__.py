@@ -3,9 +3,9 @@
 ``repro run`` is the one front end over
 :func:`repro.runner.pool.run_campaign`:
 
-* :mod:`repro.runner.pool` — process-per-task orchestration, shard dedup,
-  cost-model (longest-first) dispatch, wall-clock timeouts, bounded
-  retries, failure surfacing;
+* :mod:`repro.runner.pool` — shard dedup, cost-model (longest-first)
+  dispatch onto a fork-context process pool (or inline at ``jobs <= 1``),
+  failure surfacing;
 * :mod:`repro.runner.cache` — ``.repro-cache/`` keyed by (task id, fast
   flag, import-closure digest of the task's modules), so editing a leaf
   module only invalidates the shards that import it; ``repro cache
@@ -24,7 +24,6 @@ from repro.runner.pool import (
     CampaignResult,
     ExperimentRun,
     ExperimentSpec,
-    RunnerPolicy,
     run_campaign,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "ExperimentRun",
     "ExperimentSpec",
     "ResultCache",
-    "RunnerPolicy",
     "cache_stats",
     "load_task_estimates",
     "record_campaign",

@@ -37,8 +37,6 @@ def campaign_entry(campaign: "CampaignResult", label: str = "") -> dict[str, Any
         "telemetry": campaign.telemetry_enabled,
         "wall_s": round(campaign.wall_s, 3),
         "ok": campaign.ok,
-        "retries": campaign.retries,
-        "timeouts": campaign.timeouts,
         "cached_experiments": len(campaign.cached),
         "failed_experiments": [run.experiment_id for run in campaign.failures],
         # Per-shard worker walls: the cost model's history.  Dispatch order

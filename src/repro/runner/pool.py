@@ -1,4 +1,4 @@
-"""Hardened process-per-task experiment orchestrator.
+"""Experiment orchestrator: shard plans over a fork-context process pool.
 
 Execution model
 ---------------
@@ -13,8 +13,9 @@ merge back in the parent, so an experiment is merged from its shards
 every time, cached or not; it counts as cached when every one of its
 shards hit.  That plan is the same at every ``jobs``; only the executor
 differs.  ``jobs <= 1`` runs the tasks one after another in this
-process; ``jobs > 1`` runs each on a worker process governed by a
-:class:`RunnerPolicy`.
+process; ``jobs > 1`` submits them, longest-estimated first, to one
+:class:`concurrent.futures.ProcessPoolExecutor` of ``jobs`` forked
+workers, each of which runs shard after shard.
 
 The shard is the only thing the cache holds.  A shard is stored by the
 function that computed it — the parent passes its cache root and source
@@ -27,23 +28,16 @@ event-trace hash.  An experiment records the canonical combination of
 its shard hashes and its rendered text (:func:`_combine_trace_hashes`),
 so the hash is the same at every ``jobs``.
 
-Robustness
-----------
-On the worker pool, each task owns a dedicated worker process and a
-result pipe, which is what makes real fault handling possible (a shared
-``ProcessPoolExecutor`` cannot kill a hung task without poisoning the
-whole pool):
-
-* **timeouts** — a task that exceeds ``RunnerPolicy.timeout_s`` of wall
-  clock is terminated (SIGTERM) and counted;
-* **retries** — crashed (died without reporting) and timed-out tasks are
-  resubmitted up to ``retries`` times with exponential backoff; a *clean*
-  worker exception is deterministic and never retried;
-* **graceful degradation** — a task that exhausts its attempts fails only
-  the experiments depending on it; everything else completes, partial
-  results merge, and the campaign reports what happened through the
-  ``retries``/``timeouts`` counters (surfaced in
-  ``BENCH_experiments.json``).
+Failures
+--------
+A shard that raises fails only the experiments that depend on it; its
+exception is surfaced as ``Type: message`` and the rest of the campaign
+completes.  Nothing times out: a hung shard hangs the campaign at every
+``jobs``.  A worker that dies without reporting (segfault, ``os._exit``,
+an out-of-memory kill) breaks the pool: every shard still unfinished
+then fails with a message that says a worker died, while the shards
+that had finished keep their results.  A shard is deterministic, so it
+is never retried.
 """
 
 from __future__ import annotations
@@ -51,11 +45,12 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.errors import ReproError
 from repro.experiments.base import ShardSpec
 from repro.obs.runtime import TelemetryConfig, merge_payloads
 from repro.obs.runtime import session as telemetry_session
@@ -65,35 +60,6 @@ from repro.sim.core import EventTraceHasher, trace_capture
 #: fork keeps workers cheap and lets tests inject registry entries; fall
 #: back to the platform default where fork does not exist (Windows).
 _START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-
-#: parent poll interval while supervising workers (host-side seconds)
-_POLL_INTERVAL_S = 0.02
-
-
-@dataclass(frozen=True)
-class RunnerPolicy:
-    """Fault-handling knobs of the worker pool (``jobs > 1``).
-
-    ``timeout_s`` is wall-clock per *task* (one shard), not per campaign;
-    ``None`` disables timeouts.  Crashed and timed-out tasks are retried
-    up to ``retries`` times, sleeping ``backoff_s * 2**attempt`` between
-    attempts.
-    """
-
-    timeout_s: Optional[float] = None
-    retries: int = 1
-    backoff_s: float = 0.5
-
-    def __post_init__(self):
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ReproError("timeout_s must be positive (or None to disable)")
-        if self.retries < 0:
-            raise ReproError("retries must be >= 0")
-        if self.backoff_s < 0:
-            raise ReproError("backoff_s must be >= 0")
-
-
-DEFAULT_POLICY = RunnerPolicy()
 
 
 @dataclass(frozen=True)
@@ -163,10 +129,6 @@ class CampaignResult:
     wall_s: float
     jobs: int
     cache_enabled: bool
-    #: crashed/timed-out task re-submissions performed by the engine
-    retries: int = 0
-    #: tasks terminated for exceeding the policy's wall-clock timeout
-    timeouts: int = 0
     #: the campaign recorded telemetry (and therefore bypassed the cache)
     telemetry_enabled: bool = False
     #: per-shard worker wall seconds, by task_id (cached shards report the
@@ -199,10 +161,6 @@ class CampaignResult:
             f"jobs={self.jobs}",
             f"{self.wall_s:.1f}s wall",
         ]
-        if self.retries:
-            parts.append(f"{self.retries} retries")
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timeouts")
         if self.failures:
             failed = ", ".join(run.experiment_id for run in self.failures)
             parts.append(f"FAILED: {failed}")
@@ -261,184 +219,76 @@ def _shard_worker(
     return artifact
 
 
-def _task_main(conn, target: Callable[..., Any], args: tuple) -> None:
-    """Worker process entry point: run ``target`` and report on the pipe.
-
-    A clean exception is reported as ``("error", message)`` — it is
-    deterministic, so the parent fails the task without retrying.  A
-    worker that dies before sending anything (segfault, ``os._exit``,
-    SIGKILL) is detected by the parent through its exit code instead.
-    """
-    try:
-        result = target(*args)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
-        try:
-            conn.send(("error", _describe_error(exc)))
-        except Exception:  # noqa: BLE001 - parent sees a crash instead
-            pass
-    finally:
-        conn.close()
-
-
 def _describe_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-# --- the process-per-task engine --------------------------------------------------
+def _attempt(target: Callable[..., Any], args: tuple) -> tuple[str, Any]:
+    """Run one task where it is executed: ``("ok", result)``, or
+    ``("error", "Type: message")`` when it raises.
+
+    On the pool the exception becomes text inside the worker, so one that
+    would not pickle back cannot break the pool.
+    """
+    try:
+        return ("ok", target(*args))
+    except Exception as exc:  # noqa: BLE001 - surfaced in the campaign result
+        return ("error", _describe_error(exc))
+
+
 @dataclass
 class _Task:
-    """One unit of work for the engine: one shard, keyed ``(task_id, fast)``."""
+    """One unit of work: one shard, keyed ``(task_id, fast)``."""
 
     key: tuple
     target: Callable[..., Any]
     args: tuple
     label: str
-    attempts: int = 0
 
 
-class _Running:
-    """Book-keeping for one live worker process."""
-
-    __slots__ = ("task", "process", "conn", "deadline")
-
-    def __init__(self, task: _Task, process, conn, deadline: Optional[float]):
-        self.task = task
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-
-
-def _run_tasks(
-    tasks: list[_Task],
-    jobs: int,
-    policy: RunnerPolicy,
-    context,
-) -> tuple[dict[tuple, tuple[str, Any]], int, int]:
-    """Supervise ``tasks`` on up to ``jobs`` worker processes.
-
-    Returns ``(outcomes, retries, timeouts)`` where each outcome is
-    ``("ok", payload)`` or ``("error", message)``.  Never raises for a
-    misbehaving task; the engine always drains.
-    """
-    ready: list[_Task] = list(tasks)
-    delayed: list[tuple[float, _Task]] = []  # (not-before, task) backoff queue
-    running: list[_Running] = []
-    outcomes: dict[tuple, tuple[str, Any]] = {}
-    n_retries = 0
-    n_timeouts = 0
-
-    def launch(task: _Task) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_task_main,
-            args=(child_conn, task.target, task.args),
-            name=f"repro-worker:{task.label}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # the parent only reads
-        deadline = (
-            time.monotonic() + policy.timeout_s  # repro: noqa=DET002
-            if policy.timeout_s is not None
-            else None
-        )
-        running.append(_Running(task, process, parent_conn, deadline))
-
-    def retire(entry: _Running) -> None:
-        entry.conn.close()
-        entry.process.join(timeout=5.0)
-        if entry.process.is_alive():  # ignored SIGTERM: escalate
-            entry.process.kill()
-            entry.process.join()
-        running.remove(entry)
-
-    def requeue_or_fail(task: _Task, reason: str) -> None:
-        nonlocal n_retries
-        task.attempts += 1
-        if task.attempts <= policy.retries:
-            n_retries += 1
-            delay = policy.backoff_s * (2 ** (task.attempts - 1))
-            not_before = time.monotonic() + delay  # repro: noqa=DET002
-            delayed.append((not_before, task))
-        else:
-            outcomes[task.key] = (
-                "error",
-                f"{reason} (gave up after {task.attempts} attempt"
-                f"{'s' if task.attempts != 1 else ''})",
-            )
-
-    while ready or delayed or running:
-        now = time.monotonic()  # repro: noqa=DET002
-
-        still_delayed: list[tuple[float, _Task]] = []
-        for not_before, task in delayed:
-            if not_before <= now:
-                ready.append(task)
-            else:
-                still_delayed.append((not_before, task))
-        delayed = still_delayed
-
-        while ready and len(running) < jobs:
-            launch(ready.pop(0))
-
-        progressed = False
-        for entry in list(running):
-            task, process = entry.task, entry.process
-            # Read the exit code *before* polling the pipe: a worker's
-            # send happens-before its exit, so "exited and still no
-            # message" is a definite crash, never a lost result.
-            exited = process.exitcode is not None
-            message: Optional[tuple[str, Any]] = None
-            if entry.conn.poll():
-                try:
-                    message = entry.conn.recv()
-                except (EOFError, OSError):
-                    message = None  # died mid-send: handled as a crash below
-            if message is not None:
-                outcomes[task.key] = message
-                retire(entry)
-                progressed = True
-                continue
-            if exited:
-                # Exited without reporting: a hard crash (segfault,
-                # os._exit, OOM kill).  Retry with backoff.
-                retire(entry)
-                requeue_or_fail(
-                    task, f"worker crashed (exit code {process.exitcode})"
-                )
-                progressed = True
-                continue
-            if entry.deadline is not None and now >= entry.deadline:
-                process.terminate()
-                retire(entry)
-                n_timeouts += 1
-                requeue_or_fail(
-                    task, f"timed out after {policy.timeout_s:g}s wall clock"
-                )
-                progressed = True
-        if not progressed and (running or delayed):
-            time.sleep(_POLL_INTERVAL_S)
-    return outcomes, n_retries, n_timeouts
-
-
-# --- orchestration ---------------------------------------------------------------
+# --- the two executors -----------------------------------------------------------
 def _run_inline(tasks: list[_Task]) -> dict[tuple, tuple[str, Any]]:
-    """The ``jobs <= 1`` executor: every task in this process, in order.
+    """The ``jobs <= 1`` executor: every task in this process, in order."""
+    return {task.key: _attempt(task.target, task.args) for task in tasks}
 
-    Outcomes have :func:`_run_tasks`'s shape.  A task that raises fails
-    alone; a hung one cannot be killed here, so ``RunnerPolicy`` does not
-    apply.
+
+#: the outcome of every shard a dead worker left unfinished
+_WORKER_DIED = (
+    "error",
+    "a worker process died before the shard finished (BrokenProcessPool)",
+)
+
+
+def _run_pool(tasks: list[_Task], jobs: int) -> dict[tuple, tuple[str, Any]]:
+    """The ``jobs > 1`` executor: ``tasks`` on ``jobs`` forked workers.
+
+    Outcomes have :func:`_run_inline`'s shape.  The pool dispatches in
+    submission order, so the caller's longest-first order is kept.  A
+    worker that dies breaks the pool, and every task still unfinished
+    then reports :data:`_WORKER_DIED`.
     """
+    context = multiprocessing.get_context(_START_METHOD)
     outcomes: dict[tuple, tuple[str, Any]] = {}
-    for task in tasks:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        futures = {}
         try:
-            outcomes[task.key] = ("ok", task.target(*task.args))
-        except Exception as exc:  # noqa: BLE001 - surfaced in the campaign result
-            outcomes[task.key] = ("error", _describe_error(exc))
+            for task in tasks:
+                futures[task.key] = pool.submit(_attempt, task.target, task.args)
+        except BrokenProcessPool:
+            pass  # a worker died already: the unsubmitted tasks fail below
+        for task in tasks:
+            future = futures.get(task.key)
+            try:
+                outcome = future.result() if future is not None else _WORKER_DIED
+            except BrokenProcessPool:
+                outcome = _WORKER_DIED
+            except Exception as exc:  # noqa: BLE001 - e.g. a result that will not pickle
+                outcome = ("error", _describe_error(exc))
+            outcomes[task.key] = outcome
     return outcomes
 
 
+# --- orchestration ---------------------------------------------------------------
 def _failed_run(spec: ExperimentSpec, error: str) -> ExperimentRun:
     return ExperimentRun(
         experiment_id=spec.experiment_id, fast=spec.fast, ok=False, error=error
@@ -462,11 +312,10 @@ def _run_plans(
     specs: list[ExperimentSpec],
     cache: ResultCache,
     jobs: int,
-    policy: RunnerPolicy,
     progress: Optional[Callable[[str], None]],
     telemetry: Optional[TelemetryConfig] = None,
     estimates: "dict[str, float] | None" = None,
-) -> tuple[dict[tuple[str, bool], ExperimentRun], int, int, dict[str, float]]:
+) -> tuple[dict[tuple[str, bool], ExperimentRun], dict[str, float]]:
     """Every experiment's plan: load each shard (deduplicated across the
     campaign), run the misses, then merge each experiment from its shards."""
     from repro.experiments.registry import ShardPlan, get_shard_plan
@@ -518,11 +367,7 @@ def _run_plans(
             )
 
     _order_by_cost(tasks, estimates or {})
-    if jobs <= 1:
-        outcomes, n_retries, n_timeouts = _run_inline(tasks), 0, 0
-    else:
-        context = multiprocessing.get_context(_START_METHOD)
-        outcomes, n_retries, n_timeouts = _run_tasks(tasks, jobs, policy, context)
+    outcomes = _run_inline(tasks) if jobs <= 1 else _run_pool(tasks, jobs)
 
     for shard_key, (status, payload) in outcomes.items():
         shard_results[shard_key] = (
@@ -552,7 +397,7 @@ def _run_plans(
         if progress is not None:
             state = "failed" if not run.ok else ("cached" if run.cached else "ok")
             progress(f"{spec.experiment_id}: {run.wall_s:7.1f}s [{state}]")
-    return runs, n_retries, n_timeouts, shard_walls
+    return runs, shard_walls
 
 
 def _combine_trace_hashes(named_digests: dict[str, str], text: str) -> str:
@@ -630,7 +475,6 @@ def run_campaign(
     use_cache: bool = True,
     out_dir: "Path | str | None" = None,
     progress: Optional[Callable[[str], None]] = None,
-    policy: Optional[RunnerPolicy] = None,
     telemetry: Optional[TelemetryConfig] = None,
     estimates: "dict[str, float] | None" = None,
 ) -> CampaignResult:
@@ -638,9 +482,8 @@ def run_campaign(
 
     ``cache`` may be injected (tests use a tmp root / pinned digest);
     otherwise a default :class:`ResultCache` under ``.repro-cache/`` is
-    built with ``enabled=use_cache``.  ``policy`` tunes timeout/retry
-    handling on the worker pool (``jobs > 1``); ``jobs <= 1`` runs every
-    task in this process, where a hung task cannot be killed.
+    built with ``enabled=use_cache``.  ``jobs <= 1`` runs every task in
+    this process; ``jobs > 1`` runs them on a pool of ``jobs`` workers.
 
     ``estimates`` maps shard ``task_id``s to historical wall seconds; the
     worker pool dispatches longest-estimated-first so the makespan is not
@@ -658,15 +501,13 @@ def run_campaign(
         cache = ResultCache(enabled=False, digest="")
     elif cache is None:
         cache = ResultCache(enabled=use_cache, digest="" if not use_cache else None)
-    if policy is None:
-        policy = DEFAULT_POLICY
     if estimates is None and jobs > 1:
         from repro.runner.manifest import load_task_estimates
 
         estimates = load_task_estimates()
 
-    runs, n_retries, n_timeouts, shard_walls = _run_plans(
-        list(dict.fromkeys(specs)), cache, jobs, policy, progress, telemetry, estimates
+    runs, shard_walls = _run_plans(
+        list(dict.fromkeys(specs)), cache, jobs, progress, telemetry, estimates
     )
 
     ordered = [runs[spec.key] for spec in specs]
@@ -682,8 +523,6 @@ def run_campaign(
         wall_s=elapsed,
         jobs=jobs,
         cache_enabled=cache.enabled,
-        retries=n_retries,
-        timeouts=n_timeouts,
         telemetry_enabled=telemetry is not None,
         shard_walls=shard_walls,
         cache_hits=cache.hits,

@@ -128,16 +128,17 @@ def test_experiments_job_checks_serial_and_parallel_trace_hashes_agree(workflow)
         return next(i for i, run in enumerate(steps) if command in run)
 
     serial = index(
-        "repro run fig6 fig9 --fast --jobs 1 --no-cache --bench BENCH_experiments.json"
+        "repro run all --fast --jobs 1 --no-cache --bench BENCH_experiments.json"
     )
     # After the 4-worker campaign and the perf gate (which reads the
     # campaign's entry as the manifest's last one)...
     assert index("repro run all --fast --jobs 4") < index("check_perf_budget.py") < serial
-    # ...the step compares the trace_hash of a sweep (fig6) and of a whole
-    # experiment (fig9) across the last two entries.
+    # ...the step compares the trace_hash of every experiment across the
+    # last two entries, the 4-worker one and the serial one.
     assert "['runs'][-2:]" in steps[serial]
+    assert "== [4, 1]" in steps[serial]
     assert "['experiments'][eid]['trace_hash']" in steps[serial]
-    assert "for eid in ('fig6', 'fig9')" in steps[serial]
+    assert "for eid in sorted(EXPERIMENTS)" in steps[serial]
 
 
 def test_warm_rerun_step_lists_the_warm_store(workflow):
@@ -209,6 +210,15 @@ def test_experiments_job_runs_the_perturbation_smoke(workflow):
             in commands
         )
     assert "for id in fig7 faults_pingpong fig9 fig6 fig3 fig10 fig5" in commands
+    # the experiments whose fast projection also holds, and table7, which
+    # shares table6's shards and gates on the result only
+    for experiment in ("fig11", "faults_cg", "table2", "table4", "table5"):
+        assert (
+            f"repro sanitize {experiment} --perturb --seeds 3 --write-result "
+            f"/tmp/perturb/{experiment}.txt" in commands
+        )
+    assert "repro sanitize table7 --perturb --seeds 3 --result-only" in commands
+    assert "coll_hier fig11 faults_cg table2 table4 table5 table7; do" in commands
     assert "repro sanitize table6 --perturb" in commands
     # table6 gates on result byte-identity only: its merge-phase timing
     # tail legitimately depends on same-timestamp matching order

@@ -141,9 +141,10 @@ def test_fig9_fast():
 
 
 def _campaign_runs(*experiment_ids):
-    """One serial uncached campaign: shards shared by the experiments run once."""
+    """One uncached two-worker campaign: shards shared by the experiments run
+    once.  The tests read rows, which do not depend on ``jobs``."""
     campaign = run_campaign(
-        [ExperimentSpec(eid, fast=True) for eid in experiment_ids], jobs=1, use_cache=False
+        [ExperimentSpec(eid, fast=True) for eid in experiment_ids], jobs=2, use_cache=False
     )
     assert campaign.ok, campaign.summary()
     return campaign.runs

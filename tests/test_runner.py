@@ -20,7 +20,6 @@ from repro.experiments.registry import get_shard_plan
 from repro.runner import (
     ExperimentSpec,
     ResultCache,
-    RunnerPolicy,
     record_campaign,
     run_campaign,
 )
@@ -42,11 +41,6 @@ def _raising_experiment(fast=False):
 
 def _crashing_experiment(fast=False):
     os._exit(3)  # simulate a worker segfault: no exception, no cleanup
-
-
-def _hanging_experiment(fast=False):
-    time.sleep(60)  # a stuck shard: only the supervisor's timeout ends it
-    return _tiny_experiment(fast)
 
 
 @pytest.fixture()
@@ -371,103 +365,21 @@ def test_raising_experiment_fails_on_the_pool_too(tmp_path, monkeypatch, tiny):
 
 
 @needs_fork
-def test_worker_crash_surfaces_as_failure_not_hang(tmp_path, monkeypatch):
+def test_worker_crash_surfaces_as_failure_not_hang(tmp_path, monkeypatch, tiny):
     monkeypatch.setitem(EXPERIMENTS, "crash", _crashing_experiment)
     campaign = run_campaign(
-        [ExperimentSpec("crash", fast=True)],
+        [ExperimentSpec("crash", fast=True), ExperimentSpec(tiny, fast=True)],
         jobs=2,
         cache=ResultCache(root=tmp_path, digest="digest-a"),
     )
+    # The campaign returns: the dead worker broke the pool, and every
+    # shard it left unfinished fails instead of hanging.
     assert not campaign.ok
-    assert campaign.runs[0].error  # BrokenProcessPool, surfaced as text
-
-
-# --- robustness policy: timeouts, retries, graceful degradation -------------------
-@needs_fork
-def test_hung_task_times_out_retries_then_fails(tmp_path, monkeypatch, tiny):
-    monkeypatch.setitem(EXPERIMENTS, "hang", _hanging_experiment)
-    campaign = run_campaign(
-        [ExperimentSpec("hang", fast=True), ExperimentSpec(tiny, fast=True)],
-        jobs=2,
-        cache=ResultCache(root=tmp_path / "cache", digest="digest-a"),
-        policy=RunnerPolicy(timeout_s=0.5, retries=1, backoff_s=0.01),
-        out_dir=tmp_path / "out",
-    )
-    assert not campaign.ok
-    hang, tiny_run = campaign.runs
-    assert "timed out after 0.5s wall clock" in hang.error
-    assert "gave up after 2 attempts" in hang.error
-    assert tiny_run.ok  # partial results: the healthy experiment completed
-    assert campaign.timeouts == 2  # initial attempt + one retry
-    assert campaign.retries == 1
-    # ... and its report was still written, while the hung one has none
-    assert (tmp_path / "out" / "tiny.txt").exists()
-    assert not (tmp_path / "out" / "hang.txt").exists()
-
-
-@needs_fork
-def test_crashed_task_recovers_on_retry(tmp_path, monkeypatch):
-    marker = tmp_path / "crashed-once"
-
-    def flaky(fast=False):
-        if not marker.exists():
-            marker.write_text("first attempt crashed")
-            os._exit(9)
-        return ExperimentResult("flaky", "Flaky", "-", [{"x": 1}], "flaky ok")
-
-    monkeypatch.setitem(EXPERIMENTS, "flaky", flaky)
-    campaign = run_campaign(
-        [ExperimentSpec("flaky", fast=True)],
-        jobs=2,
-        cache=ResultCache(root=tmp_path / "cache", digest="digest-a"),
-        policy=RunnerPolicy(timeout_s=30.0, retries=2, backoff_s=0.01),
-    )
-    assert campaign.ok
-    assert campaign.runs[0].text == "flaky ok"
-    assert campaign.retries == 1  # one crash, one successful resubmission
-    assert campaign.timeouts == 0
-
-
-@needs_fork
-def test_crashing_task_exhausts_retries_with_attempt_count(tmp_path, monkeypatch):
-    monkeypatch.setitem(EXPERIMENTS, "crash", _crashing_experiment)
-    campaign = run_campaign(
-        [ExperimentSpec("crash", fast=True)],
-        jobs=2,
-        cache=ResultCache(root=tmp_path, digest="digest-a"),
-        policy=RunnerPolicy(timeout_s=30.0, retries=2, backoff_s=0.01),
-    )
-    assert not campaign.ok
-    assert "worker crashed (exit code 3)" in campaign.runs[0].error
-    assert "gave up after 3 attempts" in campaign.runs[0].error
-    assert campaign.retries == 2
-
-
-@needs_fork
-def test_retry_and_timeout_counters_reach_the_manifest(tmp_path, monkeypatch):
-    monkeypatch.setitem(EXPERIMENTS, "hang", _hanging_experiment)
-    campaign = run_campaign(
-        [ExperimentSpec("hang", fast=True)],
-        jobs=2,
-        cache=ResultCache(root=tmp_path, digest="digest-a"),
-        policy=RunnerPolicy(timeout_s=0.3, retries=1, backoff_s=0.01),
-    )
-    manifest = tmp_path / "bench.json"
-    record_campaign(campaign, path=manifest, label="robustness")
-    entry = json.loads(manifest.read_text())["runs"][-1]
-    assert entry["retries"] == campaign.retries == 1
-    assert entry["timeouts"] == campaign.timeouts == 2
-
-
-def test_runner_policy_validation():
-    from repro.errors import ReproError
-
-    with pytest.raises(ReproError):
-        RunnerPolicy(timeout_s=0.0)
-    with pytest.raises(ReproError):
-        RunnerPolicy(retries=-1)
-    with pytest.raises(ReproError):
-        RunnerPolicy(backoff_s=-0.1)
+    crash, tiny_run = campaign.runs
+    assert "experiment/crash" in crash.error  # BrokenProcessPool, surfaced as text
+    assert "worker process died" in crash.error
+    # The healthy shard either finished first or failed as collateral.
+    assert tiny_run.ok or "worker process died" in tiny_run.error
 
 
 @needs_fork

@@ -47,7 +47,6 @@ INSTANT_CATALOG = [
     r"tcp\.loss\.[a-z][a-z0-9_]*",
     r"tcp\.slowstart\.exit",
     r"tcp\.idle_restart",
-    r"fault\.flap\.(down|up)",
 ]
 
 #: span-name regex -> args the span must carry (feeds an aggregation)

@@ -16,7 +16,7 @@ The library contains, from the bottom up:
 - :mod:`repro.npb` — the eight NAS Parallel Benchmarks as communication/
   computation skeletons with verification kernels.
 - :mod:`repro.apps` — pingpong and the ray2mesh seismic application.
-- :mod:`repro.faults` — deterministic WAN fault scenarios.
+- :mod:`repro.faults` — deterministic per-connection WAN fault profiles.
 - :mod:`repro.tuning` — the eager/rendezvous threshold sweep of Table 5.
 - :mod:`repro.experiments` — one entry per paper table/figure.
 - :mod:`repro.runner` — the shard pool and the content-addressed cache.

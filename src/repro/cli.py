@@ -1,5 +1,5 @@
 """Command-line interface: ``repro list`` / ``run`` / ``explain`` /
-``flame`` / ``profile`` / ``cache`` / ``faults`` / ``lint`` / ``sanitize``.
+``flame`` / ``profile`` / ``cache`` / ``lint`` / ``sanitize``.
 
 Examples::
 
@@ -10,7 +10,6 @@ Examples::
     repro run fig6 fig9 --fast      # several experiments, one campaign
     repro run all --fast --jobs 8   # parallel orchestrator + result cache
     repro run all --full --out results   # regenerate the paper-scale goldens
-    repro run fig6 --faults lossy-wan   # replay under a WAN fault scenario
     repro run fig7 --fast --trace   # record telemetry; Chrome trace to traces/
     repro run all --metrics-out m   # metric dumps (JSON + CSV) to m/
     repro explain fig7              # why the 128 kB rendezvous dip happens
@@ -23,7 +22,6 @@ Examples::
     repro profile fig9 --record     # also log the top rows to the manifest
     repro cache ls fig7             # fig7's cached shards + provenance, no re-run
     repro cache stats               # entry count, bytes, last campaign hits
-    repro faults list               # the named fault scenarios
     repro lint                      # lint src/repro for determinism hazards
     repro lint --rules              # print the rule catalog
     repro sanitize fig3             # double-run trace-hash determinism check
@@ -116,13 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "in-process, N > 1 on a pool of worker processes",
     )
     run.add_argument(
-        "--faults",
-        metavar="SCENARIO",
-        default=None,
-        help="run under a named WAN fault scenario (see 'repro faults list'); "
-        "faulted results are cached separately from the clean ones",
-    )
-    run.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not update the .repro-cache/ result cache",
@@ -156,12 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record telemetry metrics and write <id>.metrics.json and "
         "<id>.metrics.csv per experiment to DIR",
     )
-
-    faults = sub.add_parser(
-        "faults", help="inspect the WAN fault-injection scenarios"
-    )
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-    faults_sub.add_parser("list", help="list the named scenarios")
 
     lint = sub.add_parser(
         "lint", help="static determinism/unit-safety analysis of the source tree"
@@ -643,24 +628,12 @@ def _write_telemetry(campaign, trace_dir, metrics_dir) -> None:
             print(f"[metrics: {json_path}, {csv_path}]", file=sys.stderr)
 
 
-def _cmd_faults(args) -> int:
-    from repro.faults import SCENARIOS
-
-    width = max(len(name) for name in SCENARIOS)
-    for name, scenario in SCENARIOS.items():
-        print(f"{name:<{width}}  {scenario.description}")
-        print(f"{'':<{width}}  [{scenario.describe()}]")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "lint":
         return _cmd_lint(args)
     if args.command == "sanitize":
         return _cmd_sanitize(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "explain":
@@ -677,21 +650,13 @@ def main(argv=None) -> int:
             print(experiment_id)
         return 0
 
-    from repro import faults
-    from repro.runner import (
-        ExperimentSpec,
-        ResultCache,
-        record_campaign,
-        run_campaign,
-    )
+    from repro.runner import ExperimentSpec, record_campaign, run_campaign
 
     fast = not args.full
     wants_all = any(experiment_id.lower() == "all" for experiment_id in args.experiments)
     ids = sorted(EXPERIMENTS) if wants_all else list(dict.fromkeys(args.experiments))
     for experiment_id in ids:
         get_experiment(experiment_id)  # unknown ids raise before any work runs
-    # Unknown scenario names also raise (FaultConfigError) before any work.
-    scenario = faults.get_scenario(args.faults) if args.faults else None
 
     telemetry = None
     if args.trace is not None or args.metrics_out is not None:
@@ -702,27 +667,13 @@ def main(argv=None) -> int:
         telemetry = TelemetryConfig(spans=args.trace is not None, metrics=True)
         print("[telemetry on: result cache bypassed]", file=sys.stderr)
 
-    cache = None
-    if scenario is not None and scenario.active:
-        # Faulted runs must never poison (or replay) the clean cache: the
-        # scenario name joins every cache key as a salt, while closure-based
-        # invalidation keeps working.  ``--faults none`` deliberately keeps
-        # the clean keys — it *is* the clean configuration.
-        cache = ResultCache(
-            enabled=not args.no_cache,
-            salt=f"faults={scenario.name}",
-        )
-        print(f"[faults: {scenario.name} — {scenario.describe()}]", file=sys.stderr)
-
-    with faults.activated(scenario):
-        campaign = run_campaign(
-            [ExperimentSpec(experiment_id, fast=fast) for experiment_id in ids],
-            jobs=args.jobs,
-            cache=cache,
-            use_cache=not args.no_cache,
-            out_dir=args.out,
-            telemetry=telemetry,
-        )
+    campaign = run_campaign(
+        [ExperimentSpec(experiment_id, fast=fast) for experiment_id in ids],
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
+        out_dir=args.out,
+        telemetry=telemetry,
+    )
     if telemetry is not None:
         _write_telemetry(campaign, args.trace, args.metrics_out)
     for run in campaign.runs:

@@ -49,5 +49,4 @@ class ExperimentError(ReproError):
 
 
 class FaultConfigError(ReproError):
-    """An invalid fault-injection profile/scenario, or an unknown scenario
-    name."""
+    """An invalid fault-injection profile."""

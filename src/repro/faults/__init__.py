@@ -1,94 +1,15 @@
 """Deterministic WAN fault injection.
 
-Two layers, both seeded through :class:`repro.sim.rng.RngRegistry` so any
-faulted run is byte-reproducible:
-
-* :class:`FaultProfile` — per-connection effects (injected loss events,
-  delay jitter, RTT inflation), attached to
-  :class:`repro.tcp.connection.TcpOptions` explicitly by an experiment;
-* :class:`FaultScenario` — a named bundle of a profile plus network-level
-  pathologies (cross-traffic bursts, link flaps) installed whenever a
-  :class:`~repro.tcp.connection.Fabric` is built while the scenario is
-  *active*.
-
-Ambient activation (used by ``repro run --faults <name>``) follows the
-same pattern as :func:`repro.sim.core.install_trace_sink`: a process-global
-stack consulted at fabric construction time, so experiments that build
-their simulation environments internally pick the scenario up without
-threading a parameter through every layer::
-
-    with faults.activated("lossy-wan"):
-        run_experiment("fig6", fast=True)   # every WAN connection degraded
-
-Nothing is active by default; the ``none`` scenario is equivalent to no
-scenario at all and keeps results bit-identical to the committed goldens.
+A :class:`FaultProfile` degrades one TCP connection (injected loss
+events, delay jitter, RTT inflation) on inter-site routes.  An experiment
+attaches it explicitly, through
+:attr:`repro.tcp.connection.TcpOptions.fault_profile` or
+:meth:`repro.impls.base.MpiImplementation.with_fault_profile`; every
+random draw comes from a named :class:`repro.sim.rng.RngRegistry` stream,
+so a faulted run is byte-reproducible.  No profile (the default) is the
+paper's clean dedicated path.
 """
 
-from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
-
 from repro.faults.profile import FaultProfile
-from repro.faults.scenarios import (
-    SCENARIOS,
-    CrossTraffic,
-    FaultScenario,
-    LinkFlap,
-    get_scenario,
-)
 
-__all__ = [
-    "SCENARIOS",
-    "CrossTraffic",
-    "FaultProfile",
-    "FaultScenario",
-    "LinkFlap",
-    "activate",
-    "activated",
-    "active_scenario",
-    "deactivate",
-    "get_scenario",
-]
-
-#: stack of ambient scenarios; the innermost activation wins
-_ACTIVE: list[FaultScenario] = []
-
-
-def activate(scenario: Union[FaultScenario, str]) -> FaultScenario:
-    """Push ``scenario`` (or a registered scenario name) onto the ambient
-    stack; every fabric built afterwards applies it."""
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    _ACTIVE.append(scenario)
-    return scenario
-
-
-def deactivate() -> None:
-    """Pop the innermost ambient scenario (no-op when none is active)."""
-    if _ACTIVE:
-        _ACTIVE.pop()
-
-
-def active_scenario() -> Optional[FaultScenario]:
-    """The innermost ambient scenario, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def activated(
-    scenario: "FaultScenario | str | None",
-) -> Iterator[Optional[FaultScenario]]:
-    """Context manager: ambient activation scoped to the block.
-
-    ``None`` is accepted and activates nothing, so callers can pass an
-    optional scenario straight through.
-    """
-    if scenario is None:
-        yield None
-        return
-    active = activate(scenario)
-    try:
-        yield active
-    finally:
-        deactivate()
+__all__ = ["FaultProfile"]

@@ -28,9 +28,9 @@ from repro.errors import FaultConfigError
 class FaultProfile:
     """Deterministic, seeded degradation of one TCP connection.
 
-    All effects are gated on ``wan_only`` (default: intra-cluster routes
-    stay clean, mirroring the paper's pathologies which live on the
-    RENATER WAN path).
+    Every effect applies to inter-site routes only: intra-cluster routes
+    stay clean, mirroring the paper's pathologies, which live on the
+    RENATER WAN path.
     """
 
     #: master seed of the profile's random streams
@@ -42,8 +42,6 @@ class FaultProfile:
     jitter_frac: float = 0.0
     #: multiplier on the route RTT (>= 1; models a degraded/longer path)
     rtt_inflation: float = 1.0
-    #: apply only to inter-site routes (intra-cluster stays clean)
-    wan_only: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_prob < 1.0:
@@ -70,15 +68,4 @@ class FaultProfile:
 
     def applies_to(self, inter_site: bool) -> bool:
         """Whether this profile touches a route of the given kind."""
-        return self.active and (inter_site or not self.wan_only)
-
-    def describe(self) -> str:
-        parts = []
-        if self.loss_prob > 0.0:
-            parts.append(f"loss={self.loss_prob:g}/round")
-        if self.jitter_frac > 0.0:
-            parts.append(f"jitter<={self.jitter_frac:g}x")
-        if self.rtt_inflation > 1.0:
-            parts.append(f"rtt x{self.rtt_inflation:g}")
-        scope = "wan" if self.wan_only else "all links"
-        return f"{', '.join(parts) or 'clean'} ({scope}, seed={self.seed})"
+        return self.active and inter_site

@@ -444,8 +444,9 @@ class FluidNetwork:
             self._defer(plan, min(rate, rate_cap_bps))
 
     def set_pipe_capacity(self, pipe: Pipe, capacity_bps: "Rate | float") -> None:
-        """Change a pipe's capacity mid-simulation (fault injection: link
-        flaps / degradation) and re-allocate every affected flow."""
+        """Change a pipe's capacity mid-simulation and re-allocate every
+        affected flow.  No experiment calls it; the solver and TCP
+        window-driver oracles drive it as their capacity-change stimulus."""
         if capacity_bps <= 0:
             raise NetworkConfigError(
                 f"pipe {pipe.name!r}: capacity must be positive"

@@ -138,16 +138,6 @@ class Network:
     def nodes(self) -> list[Node]:
         return list(itertools.chain.from_iterable(c.nodes for c in self.clusters.values()))
 
-    def wan_pipes(self) -> "list[Pipe]":
-        """Every site access pipe (uplink then downlink), in sorted cluster
-        order — the deterministic target list for WAN fault injection."""
-        pipes: list[Pipe] = []
-        for name in sorted(self.clusters):
-            cluster = self.clusters[name]
-            pipes.append(cluster.uplink)
-            pipes.append(cluster.downlink)
-        return pipes
-
     def node(self, name: str) -> Node:
         for cluster in self.clusters.values():
             for node in cluster.nodes:

@@ -9,7 +9,7 @@ every run.  Entries are small JSON documents, so they double as
 machine-readable shard records.
 
 Cache keys are ``blake2b(task id | fast flag | source digest | shard
-spec | salt | runtime)``, the runtime being the interpreter's minor
+spec | runtime)``, the runtime being the interpreter's minor
 version and numpy's version (:func:`runtime_salt`).  The source digest
 is *dependency-aware*: when the shard runner's module is known, only
 its import closure is digested
@@ -121,10 +121,9 @@ class ResultCache:
     the parent resolves each task's dependency digest once and ships the
     result down).  Without a pin, per-task digests come from ``deps``
     (built by default) via each task's ``module=`` root, falling back to
-    the whole-tree :func:`source_digest`.  ``salt`` joins every key — the
-    CLI uses it to segregate faulted campaigns from clean ones — and so
-    does :func:`runtime_salt` unless the digest is pinned (a worker's pin
-    already carries its parent's).
+    the whole-tree :func:`source_digest`.  :func:`runtime_salt` joins
+    every key unless the digest is pinned (a worker's pin already carries
+    its parent's).
 
     The instance counts its ``hits`` / ``misses`` / ``stores``;
     :meth:`write_stats` persists them to ``<root>/stats.json`` so
@@ -137,11 +136,9 @@ class ResultCache:
         digest: Optional[str] = None,
         enabled: bool = True,
         deps: "DependencyDigests | None" = None,
-        salt: str = "",
     ) -> None:
         self.root = Path(root) if root is not None else DEFAULT_CACHE_ROOT
         self.enabled = enabled
-        self.salt = salt
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -171,8 +168,6 @@ class ResultCache:
                 digest = f"closure:{closure}"
         if spec:
             digest += f"|spec={spec}"
-        if self.salt:
-            digest += f"|{self.salt}"
         if self.runtime:
             digest += f"|{self.runtime}"
         return digest

@@ -73,15 +73,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import faults as _faults
 from repro.errors import TcpError
-from repro.obs import runtime as _obs
 from repro.faults.profile import FaultProfile
 from repro.net.fluid import Flow, FluidNetwork
 from repro.net.topology import Network, Node, Route
+from repro.obs import runtime as _obs
 from repro.sim.core import Environment, Event
 from repro.sim.queues import Resource
 from repro.sim.rng import RngRegistry
@@ -141,9 +140,8 @@ class TcpOptions:
     probe_loss_rounds: int = DEFAULT_PROBE_LOSS_ROUNDS
     #: override the congestion control algorithm (None: host sysctl).
     congestion_control: Optional[str] = None
-    #: deterministic WAN degradation (None = the clean dedicated path);
-    #: when a fault scenario is ambient (``repro.faults.activated``) the
-    #: fabric substitutes the scenario's profile here.
+    #: deterministic WAN degradation of inter-site routes (None = the
+    #: clean dedicated path)
     fault_profile: Optional[FaultProfile] = None
 
     def __post_init__(self):
@@ -714,11 +712,6 @@ class Fabric:
         self._sysctls: dict[str, SysctlConfig] = {
             name: sysctls for name in network.clusters
         }
-        #: the ambient fault scenario at construction time (frozen here so a
-        #: scenario deactivated mid-simulation cannot half-apply).
-        self.fault_scenario = _faults.active_scenario()
-        if self.fault_scenario is not None:
-            self.fault_scenario.install(env, network, self.fluid)
 
     def set_sysctls(self, config: SysctlConfig, cluster: Optional[str] = None) -> None:
         """Apply a sysctl configuration to one cluster or to every host."""
@@ -734,13 +727,6 @@ class Fabric:
         return self._sysctls[node.cluster.name]
 
     def connect(self, a: Node, b: Node, options: TcpOptions) -> TcpConnection:
-        scenario = self.fault_scenario
-        if (
-            scenario is not None
-            and scenario.profile is not None
-            and options.fault_profile is None
-        ):
-            options = replace(options, fault_profile=scenario.profile)
         return TcpConnection(
             self.env,
             self.fluid,

@@ -96,17 +96,6 @@ def test_experiments_job_runs_the_telemetry_smoke(workflow):
     assert any("/tmp/traces/" in step["with"]["path"] for step in uploads)
 
 
-def test_experiments_job_runs_the_fault_smoke(workflow):
-    commands = _run_commands(workflow["jobs"]["experiments"])
-    # A degraded scenario must actually exercise the sweep on the pool...
-    assert "repro run faults_pingpong --fast --jobs 2 --faults degraded-grid" in commands
-    # ...and a zero-fault run must reproduce the committed golden without
-    # replaying the clean cache (wall-time footer stripped on both sides).
-    assert "--faults none --no-cache" in commands
-    assert "results/fast/fig6.txt" in commands
-    assert "diff -u" in commands
-
-
 def test_experiments_job_runs_the_perf_gate(workflow):
     experiments = workflow["jobs"]["experiments"]
     steps = [step.get("run", "") for step in experiments["steps"]]

@@ -50,36 +50,6 @@ def test_jobs_must_be_an_int(capsys):
     assert "invalid" in capsys.readouterr().err
 
 
-def test_faults_list(capsys):
-    assert main(["faults", "list"]) == 0
-    out = capsys.readouterr().out
-    assert "none" in out and "lossy-wan" in out and "degraded-grid" in out
-    assert "seed=" in out  # the describe() line makes seeding visible
-
-
-def test_run_with_fault_scenario(capsys):
-    assert main(["run", "table1", "--faults", "degraded-grid", "--no-cache"]) == 0
-    captured = capsys.readouterr()
-    assert "[table1:" in captured.out
-    assert "faults: degraded-grid" in captured.err
-
-
-def test_run_with_unknown_fault_scenario():
-    from repro.errors import FaultConfigError
-
-    with pytest.raises(FaultConfigError):
-        main(["run", "table1", "--faults", "wobbly-wan"])
-
-
-def test_run_with_none_scenario_matches_clean_run(capsys):
-    assert main(["run", "table1", "--no-cache"]) == 0
-    clean = capsys.readouterr()
-    assert main(["run", "table1", "--faults", "none", "--no-cache"]) == 0
-    with_none = capsys.readouterr()
-    assert clean.out == with_none.out
-    assert "faults:" not in with_none.err  # inactive scenario: no banner
-
-
 def test_version(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

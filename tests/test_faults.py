@@ -1,25 +1,23 @@
-"""Deterministic WAN fault injection: profiles, scenarios, TCP invariants.
+"""Deterministic WAN fault injection: profiles, TCP invariants.
 
 Everything here revolves around two properties:
 
-* *determinism* — the same profile/scenario + seed reproduces transfers
+* *determinism* — the same profile + seed reproduces transfers
   byte-for-byte (same ``TransferStats``, same curves), which is what lets
   faulted experiments live in the result cache and CI;
-* *isolation* — a ``None`` profile and the ``none`` scenario leave every
-  result bit-identical to a build without the faults subsystem, so the
-  committed goldens never move.
+* *isolation* — a ``None`` or clean profile leaves every result
+  bit-identical to a build without the faults subsystem, so the committed
+  goldens never move.
 """
 
 import dataclasses
 
 import pytest
 
-from repro import faults
 from repro.apps.pingpong import tcp_pingpong
 from repro.errors import FaultConfigError
 from repro.experiments.environments import get_environment, pingpong_pair
-from repro.faults import FaultProfile, get_scenario
-from repro.faults.scenarios import CrossTraffic, LinkFlap
+from repro.faults import FaultProfile
 from repro.sim import Environment
 from repro.tcp import Fabric, TUNED_SYSCTLS, TcpOptions
 from repro.tcp.congestion import INITIAL_WINDOW, MSS, CongestionState
@@ -28,7 +26,7 @@ from repro.units import MB
 SEED = 1234
 
 
-# --- profile / scenario configuration ----------------------------------------------
+# --- profile configuration ----------------------------------------------------------
 def test_profile_validation():
     with pytest.raises(FaultConfigError):
         FaultProfile(loss_prob=1.0)
@@ -47,59 +45,22 @@ def test_profile_activity_and_scope():
     lossy = FaultProfile(loss_prob=0.1)
     assert lossy.active
     assert lossy.applies_to(inter_site=True)
-    assert not lossy.applies_to(inter_site=False)  # wan_only by default
-    everywhere = FaultProfile(loss_prob=0.1, wan_only=False)
-    assert everywhere.applies_to(inter_site=False)
-    assert "loss=0.1" in lossy.describe()
-
-
-def test_scenario_validation():
-    with pytest.raises(FaultConfigError):
-        CrossTraffic(rate_bps=-1.0)
-    with pytest.raises(FaultConfigError):
-        LinkFlap(period_s=0.0, duration_s=1.0)
-    with pytest.raises(FaultConfigError):
-        LinkFlap(period_s=1.0, duration_s=1.0, capacity_factor=1.5)
-
-
-def test_scenario_registry():
-    with pytest.raises(FaultConfigError):
-        get_scenario("wobbly-wan")
-    assert not get_scenario("none").active
-    for name, scenario in faults.SCENARIOS.items():
-        assert scenario.name == name
-        assert get_scenario(name.upper()) is scenario
-        assert scenario.describe()  # every scenario renders a summary
-
-
-def test_ambient_activation_stack():
-    assert faults.active_scenario() is None
-    faults.deactivate()  # no-op on the empty stack
-    with faults.activated("lossy-wan") as outer:
-        assert faults.active_scenario() is outer
-        with faults.activated(get_scenario("slow-wan")) as inner:
-            assert faults.active_scenario() is inner  # innermost wins
-        assert faults.active_scenario() is outer
-    assert faults.active_scenario() is None
-    with faults.activated(None) as nothing:  # optional passthrough
-        assert nothing is None
-        assert faults.active_scenario() is None
+    assert not lossy.applies_to(inter_site=False)  # inter-site routes only
 
 
 # --- TCP-level effects --------------------------------------------------------------
-def _grid_curve(profile, scenario=None, nbytes=8 * MB, repeats=6):
+def _grid_curve(profile, nbytes=8 * MB, repeats=6):
     env = get_environment("tcp_tuned")
     net, a, b = pingpong_pair("grid")
-    with faults.activated(scenario):
-        return tcp_pingpong(
-            net,
-            a,
-            b,
-            sizes=(nbytes,),
-            repeats=repeats,
-            sysctls=env.sysctls,
-            options=TcpOptions(fault_profile=profile),
-        )
+    return tcp_pingpong(
+        net,
+        a,
+        b,
+        sizes=(nbytes,),
+        repeats=repeats,
+        sysctls=env.sysctls,
+        options=TcpOptions(fault_profile=profile),
+    )
 
 
 def _faulted_transfer_stats(profile, where="grid", repeats=6, nbytes=4 * MB):
@@ -141,10 +102,9 @@ def test_different_seeds_diverge():
     ) > 1
 
 
-def test_clean_profile_and_none_scenario_change_nothing():
+def test_clean_profile_changes_nothing():
     baseline = _grid_curve(profile=None)
     assert baseline.points == _grid_curve(FaultProfile()).points
-    assert baseline.points == _grid_curve(None, scenario="none").points
     assert _faulted_transfer_stats(None) == _faulted_transfer_stats(FaultProfile())
 
 
@@ -176,53 +136,17 @@ def test_jitter_delays_mean_not_min():
     assert jittery.min_rtt < jittery.mean_rtt
 
 
-def test_wan_only_profile_leaves_cluster_path_clean():
+def test_profile_leaves_cluster_path_clean():
     profile = FaultProfile(seed=SEED, loss_prob=0.2, jitter_frac=0.5)
     assert _faulted_transfer_stats(profile, where="cluster") == _faulted_transfer_stats(
         None, where="cluster"
     )
-    # A wan_only profile never even arms the fault hooks intra-cluster...
+    # A profile never even arms the fault hooks intra-cluster.
     env = Environment()
     net, a, b = pingpong_pair("cluster")
     fabric = Fabric(env, net, TUNED_SYSCTLS)
     conn = fabric.connect(a, b, TcpOptions(fault_profile=profile))
     assert conn.direction(a).faults is None
-    # ... while wan_only=False arms them on the same route.
-    everywhere = dataclasses.replace(profile, wan_only=False)
-    armed = fabric.connect(a, b, TcpOptions(fault_profile=everywhere))
-    assert armed.direction(a).faults == everywhere
-
-
-def test_cross_traffic_scenario_slows_the_wan():
-    clean = _grid_curve(None).points[0]
-    degraded = _grid_curve(None, scenario="cross-traffic").points[0]
-    again = _grid_curve(None, scenario="cross-traffic").points[0]
-    assert degraded.mean_bandwidth_mbps < clean.mean_bandwidth_mbps
-    assert degraded == again  # background bursts are seeded too
-
-
-def test_flaky_link_scenario_slows_the_wan():
-    # Long enough that the run overlaps the first flap (~1-3 s in).
-    clean = _grid_curve(None, repeats=14).points[0]
-    flaky = _grid_curve(None, scenario="flaky-link", repeats=14).points[0]
-    again = _grid_curve(None, scenario="flaky-link", repeats=14).points[0]
-    assert flaky.mean_bandwidth_mbps < clean.mean_bandwidth_mbps
-    assert flaky == again
-
-
-def test_fabric_freezes_scenario_at_construction():
-    env = Environment()
-    net, a, b = pingpong_pair("grid")
-    with faults.activated("lossy-wan") as scenario:
-        fabric = Fabric(env, net, TUNED_SYSCTLS)
-    assert fabric.fault_scenario is scenario
-    # deactivated after construction: connections still get the profile
-    conn = fabric.connect(a, b, TcpOptions())
-    assert conn.direction(a).faults == scenario.profile
-    # ... but an explicit profile always wins over the ambient one
-    mine = FaultProfile(seed=SEED, jitter_frac=0.1)
-    explicit = fabric.connect(a, b, TcpOptions(fault_profile=mine))
-    assert explicit.direction(a).faults == mine
 
 
 # --- congestion-control invariants (under faults and otherwise) ---------------------

@@ -16,7 +16,8 @@ import multiprocessing
 
 import pytest
 
-from repro import faults
+from repro.faults import FaultProfile
+from repro.impls import get_implementation
 from repro.obs import (
     TelemetryConfig,
     merge_payloads,
@@ -130,9 +131,11 @@ def test_tcp_layer_records_cwnd_samples_and_window_rounds():
 
 
 def _lossy_grid_job():
-    """A two-rank GridMPI job whose WAN connections take injected losses."""
-    with faults.activated("lossy-wan"):
-        return make_grid_job(impl_name="gridmpi", nprocs=2)
+    """A two-rank GridMPI job whose WAN connections take 2% injected loss
+    per window round."""
+    lossy = FaultProfile(seed=20071126, loss_prob=0.02)
+    impl = get_implementation("gridmpi").with_fault_profile(lossy)
+    return make_grid_job(impl=impl, nprocs=2)
 
 
 def _tcp_records(sess):

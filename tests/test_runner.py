@@ -767,14 +767,6 @@ def test_disabled_cache_summary(tmp_path, tiny):
     assert campaign.cache_summary() == "cache: disabled"
 
 
-def test_salt_segregates_entries(tmp_path, tiny):
-    clean = ResultCache(root=tmp_path, digest="digest-a")
-    run_campaign([ExperimentSpec(tiny, fast=True)], cache=clean)
-    salted = ResultCache(root=tmp_path, digest="digest-a", salt="faults=lossy")
-    faulted = run_campaign([ExperimentSpec(tiny, fast=True)], cache=salted)
-    assert not faulted.runs[0].cached  # the clean entry must not replay
-
-
 @pytest.mark.parametrize("change", ["python", "numpy"])
 def test_runtime_change_misses(tmp_path, monkeypatch, change):
     from repro.runner import cache as cache_module

@@ -28,11 +28,12 @@ import random
 import pytest
 
 from repro.analysis.perturb import perturbation_ranker
-from repro.faults import CrossTraffic, FaultProfile, FaultScenario, LinkFlap
+from repro.faults import FaultProfile
 from repro.net import FluidNetwork
 from repro.net.grid5000 import build_pair_testbed, build_ray2mesh_testbed
 from repro.sim import Environment
 from repro.sim.core import install_trace_sink, remove_trace_sink, tie_ranker
+from repro.sim.rng import RngRegistry
 from repro.sim.sync import any_of
 from repro.tcp import (
     DEFAULT_SYSCTLS,
@@ -69,6 +70,56 @@ def polling_drive(self, flow, sent_cap):
 
 
 # --- randomized workloads -------------------------------------------------------------
+#: virtual-time horizon of the background flap and cross-traffic processes
+#: (an eternal generator would keep ``env.run()`` from draining)
+FAULT_HORIZON_S = 4.0
+
+
+def _link_flapper(env, fluid, pipe, flaps, rng):
+    """Capacity drops of one pipe (generator): about every ``period_s``
+    (uniformly 0.5x-1.5x) it falls to ``capacity_factor`` of its nominal
+    capacity for ``duration_s``."""
+    period_s, duration_s, capacity_factor = flaps
+    nominal = pipe.capacity_bps
+    while True:
+        wait = period_s * (0.5 + float(rng.random()))
+        if env.now + wait >= FAULT_HORIZON_S:
+            return
+        yield env.timeout(wait)
+        fluid.set_pipe_capacity(pipe, nominal * capacity_factor)
+        yield env.timeout(duration_s)
+        fluid.set_pipe_capacity(pipe, nominal)
+
+
+def _cross_traffic_source(env, fluid, pipe, rate_bps, rng):
+    """On/off background bursts on one pipe (generator): about 0.2 s at
+    ``rate_bps`` (uniformly 0.5x-1.5x), then about 0.3 s of silence."""
+    while env.now < FAULT_HORIZON_S:
+        burst_s = 0.2 * (0.5 + float(rng.random()))
+        nbytes = rate_bps * burst_s / 8.0
+        flow = fluid.start_flow(
+            f"faults.xtraffic.{pipe.name}", (pipe,), nbytes, rate_cap_bps=rate_bps
+        )
+        yield flow.done
+        yield env.timeout(0.3 * (0.5 + float(rng.random())))
+
+
+def _install_faults(env, net, fluid, seed, flaps, cross_bps):
+    """Start the background processes on every site access pipe (uplink
+    then downlink, sorted by cluster), each on its own named stream."""
+    rngs = RngRegistry(seed)
+    for cluster in sorted(net.clusters):
+        for pipe in (net.clusters[cluster].uplink, net.clusters[cluster].downlink):
+            if cross_bps is not None:
+                name = f"faults.xtraffic.{pipe.name}"
+                env.process(
+                    _cross_traffic_source(env, fluid, pipe, cross_bps, rngs.stream(name)),
+                    name=name,
+                )
+            name = f"faults.flap.{pipe.name}"
+            env.process(_link_flapper(env, fluid, pipe, flaps, rngs.stream(name)), name=name)
+
+
 def _workload(seed):
     """A pure description of one workload; both drivers replay it."""
     rng = random.Random(seed)
@@ -115,32 +166,23 @@ def _workload(seed):
                 "messages": messages,
             }
         )
-    flaps = LinkFlap(
-        period_s=rng.uniform(0.3, 1.2),
-        duration_s=rng.uniform(0.05, 0.3),
-        capacity_factor=rng.choice([0.1, 0.3, 0.6]),
-    )
-    cross = CrossTraffic(rate_bps=Mbps(rng.choice([200, 600])), burst_s=0.2, gap_s=0.3)
-    scenario = FaultScenario(
-        name="flaps",
-        description="randomized link flaps and cross-traffic",
-        seed=seed,
-        link_flaps=flaps,
-        cross_traffic=cross if rng.random() < 0.5 else None,
-        horizon_s=4.0,
-    )
+    # (period_s, duration_s, capacity_factor)
+    flaps = (rng.uniform(0.3, 1.2), rng.uniform(0.05, 0.3), rng.choice([0.1, 0.3, 0.6]))
+    cross_bps = Mbps(rng.choice([200, 600]))
+    if rng.random() >= 0.5:
+        cross_bps = None
     sysctls = rng.choice([DEFAULT_SYSCTLS, TUNED_SYSCTLS])
-    return conns, scenario, sysctls
+    return conns, (flaps, cross_bps), sysctls
 
 
 def _replay(seed, pushes):
     """Run ``_workload(seed)``; returns the per-transfer records.  Cap
     pushes are logged into ``pushes`` (see ``push_log``)."""
-    conns, scenario, sysctls = _workload(seed)
+    conns, (flaps, cross_bps), sysctls = _workload(seed)
     env = Environment()
     net = build_ray2mesh_testbed(nodes_per_site=3)
     fabric = Fabric(env, net, sysctls)
-    scenario.install(env, net, fabric.fluid)
+    _install_faults(env, net, fabric.fluid, seed, flaps, cross_bps)
     records = {}
 
     def sender(index, spec):

@@ -1,7 +1,7 @@
 """Per-connection WAN fault knobs, consumed by :mod:`repro.tcp.connection`.
 
 A :class:`FaultProfile` perturbs one TCP connection deterministically: every
-random decision is drawn from a named :class:`repro.sim.rng.RngRegistry`
+random decision is drawn from a named :meth:`repro.sim.rng.RngRegistry.uniform`
 stream derived from ``(profile.seed, direction name)``, so the same profile
 on the same topology reproduces the same loss pattern byte-for-byte — in a
 serial run, on a process pool, and across machines.
@@ -33,7 +33,7 @@ class FaultProfile:
     RENATER WAN path.
     """
 
-    #: master seed of the profile's random streams
+    #: master seed of the profile's random streams (>= 0)
     seed: int = 0
     #: probability of an injected loss event per window-limited RTT round
     loss_prob: float = 0.0
@@ -44,6 +44,8 @@ class FaultProfile:
     rtt_inflation: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise FaultConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.loss_prob < 1.0:
             raise FaultConfigError(
                 f"loss_prob must be in [0, 1), got {self.loss_prob}"

@@ -10,7 +10,7 @@ machine-readable shard records.
 
 Cache keys are ``blake2b(task id | fast flag | source digest | shard
 spec | runtime)``, the runtime being the interpreter's minor
-version and numpy's version (:func:`runtime_salt`).  The source digest
+version (:func:`runtime_salt`).  The source digest
 is *dependency-aware*: when the shard runner's module is known, only
 its import closure is digested
 (:class:`repro.analysis.imports.DependencyDigests`), so touching
@@ -31,7 +31,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib.metadata import version
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -77,14 +76,14 @@ def source_digest(package_root: Optional[Path] = None) -> str:
 
 
 def runtime_salt() -> str:
-    """The interpreter minor version and the numpy version.
+    """The interpreter minor version.
 
-    Results depend on both: numpy draws every RNG stream and verifies the
-    NPB kernels.  An entry stored under one runtime must miss under
-    another.  The version is read from the installed distribution's
-    metadata, so computing a key does not import numpy.
+    An entry stored under one interpreter must miss under another.  numpy
+    is not part of it: no shard result depends on numpy, since every
+    random draw of an experiment comes from :mod:`repro.sim.rng`'s
+    pure-Python PCG64 (CI runs a whole campaign with numpy blocked).
     """
-    return f"py={sys.version_info[0]}.{sys.version_info[1]}|numpy={version('numpy')}"
+    return f"py={sys.version_info[0]}.{sys.version_info[1]}"
 
 
 def spec_material(runner: str, params: dict[str, Any]) -> str:

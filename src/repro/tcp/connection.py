@@ -299,10 +299,10 @@ class _Direction:
             # enabling one effect never perturbs the other's sequence.
             rngs = RngRegistry(profile.seed)
             self._loss_rng = (
-                rngs.stream(f"faults.loss.{name}") if profile.loss_prob > 0 else None
+                rngs.uniform(f"faults.loss.{name}") if profile.loss_prob > 0 else None
             )
             self._jitter_rng = (
-                rngs.stream(f"faults.jitter.{name}")
+                rngs.uniform(f"faults.jitter.{name}")
                 if profile.jitter_frac > 0
                 else None
             )
@@ -409,7 +409,7 @@ class _Direction:
         the stream."""
         draws = self._draws
         while len(draws) <= ahead:
-            draws.append(float(self._loss_rng.random()))
+            draws.append(self._loss_rng.random())
         return draws[ahead]
 
     def _round_kind(
@@ -629,7 +629,7 @@ class _Direction:
             )
             if self._jitter_rng is not None and self.faults is not None:
                 jitter = (
-                    float(self._jitter_rng.random())
+                    self._jitter_rng.random()
                     * self.faults.jitter_frac
                     * self.route.one_way_delay
                 )

@@ -117,8 +117,18 @@ def test_experiments_job_checks_serial_and_parallel_trace_hashes_agree(workflow)
         return next(i for i, run in enumerate(steps) if command in run)
 
     serial = index(
-        "repro run all --fast --jobs 1 --no-cache --bench BENCH_experiments.json"
+        "main(['run', 'all', '--fast', '--jobs', '1', '--no-cache', "
+        "'--bench', 'BENCH_experiments.json'])"
     )
+    # The serial campaign runs with numpy blocked, before the CLI is imported,
+    # and its exit status is the step's: hashes that agree then also show
+    # that no experiment needs numpy.
+    (campaign,) = [line for line in steps[serial].splitlines() if "main([" in line]
+    assert campaign.startswith('python -c "import sys; sys.modules[\'numpy\'] = None; ')
+    assert campaign.index("sys.modules['numpy'] = None") < campaign.index(
+        "from repro.cli import main"
+    )
+    assert "sys.exit(main([" in campaign
     # After the 4-worker campaign and the perf gate (which reads the
     # campaign's entry as the manifest's last one)...
     assert index("repro run all --fast --jobs 4") < index("check_perf_budget.py") < serial

@@ -38,6 +38,13 @@ def test_profile_validation():
         FaultProfile(rtt_inflation=0.5)
 
 
+def test_negative_seed_is_rejected_where_it_is_set():
+    # at construction, not inside the first WAN connection that draws
+    with pytest.raises(FaultConfigError, match="seed"):
+        FaultProfile(seed=-1, loss_prob=0.01)
+    assert FaultProfile(seed=0, loss_prob=0.01).seed == 0
+
+
 def test_profile_activity_and_scope():
     clean = FaultProfile()
     assert not clean.active

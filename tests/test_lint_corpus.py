@@ -84,7 +84,7 @@ CORPUS: tuple[Bug, ...] = (
     Bug(
         "DET001",
         "tcp/connection.py",
-        "            draws.append(float(self._loss_rng.random()))",
+        "            draws.append(self._loss_rng.random())",
         """            import random
 
             draws.append(random.random())""",
@@ -124,7 +124,7 @@ CORPUS: tuple[Bug, ...] = (
         "DET005",
         "tcp/connection.py",
         """            self._loss_rng = (
-                rngs.stream(f"faults.loss.{name}") if profile.loss_prob > 0 else None
+                rngs.uniform(f"faults.loss.{name}") if profile.loss_prob > 0 else None
             )""",
         """            import numpy as np
 

@@ -1,9 +1,12 @@
 """Tests for unit helpers and the RNG registry."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.sim import RngRegistry
+from repro.sim.rng import pcg64_seed
 from repro.units import (
     GB,
     KB,
@@ -141,3 +144,55 @@ def test_rng_registry_reset():
     second = rngs.stream("x")
     assert first is not second
     np.testing.assert_array_equal(draw1, second.random(3))
+
+
+# --- the pure-Python PCG64 equals numpy's SeedSequence -> PCG64 construction ------
+ORACLE_SEEDS = (0, 1, 20071126, 2**32 + 5, 2**64 - 1, 2**96 + 12345)
+ORACLE_NAMES = ("", "faults.loss.rennes0->nancy0", "rank3", "fautes.perte.é→ß")
+
+
+def _numpy_stream(seed, name):
+    # the construction RngRegistry used before the derivation was pure
+    seq = np.random.SeedSequence(  # repro: noqa=DET005
+        entropy=seed, spawn_key=(zlib.crc32(name.encode("utf-8")),)
+    )
+    return np.random.default_rng(seq)  # repro: noqa=DET005
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_uniform_stream_equals_numpy_draws(seed, name):
+    stream = RngRegistry(seed).uniform(name)
+    draws = [stream.random() for _ in range(1000)]
+    assert all(type(draw) is float for draw in draws)
+    assert draws == _numpy_stream(seed, name).random(1000).tolist()
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_numpy_stream_keeps_the_seed_sequence_construction(seed, name):
+    old = _numpy_stream(seed, name)
+    new = RngRegistry(seed).stream(name)
+    np.testing.assert_array_equal(new.random(50), old.random(50))
+    np.testing.assert_array_equal(new.integers(0, 1000, 50), old.integers(0, 1000, 50))
+    np.testing.assert_array_equal(new.standard_normal(50), old.standard_normal(50))
+
+
+def test_uniform_and_numpy_streams_are_separate_objects():
+    rngs = RngRegistry(seed=7)
+    pure = rngs.uniform("x")
+    assert pure is rngs.uniform("x")
+    first = pure.random()
+    assert rngs.stream("x").random() == first  # drawing one left the other alone
+    rngs.reset()
+    assert rngs.uniform("x") is not pure
+    assert rngs.uniform("x").random() == first
+
+
+def test_negative_master_seed_is_rejected_like_seed_sequence():
+    with pytest.raises(ValueError, match="non-negative"):
+        pcg64_seed(-1, "x")
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence(entropy=-1)  # repro: noqa=DET005
+    with pytest.raises(ValueError, match="non-negative"):
+        RngRegistry(seed=-1).uniform("x")

@@ -25,18 +25,24 @@ from repro.mpi.constants import (
     SUM,
     ReduceOp,
 )
+from repro.mpi.protocol import Protocol
 from repro.mpi.request import Request, waitall, waitany
 from repro.obs import runtime as _obs
 
 
 class Communicator:
-    """Per-rank facade over the shared job state (≈ ``MPI_COMM_WORLD``)."""
+    """Per-rank facade over the job's shared protocol (≈ ``MPI_COMM_WORLD``).
 
-    def __init__(self, job, rank: int):
-        self._job = job
+    It holds the protocol and its own mailbox, not the job, so that a
+    finished job's transport is freed as soon as the job is dropped.
+    """
+
+    def __init__(self, protocol: Protocol, rank: int):
+        self._protocol = protocol
+        self._mailbox = protocol.mailboxes[rank]
         self.rank = rank
-        self.size = job.nprocs
-        self.env = job.env
+        self.size = protocol.transport.nprocs
+        self.env = protocol.env
         self._coll_seq = 0
 
     # ------------------------------------------------------------------ helpers
@@ -50,7 +56,7 @@ class Communicator:
 
     def cluster_of_ranks(self) -> list[str]:
         """Cluster name of every rank (used by topology-aware collectives)."""
-        return [node.cluster.name for node in self._job.placement]
+        return [node.cluster.name for node in self._protocol.transport.placement]
 
     # ------------------------------------------------------- point-to-point (blocking)
     def send(self, dst: int, nbytes: int = 0, tag: int = 0, payload: Any = None):
@@ -58,7 +64,7 @@ class Communicator:
         until the payload is on its way after the handshake)."""
         self._check_rank(dst, "destination")
         self._check_tag(tag)
-        yield from self._job.protocol.send(
+        yield from self._protocol.send(
             self.rank, dst, tag, nbytes, payload, POINT_TO_POINT_CONTEXT
         )
 
@@ -106,9 +112,7 @@ class Communicator:
             self._check_rank(src, "source")
         if tag != ANY_TAG:
             self._check_tag(tag)
-        return self._job.mailboxes[self.rank].post_recv(
-            src, tag, POINT_TO_POINT_CONTEXT, max_bytes
-        )
+        return self._mailbox.post_recv(src, tag, POINT_TO_POINT_CONTEXT, max_bytes)
 
     def waitall(self, requests: list[Request]):
         """Generator: wait for every request (``MPI_Waitall``)."""
@@ -126,7 +130,7 @@ class Communicator:
         request = Request(self.env, "send")
 
         def runner():
-            yield from self._job.protocol.send(
+            yield from self._protocol.send(
                 self.rank, dst, tag, nbytes, payload, context
             )
             request._finish(None)
@@ -141,7 +145,7 @@ class Communicator:
         return tag
 
     def _csend(self, dst: int, nbytes: int, payload: Any, tag: int):
-        yield from self._job.protocol.send(
+        yield from self._protocol.send(
             self.rank, dst, tag, nbytes, payload, COLLECTIVE_CONTEXT
         )
 
@@ -149,14 +153,13 @@ class Communicator:
         return self._start_send(dst, nbytes, tag, payload, COLLECTIVE_CONTEXT)
 
     def _crecv(self, src: int, tag: int):
-        request = self._job.mailboxes[self.rank].post_recv(
-            src, tag, COLLECTIVE_CONTEXT, None
-        )
+        request = self._mailbox.post_recv(src, tag, COLLECTIVE_CONTEXT, None)
         result = yield request.event
         return result
 
     def _algorithm(self, operation: str):
-        name = self._job.impl.collectives.get(operation, coll.DEFAULTS[operation])
+        impl = self._protocol.impl
+        name = impl.collectives.get(operation, coll.DEFAULTS[operation])
         algorithm = coll.resolve(operation, name)
         sess = _obs.ACTIVE
         if sess is None:
@@ -166,7 +169,7 @@ class Communicator:
                 "mpi.collective_calls",
                 op=operation,
                 algorithm=name,
-                impl=self._job.impl.name,
+                impl=impl.name,
             )
         if not sess.spans:
             return algorithm
@@ -191,13 +194,13 @@ class Communicator:
 
     # ------------------------------------------------------------- collectives
     def barrier(self):
-        self._job.trace.record_collective("barrier")
+        self._protocol.trace.record_collective("barrier")
         tag = self._next_coll_tag()
         yield from self._algorithm("barrier")(self, tag)
 
     def bcast(self, payload: Any = None, nbytes: int = 0, root: int = 0):
         self._check_rank(root, "root")
-        self._job.trace.record_collective("bcast")
+        self._protocol.trace.record_collective("bcast")
         tag = self._next_coll_tag()
         result = yield from self._algorithm("bcast")(self, tag, root, nbytes, payload)
         return result
@@ -206,7 +209,7 @@ class Communicator:
         self, payload: Any = None, nbytes: int = 0, op: ReduceOp = SUM, root: int = 0
     ):
         self._check_rank(root, "root")
-        self._job.trace.record_collective("reduce")
+        self._protocol.trace.record_collective("reduce")
         tag = self._next_coll_tag()
         result = yield from self._algorithm("reduce")(
             self, tag, root, nbytes, payload, op
@@ -214,14 +217,14 @@ class Communicator:
         return result
 
     def allreduce(self, payload: Any = None, nbytes: int = 0, op: ReduceOp = SUM):
-        self._job.trace.record_collective("allreduce")
+        self._protocol.trace.record_collective("allreduce")
         tag = self._next_coll_tag()
         result = yield from self._algorithm("allreduce")(self, tag, nbytes, payload, op)
         return result
 
     def gather(self, payload: Any = None, nbytes_each: int = 0, root: int = 0):
         self._check_rank(root, "root")
-        self._job.trace.record_collective("gather")
+        self._protocol.trace.record_collective("gather")
         tag = self._next_coll_tag()
         result = yield from self._algorithm("gather")(
             self, tag, root, nbytes_each, payload
@@ -229,7 +232,7 @@ class Communicator:
         return result
 
     def allgather(self, payload: Any = None, nbytes_each: int = 0):
-        self._job.trace.record_collective("allgather")
+        self._protocol.trace.record_collective("allgather")
         tag = self._next_coll_tag()
         result = yield from self._algorithm("allgather")(self, tag, nbytes_each, payload)
         return result
@@ -239,7 +242,7 @@ class Communicator:
         send_sizes: Sequence[int],
         payloads: Optional[Sequence] = None,
     ):
-        self._job.trace.record_collective("alltoallv")
+        self._protocol.trace.record_collective("alltoallv")
         tag = self._next_coll_tag()
         result = yield from self._algorithm("alltoallv")(self, tag, send_sizes, payloads)
         return result

@@ -42,22 +42,23 @@ class RankContext:
     ``rng`` is the rank's deterministic random stream, ``rank<r>`` in the
     job's :class:`RngRegistry`.  It is built on first read and cached there,
     so a program that draws nothing never builds a generator or loads numpy.
+    The context holds the pieces it reads, not the job.
     """
 
-    def __init__(self, job: "MpiJob", rank: int):
-        self.job = job
-        self.rank = rank
-        self.comm: Communicator = job.comms[rank]
-        self.node: Node = job.placement[rank]
-        self.env: Environment = job.env
+    def __init__(self, comm: Communicator, node: Node, rngs: RngRegistry):
+        self.comm = comm
+        self.rank = comm.rank
+        self.node = node
+        self.env: Environment = comm.env
+        self._rngs = rngs
 
     @property
     def rng(self):
-        return self.job.rngs.stream(f"rank{self.rank}")
+        return self._rngs.stream(f"rank{self.rank}")
 
     @property
     def size(self) -> int:
-        return self.job.nprocs
+        return self.comm.size
 
     def compute(self, flop: float):
         """Generator: charge ``flop`` floating-point operations of work at
@@ -94,7 +95,13 @@ class JobResult:
 
 
 class MpiJob:
-    """One simulated ``mpirun``: an implementation, a placement, a fabric."""
+    """One simulated ``mpirun``: an implementation, a placement, a fabric.
+
+    Ownership runs one way, from the job down: no communicator, context or
+    rank process refers back to the job, so a dropped job and everything
+    it opened (fabric, transport, connections) are freed by refcount, with
+    no wait for a cyclic garbage collection.
+    """
 
     def __init__(
         self,
@@ -131,8 +138,11 @@ class MpiJob:
         self.protocol = Protocol(
             self.env, self.transport, impl, self.mailboxes, self.trace
         )
-        self.comms = [Communicator(self, r) for r in range(self.nprocs)]
-        self.contexts = [RankContext(self, r) for r in range(self.nprocs)]
+        self.comms = [Communicator(self.protocol, r) for r in range(self.nprocs)]
+        self.contexts = [
+            RankContext(comm, node, self.rngs)
+            for comm, node in zip(self.comms, self.placement)
+        ]
 
     def run(
         self,
@@ -142,6 +152,7 @@ class MpiJob:
         """Run ``program`` on every rank until completion (or ``timeout``
         in virtual seconds, reported via ``result.timed_out``)."""
         env = self.env
+        contexts = self.contexts
         finish_times = [float("nan")] * self.nprocs
         returns: list[Any] = [None] * self.nprocs
 
@@ -161,7 +172,7 @@ class MpiJob:
             )
 
         def wrapper(rank: int):
-            value = yield from program(self.contexts[rank])
+            value = yield from program(contexts[rank])
             finish_times[rank] = env.now
             returns[rank] = value
 

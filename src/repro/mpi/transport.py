@@ -26,7 +26,7 @@ class LocalLink:
 
     def __init__(self, env: Environment):
         self.env = env
-        self._lock = Resource(env, capacity=1)
+        self._lock = Resource(env)
 
     def transmit(self, nbytes: int):
         grant = self._lock.request()

@@ -13,7 +13,7 @@ Public surface:
   ``env.timeout(delay)``, ``env.call_at(tick, fn)``, ``env.run(until=...)``.
 - :class:`Process` — a running coroutine; also an event (its termination).
 - :class:`Event`, :class:`Timeout`, :class:`AllOf`, :func:`any_of`.
-- :class:`Resource` — a FIFO counting semaphore whose requests are events.
+- :class:`Resource` — a FIFO lock whose requests are events.
 - :class:`RngRegistry` — named deterministic random streams.
 """
 

@@ -39,7 +39,7 @@ PROBE_ACCELERATION = 1.2
 INITIAL_WINDOW = 3 * MSS
 
 
-@dataclass
+@dataclass(slots=True)
 class CongestionState:
     """Per-direction congestion control state."""
 
@@ -55,6 +55,19 @@ class CongestionState:
     def __post_init__(self):
         if self.algorithm not in ("bic", "reno"):
             raise TcpError(f"unknown congestion algorithm {self.algorithm!r}")
+
+    def copy(self) -> "CongestionState":
+        """An independent copy, for evolving rounds ahead without applying
+        them (a plain constructor call: ``copy.copy`` on a slotted class
+        goes through the slower reduce protocol)."""
+        return CongestionState(
+            self.algorithm,
+            self.cwnd,
+            self.ssthresh,
+            self.last_max,
+            self._probe_increment,
+            self.losses,
+        )
 
     @property
     def in_slow_start(self) -> bool:

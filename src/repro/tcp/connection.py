@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from copy import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -121,6 +120,18 @@ WINDOW_LIMITED_SHARE = 0.98
 LAZY_POLL_RTTS = 8
 
 
+def _wan_keys(name: str) -> dict[bool, tuple]:
+    """Registry keys of ``name`` for both ``wan`` labels.  The per-message
+    and per-RTT sites record through these: building the sorted label tuple
+    there costs more than the record, and every direction shares them."""
+    return {wan: _obs.metric_key(name, wan=wan) for wan in (False, True)}
+
+
+_K_TRANSFERS = _wan_keys("tcp.transfers")
+_K_TRANSFER_BYTES = _wan_keys("tcp.transfer_bytes")
+_K_WINDOW_ROUNDS = _wan_keys("tcp.window_rounds")
+
+
 def _pushes(new_cap: float, sent_cap: float) -> bool:
     """Whether a window round's cap reaches the fluid layer: only material
     changes do (growth steps are a few percent); shrinks (losses) always
@@ -151,7 +162,7 @@ class TcpOptions:
             raise TcpError("probe_loss_rounds must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferStats:
     """Counters of one connection direction."""
 
@@ -254,7 +265,20 @@ class _Alarm:
 
 
 class _Direction:
-    """One half of a full-duplex TCP connection."""
+    """One half of a full-duplex TCP connection.
+
+    A job opens one per ordered pair of ranks on different nodes, so a
+    direction holds only what a transfer reads: no instance ``__dict__``,
+    and a loss-draw buffer only when losses are injected.
+    """
+
+    __slots__ = (
+        "env", "fluid", "route", "inter_site", "options", "name",
+        "src_site", "dst_site", "sndbuf", "rcvbuf", "cc",
+        "slow_start_after_idle", "stats", "_lock", "_activity",
+        "_probe_rounds", "faults", "_rtt_scale", "_loss_rng", "_jitter_rng",
+        "_draws", "loss_threshold", "ss_cap",
+    )
 
     def __init__(
         self,
@@ -283,7 +307,7 @@ class _Direction:
         self.cc = CongestionState(algorithm=algo)
         self.slow_start_after_idle = src_sysctl.tcp_slow_start_after_idle
         self.stats = TransferStats()
-        self._lock = Resource(env, capacity=1)
+        self._lock = Resource(env)
         #: shared with the opposite direction: a connection receiving data
         #: is not idle, so a long pingpong turnaround must not trigger the
         #: RFC 2861 restart (set by TcpConnection after construction).
@@ -312,21 +336,16 @@ class _Direction:
             self._loss_rng = None
             self._jitter_rng = None
         #: loss draws taken from ``_loss_rng`` ahead of the rounds they
-        #: belong to (oldest first)
-        self._draws: deque[float] = deque()
+        #: belong to (oldest first); ``None`` on a lossless direction
+        self._draws: Optional[deque[float]] = (
+            None if self._loss_rng is None else deque()
+        )
 
         sess = _obs.ACTIVE
         if sess is not None and sess.metrics:
             sess.count("tcp.connections", wan=route.inter_site)
             if self.faults is not None:
                 sess.count("faults.profiles_applied", wan=route.inter_site)
-
-        # Precomputed registry keys for the per-message / per-RTT sites —
-        # building the sorted label tuple there costs more than the record.
-        wan = route.inter_site
-        self._k_transfers = _obs.metric_key("tcp.transfers", wan=wan)
-        self._k_transfer_bytes = _obs.metric_key("tcp.transfer_bytes", wan=wan)
-        self._k_window_rounds = _obs.metric_key("tcp.window_rounds", wan=wan)
 
         queue = WAN_QUEUE_BYTES if route.inter_site else LAN_QUEUE_BYTES
         # BDP of the (possibly inflated) path: an RTT-inflating fault grows
@@ -377,7 +396,7 @@ class _Direction:
             if exited_slow_start:
                 sess.instant(now, "tcp.slowstart.exit", "tcp", self.name)
         if sess.metrics:
-            sess.count_key(self._k_window_rounds)
+            sess.count_key(_K_WINDOW_ROUNDS[self.inter_site])
             if loss_kind is not None:
                 sess.count("tcp.losses", kind=loss_kind, wan=self.route.inter_site)
                 if loss_kind == "injected":
@@ -449,7 +468,7 @@ class _Direction:
         of those is visible; returns ``None`` when no round ever will be
         (the buffers bind and no loss can be injected).
         """
-        cc = copy(self.cc)
+        cc = self.cc.copy()
         probe_rounds = self._probe_rounds
         buffers = min(self.sndbuf, self.rcvbuf)
         lossy = self._loss_rng is not None
@@ -551,7 +570,7 @@ class _Direction:
                 now = (anchor + k * step) / TICKS_PER_SECOND
                 sess.sample(now, "tcp.cwnd", self.name, self.cc.cwnd)
         if sess.metrics:
-            sess.count_key(self._k_window_rounds, inc=n)
+            sess.count_key(_K_WINDOW_ROUNDS[self.inter_site], inc=n)
 
     # -- the transfer ----------------------------------------------------------------
     def transmit(self, nbytes: int):
@@ -588,8 +607,8 @@ class _Direction:
             self.stats.transfers += 1
             self.stats.payload_bytes += nbytes
             if sess is not None and sess.metrics:
-                sess.count_key(self._k_transfers)
-                sess.observe_key(self._k_transfer_bytes, nbytes)
+                sess.count_key(_K_TRANSFERS[self.inter_site])
+                sess.observe_key(_K_TRANSFER_BYTES[self.inter_site], nbytes)
 
             window = self.window()
             if wire <= window:
@@ -644,6 +663,8 @@ class _Direction:
 
 class TcpConnection:
     """A full-duplex TCP connection between two nodes."""
+
+    __slots__ = ("env", "a", "b", "name", "forward", "backward")
 
     def __init__(
         self,

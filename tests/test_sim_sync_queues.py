@@ -134,36 +134,18 @@ def test_resource_serialises_holders():
         yield env.timeout(2.0)
         res.release(req)
 
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     env.process(worker("a", res))
     env.process(worker("b", res))
     env.run()
     assert trace == [("a", "acquired", 0.0), ("b", "acquired", 2.0)]
 
 
-def test_resource_capacity_two():
-    env = Environment()
-    trace = []
-
-    def worker(name, res):
-        req = res.request()
-        yield req
-        trace.append((name, env.now))
-        yield env.timeout(1.0)
-        res.release(req)
-
-    res = Resource(env, capacity=2)
-    for name in "abc":
-        env.process(worker(name, res))
-    env.run()
-    assert trace == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
 def test_uncontended_request_is_granted_without_an_event():
     from repro.sim.core import install_trace_sink, remove_trace_sink
 
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     popped = []
 
     def sink(tick, priority, seq, entry):
@@ -184,7 +166,7 @@ def test_uncontended_request_is_granted_without_an_event():
 
 def test_requests_queue_fifo_behind_waiters():
     env = Environment()
-    res = Resource(env, capacity=1)
+    res = Resource(env)
     first = res.request()
     waiting = [res.request(), res.request()]
     assert not any(req.triggered for req in waiting)
@@ -214,9 +196,3 @@ def test_resource_double_release_rejected():
     env.process(worker())
     with pytest.raises(SimulationError):
         env.run()
-
-
-def test_resource_invalid_capacity():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)

@@ -1,5 +1,7 @@
 """Tests for congestion window dynamics."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import TcpError
@@ -118,6 +120,17 @@ def test_clamp():
     assert cc.cwnd == 100 * MSS
     with pytest.raises(TcpError):
         cc.clamp(0)
+
+
+def test_copy_carries_every_field_and_is_independent():
+    cc = CongestionState("reno", 5.0 * MSS, 9.0 * MSS, 7.0 * MSS, 3.0 * MSS, 2)
+    default = CongestionState()
+    twin = cc.copy()
+    assert twin is not cc
+    for f in fields(CongestionState):
+        assert getattr(twin, f.name) == getattr(cc, f.name) != getattr(default, f.name)
+    twin.on_round()
+    assert twin.cwnd != cc.cwnd
 
 
 def test_unknown_algorithm_rejected():

@@ -118,11 +118,11 @@ def main() -> int:
         "* Table 2's FT/IS rows use the paper's own characterisation\n"
         "  (broadcast-dominated FT); the underlying message counts follow\n"
         "  our collective decompositions, not [Faraj & Yuan]'s accounting.\n"
-        "* MPICH-Madeleine's BT/SP timeout is recorded as a structured\n"
-        "  known failure: the paper observed the hang without a published\n"
-        "  root cause, so the result carries a `KnownFailure` locating the\n"
-        "  last collective the benchmark enters (its final residual\n"
-        "  allreduce, found by a telemetry probe) rather than a bare inf.\n"
+        "* MPICH-Madeleine's BT/SP timeout is a known failure of the\n"
+        "  implementation model: the paper observed the hang without a\n"
+        "  published root cause, so the run is not simulated and its time\n"
+        "  is inf (rendered 0.000 in Figs. 10-13) rather than an invented\n"
+        "  mechanism.\n"
         "* Fig. 13's absolute speedups run below the paper's (LU 2.9 vs\n"
         "  ~4, SP 1.6 vs >=3): the model's 4-node cluster reference is\n"
         "  comparatively fast because intra-cluster communication is cheap\n"

@@ -59,13 +59,7 @@ def trace_experiment(
     experiment: "str | Callable", fast: bool = True
 ) -> tuple[str, int, object]:
     """One instrumented run: ``(trace hash, event count, result)``."""
-    experiment_id, runner = _resolve_runner(experiment)
-    # A warm known-failure memo (NPB's documented hangs) replays no probe
-    # simulation, so every run after the first would hash fewer events
-    # than the first.  Start cold.
-    from repro.experiments.registry import clear_memos
-
-    clear_memos()
+    _, runner = _resolve_runner(experiment)
     with trace_capture() as hasher:
         result = runner(fast=fast)
     # Fold the rendered output in: same schedule + different values is

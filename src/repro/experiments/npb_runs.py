@@ -7,10 +7,7 @@ so a campaign simulates it once.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.environments import (
-    GridEnvironment,
     cluster_placement,
     get_environment,
     grid_placement,
@@ -20,22 +17,23 @@ from repro.npb import run_npb
 #: paper order of the NPB bars (Figs. 10-13)
 NPB_ORDER = ("ep", "cg", "mg", "lu", "sp", "bt", "is", "ft")
 
+#: Figs. 10-13 run on the fully tuned grid (§4.3)
+NPB_ENVIRONMENT = "fully_tuned"
+
 
 def npb_time(
     bench: str,
     impl_name: str,
     placement_kind: str,
     cls: str = "B",
-    env_name: str = "fully_tuned",
     sample_iters: "int | None | str" = "default",
-    timeout: Optional[float] = None,
 ) -> float:
     """Execution time (virtual seconds; ``inf`` for a known failure).
 
     ``placement_kind``: ``grid16`` (8+8), ``grid4`` (2+2), ``cluster16``,
     ``cluster4``.
     """
-    env: GridEnvironment = get_environment(env_name)
+    env = get_environment(NPB_ENVIRONMENT)
     if placement_kind.startswith("grid"):
         nprocs = int(placement_kind.removeprefix("grid"))
         network, placement = grid_placement(nprocs)
@@ -53,7 +51,6 @@ def npb_time(
         placement,
         sysctls=env.sysctls,
         sample_iters=sample_iters,
-        timeout=timeout,
     )
     return result.time
 

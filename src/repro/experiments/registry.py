@@ -34,7 +34,6 @@ from repro.experiments import (
     table7,
 )
 from repro.experiments.base import ExperimentResult, ShardSpec
-from repro.npb import suite as npb_suite
 from repro.obs import runtime as _obs
 
 #: id -> defining module (or module-like namespace: ``experiments.faults``
@@ -77,14 +76,11 @@ def run_experiment(experiment_id: str, fast: bool = False) -> ExperimentResult:
 
 
 def clear_memos() -> None:
-    """Drop the in-process known-failure memo (``npb.suite``).
+    """No-op: no experiment keeps an in-process memo any more.
 
-    The sanitizers call this before each instrumented run: a memo hit
-    replays no probe simulation, so a trace or schedule projection
-    captured over it would miss the probe's events and diverge from a
-    cold run's.  Campaign runners never call this.
+    Kept only because ``bench/tests/test_bench.py`` still calls it; the
+    next change to the benchmark harness drops that call and this with it.
     """
-    npb_suite.clear_memo()
 
 
 @dataclass(frozen=True)

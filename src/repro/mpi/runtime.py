@@ -19,7 +19,7 @@ Every rank runs the same program (SPMD), starting at virtual time zero::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import MpiError
 from repro.mpi.communicator import Communicator
@@ -31,7 +31,7 @@ from repro.net.topology import Network, Node
 from repro.obs import runtime as _obs
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import AllOf, any_of
+from repro.sim.sync import AllOf
 from repro.tcp.connection import Fabric
 from repro.tcp.sysctl import DEFAULT_SYSCTLS, SysctlConfig
 
@@ -84,7 +84,6 @@ class JobResult:
     makespan: float
     rank_times: list[float]
     returns: list[Any]
-    timed_out: bool
     trace: MessageTrace
     #: per-rank matching statistics
     mailbox_stats: list
@@ -144,13 +143,8 @@ class MpiJob:
             for comm, node in zip(self.comms, self.placement)
         ]
 
-    def run(
-        self,
-        program: Callable,
-        timeout: Optional[float] = None,
-    ) -> JobResult:
-        """Run ``program`` on every rank until completion (or ``timeout``
-        in virtual seconds, reported via ``result.timed_out``)."""
+    def run(self, program: Callable) -> JobResult:
+        """Run ``program`` on every rank until every rank returns."""
         env = self.env
         contexts = self.contexts
         finish_times = [float("nan")] * self.nprocs
@@ -179,47 +173,30 @@ class MpiJob:
         procs = [
             env.process(wrapper(r), name=f"rank{r}") for r in range(self.nprocs)
         ]
-        done = AllOf(env, procs)
-        if timeout is None:
-            env.run(until=done)
-            timed_out = False
-        else:
-            env.run(until=any_of(env, [done, env.timeout(timeout)]))
-            timed_out = not done.triggered
-            if timed_out:
-                # Keep draining nothing further; report what finished.
-                for r, proc in enumerate(procs):
-                    if not proc.triggered:
-                        finish_times[r] = float("inf")
+        env.run(until=AllOf(env, procs))
 
-        makespan = max(finish_times) if not timed_out else float("inf")
+        makespan = max(finish_times)
         sess = _obs.ACTIVE
         if sess is not None:
-            if sess.spans and not timed_out:
+            if sess.spans:
                 sess.complete(
                     0.0,
                     makespan,
                     "mpi.job",
                     "mpi",
                     "job",
-                    {
-                        "impl": self.impl.name,
-                        "nprocs": self.nprocs,
-                        "timed_out": timed_out,
-                    },
+                    {"impl": self.impl.name, "nprocs": self.nprocs},
                 )
             if sess.metrics:
                 sess.count("mpi.jobs", impl=self.impl.name)
-                if not timed_out:
-                    sess.gauge(
-                        "mpi.job.makespan_s", makespan, impl=self.impl.name,
-                        nprocs=self.nprocs,
-                    )
+                sess.gauge(
+                    "mpi.job.makespan_s", makespan, impl=self.impl.name,
+                    nprocs=self.nprocs,
+                )
         return JobResult(
             makespan=makespan,
             rank_times=finish_times,
             returns=returns,
-            timed_out=timed_out,
             trace=self.trace,
             mailbox_stats=[m.stats for m in self.mailboxes],
         )

@@ -17,7 +17,6 @@ from repro.net.topology import Cluster, Network, Node, Route
 from repro.net.grid5000 import (
     GRID5000_RTT_MS,
     HOST_SPECS,
-    build_grid5000,
     build_pair_testbed,
     build_ray2mesh_testbed,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Node",
     "Pipe",
     "Route",
-    "build_grid5000",
     "build_pair_testbed",
     "build_ray2mesh_testbed",
 ]

@@ -374,7 +374,7 @@ class FluidNetwork:
         )
         flow._last_update = self.env.now
         if nbytes == 0:
-            flow.done.succeed(flow)
+            flow.done.succeed()
             return flow
         self.flows.add(flow)
         plans, solo = self._plans, self._solo
@@ -853,7 +853,7 @@ class FluidNetwork:
                 eta = max(flow.remaining_bits / flow.rate_bps, _MIN_ETA)
                 self._arm_completion(flow, eta)
                 continue
-            flow.done.succeed(flow)
+            flow.done.succeed()
             self._depart(flow)
         self._firing = False
         self._flush()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import NetworkConfigError
-from repro.net.topology import Cluster, Network, Node
+from repro.net.topology import Cluster, Network
 from repro.units import Gbps, msec, usec
 
 
@@ -111,19 +111,6 @@ GRID5000_RTT_MS: dict[frozenset, float] = {
     frozenset(("toulouse", "sophia")): 14.5,
 }
 
-#: The nine Grid'5000 sites (Fig. 1).
-ALL_SITES = (
-    "bordeaux",
-    "grenoble",
-    "lille",
-    "lyon",
-    "nancy",
-    "orsay",
-    "rennes",
-    "sophia",
-    "toulouse",
-)
-
 #: Intra-cluster *wire* RTT.  The paper's Table 4 measures 41 us of one-way
 #: raw-TCP latency inside the Rennes cluster; with the calibrated 12 us
 #: one-way TCP stack crossing (see :mod:`repro.tcp.connection`) that leaves
@@ -177,35 +164,3 @@ def build_ray2mesh_testbed(nodes_per_site: int = 8) -> Network:
         a, b = sorted(pair)
         net.set_rtt(a, b, msec(rtt_ms))
     return net
-
-
-def build_grid5000(nodes_per_site: int = 2) -> Network:
-    """All nine Grid'5000 sites (Fig. 1), for exploratory use.
-
-    RTTs not given by the paper are synthesised from the known ones: the
-    mean measured inter-site RTT (~16.7 ms) is used for every pair the
-    paper does not document.
-    """
-    net = Network("grid5000")
-    for site in ALL_SITES:
-        _add_site(net, site, nodes_per_site, Gbps(1))
-    mean_rtt = sum(GRID5000_RTT_MS.values()) / len(GRID5000_RTT_MS)
-    for i, a in enumerate(ALL_SITES):
-        for b in ALL_SITES[i + 1 :]:
-            rtt_ms = GRID5000_RTT_MS.get(frozenset((a, b)), mean_rtt)
-            net.set_rtt(a, b, msec(rtt_ms))
-    # The paper quotes Toulouse-Lille explicitly (§3.2).
-    net.set_rtt("toulouse", "lille", msec(18.2))
-    return net
-
-
-def node_names(net: Network, site: str, count: int) -> list[Node]:
-    """First ``count`` nodes of ``site`` (placement helper)."""
-    cluster = net.clusters.get(site)
-    if cluster is None:
-        raise NetworkConfigError(f"unknown site {site!r}")
-    if count > len(cluster.nodes):
-        raise NetworkConfigError(
-            f"site {site!r} has {len(cluster.nodes)} nodes, asked for {count}"
-        )
-    return cluster.nodes[:count]

@@ -18,8 +18,9 @@ Each benchmark module provides
     collectives) is the real one.
 
 The suite runner (:mod:`repro.npb.suite`) mirrors the paper's
-methodology: best of N runs, optional timeout (MPICH-Madeleine's BT/SP
-failure), traced traffic for Table 2.
+methodology: one run per configuration (the simulator is deterministic),
+MPICH-Madeleine's BT/SP failure reported as an infinite time, and traced
+traffic for Table 2.
 """
 
 from repro.npb.common import (
@@ -29,22 +30,14 @@ from repro.npb.common import (
     FLOP_COUNTS,
     validate_config,
 )
-from repro.npb.suite import (
-    KnownFailure,
-    NpbResult,
-    get_benchmark,
-    locate_known_failure,
-    run_npb,
-)
+from repro.npb.suite import NpbResult, get_benchmark, run_npb
 
 __all__ = [
     "BENCHMARK_NAMES",
     "CLASS_NAMES",
     "COMM_TYPE",
     "FLOP_COUNTS",
-    "KnownFailure",
     "NpbResult",
-    "locate_known_failure",
     "get_benchmark",
     "run_npb",
     "validate_config",

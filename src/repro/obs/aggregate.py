@@ -50,10 +50,6 @@ TICKS_PER_SECOND = 1_000_000
 #: float-noise tolerance for interval containment (absolute, seconds)
 EPS = 1e-9
 
-#: span names that carry ``src_site``/``dst_site`` tags and feed the
-#: WAN-time matrix
-SITE_TAGGED = ("tcp.transmit", "rndv.announce", "rndv.handshake", "rndv.data", "rndv.ack")
-
 
 def ticks(seconds: float) -> int:
     """Integer virtual-microsecond ticks for a duration in seconds."""

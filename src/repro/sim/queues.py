@@ -29,7 +29,7 @@ class ResourceRequest(Event):
             # processed (``yield``-ing it still works, via the engine's
             # already-processed path).
             resource._holder = self
-            self._value = self
+            self._value = None
             self.callbacks = None
         else:
             # Waiters only exist while the lock is held, so this request
@@ -66,6 +66,6 @@ class Resource:
         waiters = self._waiters
         if waiters:
             self._holder = nxt = waiters.popleft()
-            nxt.succeed(nxt)
+            nxt.succeed()
         else:
             self._holder = None

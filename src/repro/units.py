@@ -155,9 +155,6 @@ def goodput_mbps(nbytes: float, seconds: float) -> float:
 
 
 # --- pretty-printing ----------------------------------------------------------
-_SIZE_SUFFIXES = [(GB, "GB"), (MB, "MB"), (KB, "kB")]
-
-
 def fmt_bytes(nbytes: float) -> str:
     """Human-readable byte count, matching the paper's axis labels.
 
@@ -173,38 +170,6 @@ def fmt_bytes(nbytes: float) -> str:
                 return f"{int(value)}{suffix}"
             return f"{value:.1f}{suffix}"
     return f"{int(nbytes)}"
-
-
-def fmt_rate(rate_bps: Rate | float) -> str:
-    """Human-readable bit rate.
-
-    >>> fmt_rate(940e6)
-    '940.0 Mbps'
-    """
-    if rate_bps >= 1e9:
-        return f"{rate_bps / 1e9:.2f} Gbps"
-    if rate_bps >= 1e6:
-        return f"{rate_bps / 1e6:.1f} Mbps"
-    if rate_bps >= 1e3:
-        return f"{rate_bps / 1e3:.1f} kbps"
-    return f"{rate_bps:.1f} bps"
-
-
-def fmt_time(seconds: float) -> str:
-    """Human-readable duration.
-
-    >>> fmt_time(5.8e-3)
-    '5.800 ms'
-    >>> fmt_time(4.1e-05)
-    '41.0 us'
-    """
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.3f} ms"
-    if seconds >= 1e-6:
-        return f"{seconds * 1e6:.1f} us"
-    return f"{seconds * 1e9:.1f} ns"
 
 
 def parse_size(text: str) -> Size:

@@ -148,37 +148,13 @@ class TestSanitize:
 
 
 class TestMemoClearing:
-    """Sanitized runs must start with a cold known-failure memo: a warm
-    memo replays no probe simulation, so the captured trace/projection
-    would miss the probe's events."""
-
-    def test_trace_experiment_starts_cold(self):
-        from repro.npb import suite
-
-        suite._failure_memo[("sentinel",)] = object()
-        trace_experiment(seeded_experiment)
-        assert suite._failure_memo == {}
-
-    def test_perturb_runs_start_cold(self):
-        from repro.analysis.perturb import perturb
-        from repro.npb import suite
-
-        suite._failure_memo[("sentinel",)] = object()
-        report = perturb(seeded_experiment, seeds=(1,))
-        assert report.passed
-        assert suite._failure_memo == {}
-
-    def test_clear_memos_empties_the_npb_memos(self):
-        from repro.experiments.registry import clear_memos
-        from repro.npb import suite
-
-        suite._failure_memo[("sentinel",)] = object()
-        clear_memos()
-        assert suite._failure_memo == {}
+    """No run of an experiment depends on what an earlier run in the same
+    process did."""
 
     def test_perturbed_npb_runs_replay_their_simulation(self):
         """Each perturbed run folds as many public events as the baseline:
-        a memo hit (a timed run, or a known-failure probe) would fold none."""
+        every run simulates its NPB jobs afresh (a known failure simulates
+        nothing, in every run alike)."""
         from repro.analysis.perturb import perturb
         from repro.experiments.npb_runs import npb_time
 
@@ -192,3 +168,16 @@ class TestMemoClearing:
         assert report.baseline_events > 0
         assert [run.events for run in report.runs] == [report.baseline_events] * 2
         assert report.passed
+
+    def test_a_known_failure_shard_hashes_alike_in_one_process(self):
+        """The grid4 BT shard holds MPICH-Madeleine's known failure: a
+        second run in the same process records the first run's trace."""
+        from repro.experiments.npb_runs import run_npb_point_shard
+        from repro.sim.core import trace_capture
+
+        def traced():
+            with trace_capture() as hasher:
+                run_npb_point_shard("bt", "grid4", fast=True)
+            return hasher.hexdigest(), hasher.events
+
+        assert traced() == traced()

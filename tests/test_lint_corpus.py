@@ -211,8 +211,8 @@ CORPUS: tuple[Bug, ...] = (
     Bug(
         "SIM002",
         "net/fluid.py",
-        "            flow.done.succeed(flow)\n            self._depart(flow)",
-        "            flow.done.succeed(flow)\n            flow.done.succeed(flow)\n"
+        "            flow.done.succeed()\n            self._depart(flow)",
+        "            flow.done.succeed()\n            flow.done.succeed()\n"
         "            self._depart(flow)",
         "table4",
         ("SIM002", "raise"),

@@ -59,33 +59,6 @@ def test_negative_compute_rejected():
         job.run(program)
 
 
-def test_timeout_reports_timed_out():
-    job = make_cluster_job(nprocs=2)
-
-    def program(ctx):
-        if ctx.rank == 0:
-            yield from ctx.comm.recv(1)  # never sent: hangs
-        else:
-            yield from ctx.compute_time(0.1)
-
-    result = job.run(program, timeout=5.0)
-    assert result.timed_out
-    assert math.isinf(result.makespan)
-    assert math.isinf(result.rank_times[0])
-    assert result.rank_times[1] == pytest.approx(0.1)
-
-
-def test_timeout_not_triggered_when_finishing():
-    job = make_cluster_job(nprocs=2)
-
-    def program(ctx):
-        yield from ctx.compute_time(0.5)
-
-    result = job.run(program, timeout=100.0)
-    assert not result.timed_out
-    assert result.makespan == pytest.approx(0.5)
-
-
 def test_per_rank_rng_deterministic_and_distinct():
     draws = {}
     for attempt in range(2):

@@ -7,11 +7,10 @@ from repro.net import (
     GRID5000_RTT_MS,
     HOST_SPECS,
     Network,
-    build_grid5000,
     build_pair_testbed,
     build_ray2mesh_testbed,
 )
-from repro.net.grid5000 import ALL_SITES, INTRA_CLUSTER_RTT, node_names
+from repro.net.grid5000 import INTRA_CLUSTER_RTT
 from repro.units import Gbps, Mbps, msec, usec
 
 
@@ -154,24 +153,6 @@ def test_rtt_values_match_paper_quotes():
     # §3.2: "about 19 ms for the link Rennes-Sophia", 11.6 ms Rennes-Nancy.
     assert GRID5000_RTT_MS[frozenset(("rennes", "nancy"))] == 11.6
     assert 19.0 <= GRID5000_RTT_MS[frozenset(("rennes", "sophia"))] <= 19.9
-
-
-def test_full_grid5000():
-    net = build_grid5000(nodes_per_site=1)
-    assert sorted(net.clusters) == sorted(ALL_SITES)
-    assert net.rtt("toulouse", "lille") == pytest.approx(msec(18.2))
-    # Synthesised RTT for an undocumented pair is the mean of the known ones.
-    assert msec(10) < net.rtt("bordeaux", "grenoble") < msec(25)
-
-
-def test_node_names_helper():
-    net = build_pair_testbed(nodes_per_site=4)
-    nodes = node_names(net, "rennes", 2)
-    assert [n.name for n in nodes] == ["rennes-0", "rennes-1"]
-    with pytest.raises(NetworkConfigError):
-        node_names(net, "rennes", 5)
-    with pytest.raises(NetworkConfigError):
-        node_names(net, "lille", 1)
 
 
 def test_intra_rtt_constant_matches_table4():

@@ -10,7 +10,6 @@ from repro.mpi import MpiJob
 from repro.mpi.constants import POINT_TO_POINT_CONTEXT
 from repro.net import build_pair_testbed
 from repro.npb import BENCHMARK_NAMES, COMM_TYPE, run_npb, validate_config
-from repro.npb.suite import clear_memo
 from repro.npb.common import (
     DEFAULT_SAMPLE_ITERS,
     FLOP_COUNTS,
@@ -216,47 +215,6 @@ def test_madeleine_known_failures_reported():
         honor_known_failures=False, sample_iters=2,
     )
     assert result2.completed
-
-
-def test_known_failure_records_the_hang_point():
-    """§4.3: the madeleine BT/SP timeout is no longer a bare ``inf`` — the
-    result carries a KnownFailure locating the collective the documented
-    hang cannot get past (BT/SP's only collective: the final residual
-    allreduce)."""
-    clear_memo()
-    net, placement = grid_8_8()
-    impl = get_implementation("madeleine")
-    for name in ("bt", "sp"):
-        result = run_npb(name, "B", net, impl, placement, sysctls=TUNED_SYSCTLS)
-        failure = result.failure
-        assert failure is not None, name
-        assert failure.impl_name == "madeleine"
-        assert failure.benchmark == name
-        assert failure.collective == "allreduce"
-        assert failure.algorithm  # the model's pick, never empty
-        assert 0 < failure.enters_at < failure.probe_makespan
-        text = failure.describe()
-        assert "documented timeout" in text
-        assert "allreduce" in text
-
-
-def test_known_failure_probe_is_memoized():
-    clear_memo()
-    net, placement = grid_8_8()
-    impl = get_implementation("madeleine")
-    first = run_npb("bt", "B", net, impl, placement, sysctls=TUNED_SYSCTLS)
-    second = run_npb("bt", "B", net, impl, placement, sysctls=TUNED_SYSCTLS)
-    assert second.failure is first.failure  # same object: probe ran once
-
-
-def test_completed_runs_have_no_failure_record():
-    net, placement = grid_8_8()
-    result = run_npb(
-        "bt", "S", net, get_implementation("mpich2"), placement,
-        sysctls=TUNED_SYSCTLS, sample_iters=2,
-    )
-    assert result.completed
-    assert result.failure is None
 
 
 def test_run_suite():

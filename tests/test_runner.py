@@ -453,7 +453,7 @@ def test_cli_run_reports_failures_with_exit_code(tmp_path, monkeypatch, tiny, ca
     assert "[boom: FAILED" in captured.err and "RuntimeError" in captured.err
     assert (tmp_path / "out" / "tiny.txt").exists()
     assert not (tmp_path / "out" / "boom.txt").exists()
-    assert (tmp_path / "BENCH_experiments.json").exists()
+    assert not (tmp_path / "BENCH_experiments.json").exists()  # no --bench
 
 
 def test_cli_run_fast_is_uniform(tmp_path, monkeypatch, tiny):
@@ -465,6 +465,17 @@ def test_cli_run_fast_is_uniform(tmp_path, monkeypatch, tiny):
     assert main(["run", "table1", tiny, "--fast", "--out", "out"]) == 0
     for report in ("table1.txt", "tiny.txt"):
         assert "fast=True]" in (tmp_path / "out" / report).read_text()
+
+
+def test_cli_run_writes_a_manifest_only_under_bench(tmp_path, monkeypatch, tiny):
+    """Neither several ids nor ``--out`` touch the timing manifest: a
+    verification campaign run from a checkout leaves it as committed."""
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "table1", tiny, "--fast", "--out", "out"]) == 0
+    assert (tmp_path / "out" / "table1.txt").exists()
+    assert not (tmp_path / "BENCH_experiments.json").exists()
 
 
 def test_cli_run_runs_a_repeated_id_once(tmp_path, monkeypatch, tiny, capsys):

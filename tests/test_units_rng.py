@@ -15,8 +15,6 @@ from repro.units import (
     Mbps,
     bytes_per_second,
     fmt_bytes,
-    fmt_rate,
-    fmt_time,
     goodput_mbps,
     kb,
     log2_sizes,
@@ -73,20 +71,6 @@ def test_fmt_bytes():
     assert fmt_bytes(4 * MB) == "4M"
     assert fmt_bytes(GB) == "1G"
     assert fmt_bytes(1536) == "1.5k"
-
-
-def test_fmt_rate():
-    assert fmt_rate(940e6) == "940.0 Mbps"
-    assert fmt_rate(1e9) == "1.00 Gbps"
-    assert fmt_rate(5e3) == "5.0 kbps"
-    assert fmt_rate(12) == "12.0 bps"
-
-
-def test_fmt_time():
-    assert fmt_time(2.5) == "2.50 s"
-    assert fmt_time(5.8e-3) == "5.800 ms"
-    assert fmt_time(41e-6) == "41.0 us"
-    assert fmt_time(3e-9) == "3.0 ns"
 
 
 def test_parse_size():

@@ -1,12 +1,16 @@
-"""No module imports a name it never uses (ruff's F401, without ruff).
+"""No module imports a name it never uses, and no definition goes unreached.
 
 The CI ``check`` job runs ruff, which selects F401, but ruff may not be
-installed where the tests run.  This is the same check in the standard
-library: an import is unused when no name in its scope (nested scopes
-included) reads it, no string annotation names it, ``__all__`` does not
-list it, and its line carries no ``noqa`` pragma.  ``__init__`` modules
-are skipped, since their imports are the package's re-exports, and so is
-``from __future__ import ...``.
+installed where the tests run.  The first scan is the same check in the
+standard library: an import is unused when no name in its scope (nested
+scopes included) reads it, no string annotation names it, ``__all__``
+does not list it, and its line carries no ``noqa`` pragma.  ``__init__``
+modules are skipped, since their imports are the package's re-exports,
+and so is ``from __future__ import ...``.
+
+The second scan flags a top-level function or class of ``src/repro``
+that nothing in ``src/repro``, ``scripts/`` or ``examples/`` references,
+so that code only tests reach does not pass for code that runs.
 """
 
 import ast
@@ -15,6 +19,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/repro", "tests", "scripts")
+#: where a definition counts as referenced
+REFERRING = ("src/repro", "scripts", "examples")
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -150,3 +156,115 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+# --- definitions that nothing references ---------------------------------------
+#: a name spelled as a string: a shard runner's ``module:function`` or a
+#: lint table's ``repro.units.kb`` (an f-string's tail, ``:run_whole``, too)
+_SPELLED = re.compile(r"[.:]?(?:[A-Za-z_]\w*[.:])*([A-Za-z_]\w*)")
+
+#: unreferenced definitions kept on purpose, each with its reason
+UNREFERENCED = {
+    "src/repro/experiments/registry.py:clear_memos": (
+        "a no-op that bench/tests/test_bench.py still calls; it goes with "
+        "that call in the next change to the benchmark harness"
+    ),
+    "src/repro/units.py:ticks_to_seconds": (
+        "the oracle for delay_to_ticks: tests/test_sim_core.py round-trips "
+        "every tick through it"
+    ),
+    "src/repro/npb/suite.py:get_verifier": (
+        "the entry to the NPB verification kernels, test-only evidence that "
+        "the skeletons' dataflow is real (ROADMAP.md, the Parked note)"
+    ),
+}
+
+
+def _references(tree: ast.Module, init: bool) -> set[str]:
+    """Every name a module reads, imports or spells as a string.
+
+    An ``__init__`` module's imports and ``__all__`` are its package's
+    re-exports, so there only loads and attribute reads count.
+    """
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif init:
+            continue
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = _SPELLED.fullmatch(node.value)
+            if match:
+                names.add(match.group(1))
+    return names
+
+
+def unreferenced(defining: dict[str, str], referring: dict[str, str]) -> list[str]:
+    """``path:name`` of each undecorated top-level function or class in
+    ``defining`` that no module in ``referring`` references (both map a
+    path to its source)."""
+    used: set[str] = set()
+    for path, source in referring.items():
+        used |= _references(ast.parse(source), path.endswith("__init__.py"))
+    return sorted(
+        f"{path}:{node.name}"
+        for path, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, _SCOPES) and not node.decorator_list and node.name not in used
+    )
+
+
+def _exempt(entry: str) -> bool:
+    """CLI handlers and pytest hooks are called by name from outside."""
+    path, name = entry.split(":")
+    return (path == "src/repro/cli.py" and name.startswith("_cmd_")) or (
+        path == "src/repro/analysis/pytest_plugin.py" and name.startswith("pytest_")
+    )
+
+
+def test_definition_scan_flags_what_nothing_references():
+    defining = {
+        "pkg/mod.py": (
+            "def by_name(): pass\n"
+            "def by_attribute(): pass\n"
+            "def by_runner_string(): pass\n"
+            "def by_dotted_string(): pass\n"
+            "def only_reexported(): pass\n"
+            "@register\n"
+            "def decorated(): pass\n"
+            "class Unused: pass\n"
+        ),
+    }
+    referring = {
+        **defining,
+        "pkg/__init__.py": (
+            "from pkg.mod import only_reexported\n__all__ = ['only_reexported']\n"
+        ),
+        "pkg/user.py": (
+            "import pkg.mod\n"
+            "from pkg.mod import by_name as alias\n"
+            "RUNNER = 'pkg.mod:by_runner_string'\n"
+            "TABLE = {'pkg.mod.by_dotted_string': alias}\n"
+            "pkg.mod.by_attribute()\n"
+        ),
+    }
+    assert unreferenced(defining, referring) == [
+        "pkg/mod.py:Unused", "pkg/mod.py:only_reexported",
+    ]
+
+
+def test_every_definition_is_referenced():
+    referring = {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for top in REFERRING
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    defining = {
+        path: source for path, source in referring.items() if path.startswith("src/repro/")
+    }
+    found = [entry for entry in unreferenced(defining, referring) if not _exempt(entry)]
+    assert found == sorted(UNREFERENCED)

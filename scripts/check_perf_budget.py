@@ -3,7 +3,7 @@
 
 Compares each experiment's ``wall_s`` in the most recent
 ``BENCH_experiments.json`` entry against the committed per-experiment
-budget file (``benchmarks/budgets.json``), prints a before/after table,
+budget file (``scripts/budgets.json``), prints a before/after table,
 and exits non-zero when any experiment regresses past its budget.
 
 The budget check is deliberately generous — runner noise on shared CI
@@ -19,7 +19,7 @@ budgeted the same way they must have goldens.
 
 Budgets were seeded from the post-rewrite fast campaign; the point of
 the gate is that the incremental-allocator speedup (table6: 5x) can
-never silently erode.  Re-seed ``benchmarks/budgets.json`` deliberately
+never silently erode.  Re-seed ``scripts/budgets.json`` deliberately
 when a slowdown is intentional, and say why in the commit.
 """
 
@@ -32,7 +32,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_MANIFEST = REPO / "BENCH_experiments.json"
-DEFAULT_BUDGETS = REPO / "benchmarks" / "budgets.json"
+DEFAULT_BUDGETS = REPO / "scripts" / "budgets.json"
 
 
 def load_latest_entry(manifest_path: Path) -> dict:
@@ -61,7 +61,7 @@ def evaluate(entry: dict, budgets: dict, slack: float, grace_s: float) -> list[d
         if budget is None:
             # Unbudgeted experiments fail: budgets stay in sync with the
             # registry the same way committed goldens do.
-            row["status"] = "FAIL (no budget: add to benchmarks/budgets.json)"
+            row["status"] = "FAIL (no budget: add to scripts/budgets.json)"
         elif record is None:
             row["status"] = "FAIL (missing from campaign manifest)"
         else:

@@ -8,7 +8,7 @@ most recent ``BENCH_experiments.json`` entry.  Dependency-aware cache
 keys mean the edit must invalidate nothing: the gate fails when fewer
 than ``min_cached_fraction`` of the experiments had every shard of the
 experiment hit, or when the warm campaign's wall exceeds ``max_wall_s``
-(both from the ``warm_rerun`` block of ``benchmarks/budgets.json``).
+(both from the ``warm_rerun`` block of ``scripts/budgets.json``).
 
 This is the regression guard for the whole incremental-campaign engine:
 if cache keys ever degrade back to whole-tree digests, the leaf edit
@@ -24,7 +24,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_MANIFEST = REPO / "BENCH_experiments.json"
-DEFAULT_BUDGETS = REPO / "benchmarks" / "budgets.json"
+DEFAULT_BUDGETS = REPO / "scripts" / "budgets.json"
 
 
 def load_latest_entry(manifest_path: Path) -> dict:

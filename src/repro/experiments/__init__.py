@@ -3,8 +3,8 @@
 Every experiment is a callable ``run(fast=False)`` returning an
 :class:`~repro.experiments.base.ExperimentResult` with structured rows
 and a rendered text report that prints the reproduced numbers next to
-the paper's.  ``fast=True`` shrinks repeats/problem classes for CI; the
-benchmarks under ``benchmarks/`` run the full configurations.
+the paper's.  ``fast=True`` shrinks repeats/problem classes for CI and
+the tier-1 tests; the default runs the paper-scale configurations.
 """
 
 from repro.experiments.base import ExperimentResult

@@ -24,7 +24,6 @@ from repro.mpi.constants import (
     PROD,
     SUM,
 )
-from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
 from repro.mpi.message import Envelope, Status
 from repro.mpi.request import Request
 from repro.mpi.runtime import JobResult, MpiJob, RankContext
@@ -35,12 +34,7 @@ __all__ = [
     "ANY_TAG",
     "BAND",
     "BOR",
-    "BYTE",
-    "DOUBLE",
-    "Datatype",
     "Envelope",
-    "FLOAT",
-    "INT",
     "JobResult",
     "LAND",
     "LOR",

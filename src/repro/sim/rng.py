@@ -24,7 +24,8 @@ it:
 - :meth:`RngRegistry.stream` returns a :class:`numpy.random.Generator` over
   the same PCG64 state, for the consumers that want arrays or other
   distributions (the NPB verification data, ``RankContext.rng``).  numpy is
-  imported when the first such stream is built.
+  imported when the first such stream is built; it is in the ``[test]``
+  extra only, and without it the build raises :class:`ModuleNotFoundError`.
 """
 
 from __future__ import annotations
@@ -165,7 +166,13 @@ class RngRegistry:
         """Return the numpy stream for ``name``, creating it deterministically."""
         gen = self._streams.get(name)
         if gen is None:
-            import numpy as np
+            try:
+                import numpy as np
+            except ImportError as exc:
+                raise ModuleNotFoundError(
+                    f"the numpy stream {name!r} needs numpy: pip install 'repro[test]'",
+                    name="numpy",
+                ) from exc
 
             state, inc = pcg64_seed(self.seed, name)
             # This registry is the one sanctioned RNG construction site; all

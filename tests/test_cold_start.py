@@ -49,3 +49,37 @@ def test_timing_paths_do_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+_NUMPY_BLOCKED = """
+import sys
+
+sys.modules["numpy"] = None
+
+from repro.impls import get_implementation
+from repro.mpi import MpiJob
+from repro.net import build_pair_testbed
+from repro.sim import RngRegistry
+
+net = build_pair_testbed(nodes_per_site=2)
+job = MpiJob(net, get_implementation("mpich2"), net.clusters["rennes"].nodes)
+for read in (lambda: RngRegistry(seed=1).stream("x"), lambda: job.contexts[0].rng):
+    try:
+        read()
+    except ModuleNotFoundError as exc:
+        print(exc.name, "pip install 'repro[test]'" in str(exc))
+"""
+
+
+def test_a_numpy_stream_without_numpy_names_the_extra():
+    """numpy is in the ``[test]`` extra only: a numpy stream
+    (``RngRegistry.stream``, and so ``RankContext.rng``) says where to get it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy", "True", "numpy", "True"]

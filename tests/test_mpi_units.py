@@ -1,11 +1,11 @@
-"""Unit tests for MPI building blocks: envelopes, datatypes, requests,
+"""Unit tests for MPI building blocks: envelopes, requests,
 reduction ops, mailbox edge cases."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MpiError
-from repro.mpi import ANY_SOURCE, ANY_TAG, BYTE, DOUBLE, INT, Request, Status
+from repro.mpi import ANY_SOURCE, ANY_TAG, Request, Status
 from repro.mpi.constants import (
     BAND,
     BOR,
@@ -18,26 +18,10 @@ from repro.mpi.constants import (
     PROD,
     SUM,
 )
-from repro.mpi.datatypes import Datatype
 from repro.mpi.matching import Mailbox
 from repro.mpi.message import Envelope
 from repro.mpi.request import waitall, waitany
 from repro.sim import Environment
-
-
-# --- datatypes -----------------------------------------------------------------
-def test_datatype_sizes():
-    assert BYTE.size == 1
-    assert INT.size == 4
-    assert DOUBLE.size == 8
-    assert DOUBLE.bytes_for(1000) == 8000
-
-
-def test_datatype_validation():
-    with pytest.raises(MpiError):
-        Datatype("bad", 0)
-    with pytest.raises(MpiError):
-        INT.bytes_for(-1)
 
 
 # --- reduction ops ---------------------------------------------------------------

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-BUDGETS = REPO / "benchmarks" / "budgets.json"
+BUDGETS = REPO / "scripts" / "budgets.json"
 
 spec = importlib.util.spec_from_file_location(
     "check_perf_budget", REPO / "scripts" / "check_perf_budget.py"

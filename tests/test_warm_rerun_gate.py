@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-BUDGETS = REPO / "benchmarks" / "budgets.json"
+BUDGETS = REPO / "scripts" / "budgets.json"
 
 spec = importlib.util.spec_from_file_location(
     "check_warm_rerun", REPO / "scripts" / "check_warm_rerun.py"

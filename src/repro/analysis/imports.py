@@ -22,7 +22,7 @@ does for the import forms this codebase uses):
 
 Two rules the cache's correctness leans on.  A closure leaves out the
 package initialisers Python runs on the way to a module (``from
-repro.experiments import fig10`` records only ``fig10``); that is sound
+repro.experiments import table4`` records only ``table4``); that is sound
 because every initialiser a closure leaves out is re-export only, which
 ``tests/test_analysis_imports.py``
 (``test_package_inits_outside_a_closure_are_reexport_only``) checks for

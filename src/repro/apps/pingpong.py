@@ -86,9 +86,14 @@ class StreamSample:
     bandwidth_mbps: float  # size / (round_trip / 2)
 
 
-def _curve_from_rtts(label: str, rtts: dict[int, list[float]]) -> PingPongCurve:
+#: ``{size: [(completion time, round trip), ...]}`` of one pingpong run
+RoundTrips = dict[int, list[tuple[float, float]]]
+
+
+def _curve_from_trips(label: str, trips: RoundTrips) -> PingPongCurve:
     points = []
-    for nbytes, samples in sorted(rtts.items()):
+    for nbytes, sized in sorted(trips.items()):
+        samples = [rtt for _, rtt in sized]
         min_rtt = min(samples)
         mean_rtt = sum(samples) / len(samples)
         bw = nbytes * 8.0 / (min_rtt / 2.0) / 1e6
@@ -96,7 +101,48 @@ def _curve_from_rtts(label: str, rtts: dict[int, list[float]]) -> PingPongCurve:
     return PingPongCurve(label, points)
 
 
+def _stream_samples(nbytes: int, trips: RoundTrips) -> list[StreamSample]:
+    return [
+        StreamSample(i, now, nbytes * 8.0 / (rtt / 2.0) / 1e6)
+        for i, (now, rtt) in enumerate(trips[nbytes])
+    ]
+
+
 # --- MPI pingpong -----------------------------------------------------------------
+def _mpi_round_trips(
+    network: Network,
+    impl,
+    node_a: Node,
+    node_b: Node,
+    sizes: Sequence[int],
+    repeats: int,
+    sysctls,
+) -> RoundTrips:
+    """Rank 0 sends ``repeats`` messages of each size to rank 1, which
+    echoes each back."""
+    trips: RoundTrips = {s: [] for s in sizes}
+
+    def program(ctx):
+        comm = ctx.comm
+        if ctx.rank == 0:
+            for nbytes in sizes:
+                for _ in range(repeats):
+                    t0 = ctx.wtime()
+                    yield from comm.send(1, nbytes=nbytes)
+                    yield from comm.recv(1)
+                    now = ctx.wtime()
+                    trips[nbytes].append((now, now - t0))
+        else:
+            for nbytes in sizes:
+                for _ in range(repeats):
+                    yield from comm.recv(0)
+                    yield from comm.send(0, nbytes=nbytes)
+
+    job = MpiJob(network, impl, [node_a, node_b], sysctls=sysctls, trace=False)
+    job.run(program)
+    return trips
+
+
 def mpi_pingpong(
     network: Network,
     impl,
@@ -107,26 +153,8 @@ def mpi_pingpong(
     sysctls=None,
 ) -> PingPongCurve:
     """Run the MPI pingpong between two nodes; returns the size sweep."""
-    rtts: dict[int, list[float]] = {s: [] for s in sizes}
-
-    def program(ctx):
-        comm = ctx.comm
-        if ctx.rank == 0:
-            for nbytes in sizes:
-                for _ in range(repeats):
-                    t0 = ctx.wtime()
-                    yield from comm.send(1, nbytes=nbytes)
-                    yield from comm.recv(1)
-                    rtts[nbytes].append(ctx.wtime() - t0)
-        else:
-            for nbytes in sizes:
-                for _ in range(repeats):
-                    yield from comm.recv(0)
-                    yield from comm.send(0, nbytes=nbytes)
-
-    job = MpiJob(network, impl, [node_a, node_b], sysctls=sysctls, trace=False)
-    job.run(program)
-    return _curve_from_rtts(impl.display_name, rtts)
+    trips = _mpi_round_trips(network, impl, node_a, node_b, sizes, repeats, sysctls)
+    return _curve_from_trips(impl.display_name, trips)
 
 
 def mpi_stream(
@@ -139,46 +167,27 @@ def mpi_stream(
     sysctls=None,
 ) -> list[StreamSample]:
     """Fig. 9: a stream of fixed-size round trips, per-message bandwidth."""
-    samples: list[StreamSample] = []
-
-    def program(ctx):
-        comm = ctx.comm
-        if ctx.rank == 0:
-            for i in range(count):
-                t0 = ctx.wtime()
-                yield from comm.send(1, nbytes=nbytes)
-                yield from comm.recv(1)
-                rtt = ctx.wtime() - t0
-                samples.append(
-                    StreamSample(i, ctx.wtime(), nbytes * 8.0 / (rtt / 2.0) / 1e6)
-                )
-        else:
-            for _ in range(count):
-                yield from comm.recv(0)
-                yield from comm.send(0, nbytes=nbytes)
-
-    job = MpiJob(network, impl, [node_a, node_b], sysctls=sysctls, trace=False)
-    job.run(program)
-    return samples
+    trips = _mpi_round_trips(network, impl, node_a, node_b, (nbytes,), count, sysctls)
+    return _stream_samples(nbytes, trips)
 
 
 # --- raw TCP pingpong ---------------------------------------------------------------
-def tcp_pingpong(
+def _tcp_round_trips(
     network: Network,
     node_a: Node,
     node_b: Node,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    repeats: int = DEFAULT_REPEATS,
-    sysctls=None,
-    options: Optional[TcpOptions] = None,
-) -> PingPongCurve:
-    """The TCP reference curve: no MPI layer at all."""
+    sizes: Sequence[int],
+    repeats: int,
+    sysctls,
+    options: Optional[TcpOptions],
+) -> RoundTrips:
+    """:func:`_mpi_round_trips` over one bare TCP connection."""
     env = Environment()
     fabric = Fabric(env, network)
     if sysctls is not None:
         fabric.set_sysctls(sysctls)
     conn = fabric.connect(node_a, node_b, options or TcpOptions())
-    rtts: dict[int, list[float]] = {s: [] for s in sizes}
+    trips: RoundTrips = {s: [] for s in sizes}
 
     def runner():
         yield from conn.connect()
@@ -189,11 +198,25 @@ def tcp_pingpong(
                 yield env.timeout(max(0.0, arrival - env.now))
                 arrival = yield from conn.transmit(node_b, nbytes)
                 yield env.timeout(max(0.0, arrival - env.now))
-                rtts[nbytes].append(env.now - t0)
+                trips[nbytes].append((env.now, env.now - t0))
 
     env.process(runner())
     env.run()
-    return _curve_from_rtts("TCP", rtts)
+    return trips
+
+
+def tcp_pingpong(
+    network: Network,
+    node_a: Node,
+    node_b: Node,
+    sizes: Sequence[int] = DEFAULT_SIZES,
+    repeats: int = DEFAULT_REPEATS,
+    sysctls=None,
+    options: Optional[TcpOptions] = None,
+) -> PingPongCurve:
+    """The TCP reference curve: no MPI layer at all."""
+    trips = _tcp_round_trips(network, node_a, node_b, sizes, repeats, sysctls, options)
+    return _curve_from_trips("TCP", trips)
 
 
 def tcp_stream(
@@ -206,24 +229,5 @@ def tcp_stream(
     options: Optional[TcpOptions] = None,
 ) -> list[StreamSample]:
     """Fig. 9a: the raw-TCP stream."""
-    env = Environment()
-    fabric = Fabric(env, network)
-    if sysctls is not None:
-        fabric.set_sysctls(sysctls)
-    conn = fabric.connect(node_a, node_b, options or TcpOptions())
-    samples: list[StreamSample] = []
-
-    def runner():
-        yield from conn.connect()
-        for i in range(count):
-            t0 = env.now
-            arrival = yield from conn.transmit(node_a, nbytes)
-            yield env.timeout(max(0.0, arrival - env.now))
-            arrival = yield from conn.transmit(node_b, nbytes)
-            yield env.timeout(max(0.0, arrival - env.now))
-            rtt = env.now - t0
-            samples.append(StreamSample(i, env.now, nbytes * 8.0 / (rtt / 2.0) / 1e6))
-
-    env.process(runner())
-    env.run()
-    return samples
+    trips = _tcp_round_trips(network, node_a, node_b, (nbytes,), count, sysctls, options)
+    return _stream_samples(nbytes, trips)

@@ -504,8 +504,8 @@ def _cmd_flame(args) -> int:
                 [
                     frame.key,
                     frame.calls,
-                    f"{frame.self_ticks / 1e6:.3f}",
-                    f"{frame.cum_ticks / 1e6:.3f}",
+                    f"{frame.self_ticks / agg.SPAN_TICKS_PER_SECOND:.3f}",
+                    f"{frame.cum_ticks / agg.SPAN_TICKS_PER_SECOND:.3f}",
                 ]
             )
         chain = agg.critical_path(payload)
@@ -519,7 +519,7 @@ def _cmd_flame(args) -> int:
                     hop["depth"],
                     hop["name"],
                     hop["lane"],
-                    f"{hop['ticks'] / 1e6:.3f}",
+                    f"{hop['ticks'] / agg.SPAN_TICKS_PER_SECOND:.3f}",
                 ]
             )
         text = "\n\n".join(
@@ -563,10 +563,10 @@ def _flame_site_pairs(agg, payload, fmt_bytes, table_cls) -> str:
                 f"{pair[0]} -> {pair[1]}",
                 cell.transfers,
                 fmt_bytes(cell.bytes),
-                f"{cell.transmit_ticks / 1e6:.3f}",
+                f"{cell.transmit_ticks / agg.SPAN_TICKS_PER_SECOND:.3f}",
                 cell.retransmits,
                 cell.handshakes,
-                f"{cell.handshake_ticks / 1e6:.3f}",
+                f"{cell.handshake_ticks / agg.SPAN_TICKS_PER_SECOND:.3f}",
             ]
         )
     return table.render()
@@ -663,8 +663,8 @@ def main(argv=None) -> int:
         from repro.obs import TelemetryConfig
 
         # --metrics-out alone records only the registry; --trace records
-        # spans too (and implies metrics, so one flag gives both exports).
-        telemetry = TelemetryConfig(spans=args.trace is not None, metrics=True)
+        # spans too (the registry is always on, so one flag gives both exports).
+        telemetry = TelemetryConfig(spans=args.trace is not None)
         print("[telemetry on: result cache bypassed]", file=sys.stderr)
 
     campaign = run_campaign(

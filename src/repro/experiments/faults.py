@@ -25,7 +25,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Optional
 
-from repro.apps.pingpong import mpi_pingpong, tcp_pingpong
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.experiments.environments import (
     get_environment,
@@ -33,11 +32,11 @@ from repro.experiments.environments import (
     pingpong_pair,
 )
 from repro.experiments.npb_runs import npb_fast_config
+from repro.experiments.pingpong_common import TCP_CURVE, pingpong_curve
 from repro.faults import FaultProfile
 from repro.impls import IMPLEMENTATION_ORDER, get_implementation
 from repro.npb import run_npb
 from repro.report import Table, line_chart
-from repro.tcp.connection import TcpOptions
 from repro.units import MB, fmt_bytes
 
 #: fixed seed of every fault profile used by these experiments (arbitrary
@@ -53,7 +52,6 @@ _PINGPONG_WHERE = "grid"
 _PINGPONG_ENV = "tcp_tuned"
 _CG_PLACEMENT = "grid4"
 _CG_ENV = "fully_tuned"
-_TCP = "tcp"
 
 
 def _loss_profile(loss_prob: float) -> Optional[FaultProfile]:
@@ -79,7 +77,8 @@ def _pingpong_probe(fast: bool) -> tuple[int, int]:
 
 
 def run_loss_curve_shard(curve: str, fast: bool = False) -> dict:
-    """Worker-side shard: one goodput-vs-loss curve (``"tcp"`` or an
+    """Worker-side shard: one goodput-vs-loss curve (``curve`` is
+    :data:`~repro.experiments.pingpong_common.TCP_CURVE` or an
     implementation registry name).
 
     Each loss rate runs in its own simulation ``Environment`` with an
@@ -90,33 +89,16 @@ def run_loss_curve_shard(curve: str, fast: bool = False) -> dict:
     size, repeats = _pingpong_probe(fast)
     goodput: dict[str, float] = {}
     for loss in LOSS_RATES:
-        profile = _loss_profile(loss)
         env = get_environment(_PINGPONG_ENV)
         net, a, b = pingpong_pair(_PINGPONG_WHERE)
-        if curve == _TCP:
-            result = tcp_pingpong(
-                net,
-                a,
-                b,
-                sizes=(size,),
-                repeats=repeats,
-                sysctls=env.sysctls,
-                options=TcpOptions(fault_profile=profile),
-            )
-        else:
-            impl = env.impl(curve)
-            if profile is not None:
-                impl = impl.with_fault_profile(profile)
-            result = mpi_pingpong(
-                net, impl, a, b, sizes=(size,), repeats=repeats, sysctls=env.sysctls
-            )
+        result = pingpong_curve(env, curve, net, a, b, (size,), repeats, _loss_profile(loss))
         goodput[f"{loss:g}"] = result.points[0].mean_bandwidth_mbps
     return {"goodput": goodput}
 
 
 def _pingpong_labels() -> list[tuple[str, str]]:
     """(shard label, legend label) pairs in the figures' legend order."""
-    return [(_TCP, "TCP")] + [
+    return [(TCP_CURVE, "TCP")] + [
         (name, get_implementation(name).display_name) for name in IMPLEMENTATION_ORDER
     ]
 

@@ -1,8 +1,10 @@
 """Shared NPB executions for the Figure 10-13 experiments.
 
-Figures 10, 12 and 13 all consume the same grid-8+8 runs: each (benchmark,
-placement) point is one shard whose ``task_id`` the three figures share,
-so a campaign simulates it once.
+Each (benchmark, placement) point is one shard whose ``task_id`` every
+figure reading that placement shares, so a campaign simulates it once:
+Figs. 10, 12 and 13 all read the grid-8+8 runs.  The figures themselves
+are :mod:`repro.experiments.npb_figures`' descriptors; this module's
+import closure keys the shards' cache entries, so it holds no rendering.
 """
 
 from __future__ import annotations

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.apps.pingpong import PingPongCurve, PingPongPoint, mpi_pingpong, tcp_pingpong
 from repro.experiments.base import ExperimentResult, ShardSpec
-from repro.experiments.environments import get_environment, pingpong_pair
+from repro.experiments.environments import GridEnvironment, get_environment, pingpong_pair
+from repro.faults import FaultProfile
 from repro.impls import IMPLEMENTATION_ORDER
+from repro.net.topology import Network, Node
 from repro.report import Table, line_chart
+from repro.tcp.connection import TcpOptions
 from repro.units import KB, MB, fmt_bytes, log2_sizes
 
 #: the paper's full x axis
@@ -57,19 +61,43 @@ def figure_result(
     )
 
 
+#: label of the raw-TCP reference curve, beside the implementations' names
+TCP_CURVE = "tcp"
+
+
+def pingpong_curve(
+    env: GridEnvironment,
+    curve: str,
+    network: Network,
+    node_a: Node,
+    node_b: Node,
+    sizes: Sequence[int],
+    repeats: int,
+    fault_profile: Optional[FaultProfile] = None,
+) -> PingPongCurve:
+    """One pingpong sweep in environment ``env``: raw TCP (``curve`` is
+    :data:`TCP_CURVE`) or the implementation registered as ``curve``, with
+    ``fault_profile`` on its connections when one is given."""
+    if curve == TCP_CURVE:
+        options = TcpOptions(fault_profile=fault_profile)
+        return tcp_pingpong(
+            network, node_a, node_b, sizes, repeats, sysctls=env.sysctls, options=options
+        )
+    impl = env.impl(curve)
+    if fault_profile is not None:
+        impl = impl.with_fault_profile(fault_profile)
+    return mpi_pingpong(network, impl, node_a, node_b, sizes, repeats, sysctls=env.sysctls)
+
+
 # --- sharding (see repro.experiments.base) ---------------------------------------
-#: shard identity of the reference TCP curve
-TCP_SHARD = "tcp"
-
-
 def run_curve_shard(
     where: str,
     env_name: str,
     curve: str,
     fast: bool = False,
 ) -> dict:
-    """Worker-side shard: one bandwidth curve (``curve`` is ``"tcp"`` or an
-    implementation registry name).
+    """Worker-side shard: one bandwidth curve (``curve`` is
+    :data:`TCP_CURVE` or an implementation registry name).
 
     The curve runs in its own simulation ``Environment`` on a fresh
     ``pingpong_pair`` topology, so its points do not depend on which
@@ -79,13 +107,7 @@ def run_curve_shard(
     repeats = 20 if fast else 100
     env = get_environment(env_name)
     net, a, b = pingpong_pair(where)
-    if curve == TCP_SHARD:
-        result = tcp_pingpong(net, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls)
-    else:
-        impl = env.impl(curve)
-        result = mpi_pingpong(
-            net, impl, a, b, sizes=sizes, repeats=repeats, sysctls=env.sysctls
-        )
+    result = pingpong_curve(env, curve, net, a, b, sizes, repeats)
     return {
         "label": result.label,
         "points": [[p.nbytes, p.min_rtt, p.max_bandwidth_mbps] for p in result.points],
@@ -111,7 +133,7 @@ class PingPongFigure:
     paper_note: str
 
     def shards(self, fast: bool = False) -> list[ShardSpec]:
-        labels = (TCP_SHARD, *IMPLEMENTATION_ORDER)
+        labels = (TCP_CURVE, *IMPLEMENTATION_ORDER)
         return [
             ShardSpec(
                 task_id=f"pingpong/{self.where}/{self.env_name}/{label}",
@@ -124,7 +146,7 @@ class PingPongFigure:
     def merge(self, payloads: dict[str, dict], fast: bool = False) -> ExperimentResult:
         # Legend order: TCP first, then the implementations in paper order.
         curves: dict[str, PingPongCurve] = {}
-        for label in (TCP_SHARD, *IMPLEMENTATION_ORDER):
+        for label in (TCP_CURVE, *IMPLEMENTATION_ORDER):
             task_id = f"pingpong/{self.where}/{self.env_name}/{label}"
             curve = curve_from_payload(payloads[task_id])
             curves[curve.label] = curve

@@ -21,10 +21,7 @@ from repro.experiments import (
     fig6,
     fig7,
     fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
+    npb_figures,
     table1,
     table2,
     table3,
@@ -36,9 +33,10 @@ from repro.experiments import (
 from repro.experiments.base import ExperimentResult, ShardSpec
 from repro.obs import runtime as _obs
 
-#: id -> defining module (or module-like namespace: ``experiments.faults``
-#: hosts two experiments).  An entry either defines ``run`` (a one-shard
-#: plan) or the ``shards``/``merge`` hooks (its own shard plan).
+#: id -> defining module, or a module-like object (``experiments.faults``
+#: hosts two experiments, ``experiments.npb_figures`` four descriptors).
+#: An entry either defines ``run`` (a one-shard plan) or the
+#: ``shards``/``merge`` hooks (its own shard plan).
 MODULES: dict[str, Any] = {
     "table1": table1,
     "table2": table2,
@@ -52,10 +50,10 @@ MODULES: dict[str, Any] = {
     "fig6": fig6,
     "fig7": fig7,
     "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
+    "fig10": npb_figures.FIG10,
+    "fig11": npb_figures.FIG11,
+    "fig12": npb_figures.FIG12,
+    "fig13": npb_figures.FIG13,
     "faults_pingpong": faults.faults_pingpong,
     "faults_cg": faults.faults_cg,
     "coll_hier": coll_hier,

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.apps.pingpong import mpi_pingpong, tcp_pingpong
 from repro.experiments.base import ExperimentResult
 from repro.experiments.environments import get_environment, pingpong_pair
+from repro.experiments.pingpong_common import TCP_CURVE, pingpong_curve
 from repro.impls import IMPLEMENTATION_ORDER
 from repro.report import Table
 from repro.units import to_usec
@@ -22,21 +22,13 @@ PAPER = {
 def run(fast: bool = False) -> ExperimentResult:
     env = get_environment("fully_tuned")
     repeats = 5 if fast else 200
-    measured: dict[str, tuple[float, float]] = {}
 
     latencies = {}
     for where in ("cluster", "grid"):
         net, a, b = pingpong_pair(where)
-        curve = tcp_pingpong(net, a, b, sizes=[1], repeats=repeats, sysctls=env.sysctls)
-        latencies[("TCP", where)] = to_usec(curve.points[0].one_way_latency)
-        for name in IMPLEMENTATION_ORDER:
-            impl = env.impl(name)
-            curve = mpi_pingpong(
-                net, impl, a, b, sizes=[1], repeats=repeats, sysctls=env.sysctls
-            )
-            latencies[(impl.display_name, where)] = to_usec(
-                curve.points[0].one_way_latency
-            )
+        for label in (TCP_CURVE, *IMPLEMENTATION_ORDER):
+            curve = pingpong_curve(env, label, net, a, b, [1], repeats)
+            latencies[(curve.label, where)] = to_usec(curve.points[0].one_way_latency)
 
     table = Table(
         ["stack", "cluster (us)", "paper", "grid (us)", "paper"],

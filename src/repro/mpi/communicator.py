@@ -164,13 +164,12 @@ class Communicator:
         sess = _obs.ACTIVE
         if sess is None:
             return algorithm
-        if sess.metrics:
-            sess.count(
-                "mpi.collective_calls",
-                op=operation,
-                algorithm=name,
-                impl=impl.name,
-            )
+        sess.count(
+            "mpi.collective_calls",
+            op=operation,
+            algorithm=name,
+            impl=impl.name,
+        )
         if not sess.spans:
             return algorithm
 

@@ -119,7 +119,7 @@ class Protocol:
             sites = self._sites(src, dst)
         else:
             sites = None
-        if sess is not None and sess.metrics:
+        if sess is not None:
             eager = nbytes <= impl.eager_threshold
             sess.count(
                 "mpi.sends",
@@ -196,14 +196,13 @@ class Protocol:
                     lane,
                     {"bytes": nbytes, "tag": tag, **sites},
                 )
-            if sess.metrics:
-                sess.count("mpi.rndv_handshakes", impl=impl.name, wan=link.inter_site)
-                sess.count(
-                    "mpi.rndv_handshake_seconds",
-                    inc=env.now - t_post,
-                    impl=impl.name,
-                    wan=link.inter_site,
-                )
+            sess.count("mpi.rndv_handshakes", impl=impl.name, wan=link.inter_site)
+            sess.count(
+                "mpi.rndv_handshake_seconds",
+                inc=env.now - t_post,
+                impl=impl.name,
+                wan=link.inter_site,
+            )
         t_data = env.now
         data_arrival = yield from link.transmit(nbytes + EAGER_HEADER_BYTES)
         if sess is not None and sess.spans:

@@ -187,12 +187,11 @@ class MpiJob:
                     "job",
                     {"impl": self.impl.name, "nprocs": self.nprocs},
                 )
-            if sess.metrics:
-                sess.count("mpi.jobs", impl=self.impl.name)
-                sess.gauge(
-                    "mpi.job.makespan_s", makespan, impl=self.impl.name,
-                    nprocs=self.nprocs,
-                )
+            sess.count("mpi.jobs", impl=self.impl.name)
+            sess.gauge(
+                "mpi.job.makespan_s", makespan, impl=self.impl.name,
+                nprocs=self.nprocs,
+            )
         return JobResult(
             makespan=makespan,
             rank_times=finish_times,

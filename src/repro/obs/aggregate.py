@@ -44,8 +44,9 @@ __all__ = [
     "rollup",
 ]
 
-#: virtual microseconds per virtual second
-TICKS_PER_SECOND = 1_000_000
+#: span ticks (virtual microseconds) per virtual second; the engine's own
+#: tick is finer, :data:`repro.units.TICKS_PER_SECOND`
+SPAN_TICKS_PER_SECOND = 1_000_000
 
 #: float-noise tolerance for interval containment (absolute, seconds)
 EPS = 1e-9
@@ -53,7 +54,7 @@ EPS = 1e-9
 
 def ticks(seconds: float) -> int:
     """Integer virtual-microsecond ticks for a duration in seconds."""
-    return round(float(seconds) * TICKS_PER_SECOND)
+    return round(float(seconds) * SPAN_TICKS_PER_SECOND)
 
 
 @dataclass

@@ -145,7 +145,7 @@ def experiment_payload(experiment_id: str, fast: bool = True, jobs: int = 1) -> 
     campaign = run_campaign(
         [ExperimentSpec(experiment_id, fast=fast)],
         jobs=jobs,
-        telemetry=TelemetryConfig(spans=True, metrics=True),
+        telemetry=TelemetryConfig(spans=True),
     )
     payload = campaign.runs[0].telemetry
     return payload if payload is not None else {"schema": 1, "tracks": {}}

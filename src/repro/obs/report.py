@@ -97,7 +97,7 @@ def explain_fig7(fast: bool = True) -> str:
             impl_by_env[env_name] = impl
             net, a, b = pingpong_pair("grid")
             for nbytes in sizes:
-                with session(TelemetryConfig(spans=False, metrics=True)) as sess:
+                with session(TelemetryConfig(spans=False)) as sess:
                     curve = mpi_pingpong(
                         net,
                         impl,
@@ -187,7 +187,7 @@ def explain_fig9(fast: bool = True) -> str:
     cwnd_series: dict[str, list[tuple[float, float]]] = {}
     for label in ("TCP", *IMPLEMENTATION_ORDER):
         net, a, b = pingpong_pair("grid")
-        with session(TelemetryConfig(spans=True, metrics=True)) as sess:
+        with session(TelemetryConfig(spans=True)) as sess:
             if label == "TCP":
                 samples = tcp_stream(net, a, b, nbytes=MB, count=count, sysctls=env.sysctls)
                 display = "TCP"
@@ -295,9 +295,9 @@ def explain_fig10(fast: bool = True, jobs: int = 1, payload=None) -> str:
                 [
                     bench,
                     phase,
-                    f"{g / 1e6:.3f}",
+                    f"{g / _agg.SPAN_TICKS_PER_SECOND:.3f}",
                     f"{100.0 * g / total:.1f}%",
-                    f"{c / 1e6:.3f}",
+                    f"{c / _agg.SPAN_TICKS_PER_SECOND:.3f}",
                     f"x{g / c:.2f}" if c else "-",
                 ]
             )
@@ -333,10 +333,10 @@ def explain_fig10(fast: bool = True, jobs: int = 1, payload=None) -> str:
                 f"{pair[0]} -> {pair[1]}",
                 cell.transfers,
                 fmt_bytes(cell.bytes),
-                f"{cell.transmit_ticks / 1e6:.3f}",
+                f"{cell.transmit_ticks / _agg.SPAN_TICKS_PER_SECOND:.3f}",
                 cell.retransmits,
                 cell.handshakes,
-                f"{cell.handshake_ticks / 1e6:.3f}",
+                f"{cell.handshake_ticks / _agg.SPAN_TICKS_PER_SECOND:.3f}",
                 f"{100.0 * wall[pair] / total_wall:.1f}%" if total_wall else "-",
             ]
         )
@@ -358,7 +358,7 @@ def explain_fig10(fast: bool = True, jobs: int = 1, payload=None) -> str:
         phase, t, total = dominant[bench]
         lines.append(
             f"* {bench}: dominant phase '{phase}' "
-            f"({100.0 * t / total:.1f}% of {total / 1e6:.3f} s rank-time)"
+            f"({100.0 * t / total:.1f}% of {total / _agg.SPAN_TICKS_PER_SECOND:.3f} s rank-time)"
         )
     if dominant:
         all_bench, (all_phase, all_ticks, _) = max(
@@ -368,7 +368,7 @@ def explain_fig10(fast: bool = True, jobs: int = 1, payload=None) -> str:
         lines.append(
             f"* dominant phase overall: {all_bench} '{all_phase}' "
             f"({100.0 * all_ticks / grand_total:.1f}% of all instrumented "
-            f"rank-time, {all_ticks / 1e6:.3f} s)"
+            f"rank-time, {all_ticks / _agg.SPAN_TICKS_PER_SECOND:.3f} s)"
         )
     wan_pairs = {p: w for p, w in wall.items() if p[0] != p[1]}
     if wan_pairs and total_wall:
@@ -376,7 +376,7 @@ def explain_fig10(fast: bool = True, jobs: int = 1, payload=None) -> str:
         lines.append(
             f"* top WAN site pair: {top_pair[0]} -> {top_pair[1]} "
             f"({100.0 * wan_pairs[top_pair] / total_wall:.1f}% of all "
-            f"tracked wire time, {wan_pairs[top_pair] / 1e6:.3f} s)"
+            f"tracked wire time, {wan_pairs[top_pair] / _agg.SPAN_TICKS_PER_SECOND:.3f} s)"
         )
     footer = "Diagnosis:\n" + "\n".join(lines)
     return "\n".join([header, "", table.render(), "", wan_table.render(), "", footer])

@@ -50,14 +50,13 @@ SIM_SAMPLE_EVERY = 2048
 class TelemetryConfig:
     """What the session records.
 
-    ``spans`` enables the event tracer (spans / instants / counter
-    samples — everything the Chrome trace exporter consumes); ``metrics``
-    enables the aggregating registry.  ``repro run --trace`` turns both
-    on, ``--metrics-out`` alone only the registry.
+    The aggregating registry is always on; ``spans`` also enables the
+    event tracer (spans / instants / counter samples — everything the
+    Chrome trace exporter consumes).  ``repro run --trace`` turns it on,
+    ``--metrics-out`` alone records only the registry.
     """
 
     spans: bool = True
-    metrics: bool = True
 
 
 def _labels_key(labels: dict) -> tuple:
@@ -124,9 +123,8 @@ class TelemetrySession:
         default_track: str = DEFAULT_TRACK,
     ) -> None:
         self.config = config or TelemetryConfig()
-        #: hot-path guards, hoisted out of the config object
+        #: hot-path guard, hoisted out of the config object
         self.spans = self.config.spans
-        self.metrics = self.config.metrics
         self.tracks: dict[str, TrackData] = {}
         self._current = self._track(default_track)
 
@@ -288,11 +286,7 @@ class TelemetrySession:
                     for n, labels in sorted(data.histograms)
                 ],
             }
-        return {
-            "schema": 1,
-            "config": {"spans": self.spans, "metrics": self.metrics},
-            "tracks": tracks,
-        }
+        return {"schema": 1, "tracks": tracks}
 
 
 @contextmanager
@@ -334,14 +328,10 @@ def merge_payloads(payloads: Iterable[dict]) -> dict:
     the default track — merge by concatenating events and summing
     counters/histogram bins; gauges are last-write-wins.
     """
-    merged_config = {"spans": False, "metrics": False}
     tracks: dict[str, dict] = {}
     for payload in payloads:
         if not payload:
             continue
-        cfg = payload.get("config", {})
-        merged_config["spans"] = merged_config["spans"] or bool(cfg.get("spans"))
-        merged_config["metrics"] = merged_config["metrics"] or bool(cfg.get("metrics"))
         for name, data in payload.get("tracks", {}).items():
             into = tracks.get(name)
             if into is None:
@@ -358,11 +348,7 @@ def merge_payloads(payloads: Iterable[dict]) -> dict:
             into["histograms"] = _merge_hists(
                 into["histograms"], data.get("histograms", [])
             )
-    return {
-        "schema": 1,
-        "config": merged_config,
-        "tracks": {name: tracks[name] for name in sorted(tracks)},
-    }
+    return {"schema": 1, "tracks": {name: tracks[name] for name in sorted(tracks)}}
 
 
 def _entry_key(entry: list) -> tuple:

@@ -342,7 +342,7 @@ class _Direction:
         )
 
         sess = _obs.ACTIVE
-        if sess is not None and sess.metrics:
+        if sess is not None:
             sess.count("tcp.connections", wan=route.inter_site)
             if self.faults is not None:
                 sess.count("faults.profiles_applied", wan=route.inter_site)
@@ -395,15 +395,14 @@ class _Direction:
                 sess.instant(now, f"tcp.loss.{loss_kind}", "tcp", self.name)
             if exited_slow_start:
                 sess.instant(now, "tcp.slowstart.exit", "tcp", self.name)
-        if sess.metrics:
-            sess.count_key(_K_WINDOW_ROUNDS[self.inter_site])
-            if loss_kind is not None:
-                sess.count("tcp.losses", kind=loss_kind, wan=self.route.inter_site)
-                if loss_kind == "injected":
-                    sess.count("faults.injected_losses")
-            if exited_slow_start:
-                sess.count("tcp.slowstart_exits", wan=self.route.inter_site)
-                sess.gauge("tcp.slowstart_exit_s", now, conn=self.name)
+        sess.count_key(_K_WINDOW_ROUNDS[self.inter_site])
+        if loss_kind is not None:
+            sess.count("tcp.losses", kind=loss_kind, wan=self.route.inter_site)
+            if loss_kind == "injected":
+                sess.count("faults.injected_losses")
+        if exited_slow_start:
+            sess.count("tcp.slowstart_exits", wan=self.route.inter_site)
+            sess.gauge("tcp.slowstart_exit_s", now, conn=self.name)
 
     def _evolve_window(self) -> Optional[str]:
         """One window-evolution step; returns the loss kind (or ``None``)."""
@@ -569,8 +568,7 @@ class _Direction:
             for k in range(first, last + 1):
                 now = (anchor + k * step) / TICKS_PER_SECOND
                 sess.sample(now, "tcp.cwnd", self.name, self.cc.cwnd)
-        if sess.metrics:
-            sess.count_key(_K_WINDOW_ROUNDS[self.inter_site], inc=n)
+        sess.count_key(_K_WINDOW_ROUNDS[self.inter_site], inc=n)
 
     # -- the transfer ----------------------------------------------------------------
     def transmit(self, nbytes: int):
@@ -600,13 +598,12 @@ class _Direction:
                 if sess is not None:
                     if sess.spans:
                         sess.instant(env.now, "tcp.idle_restart", "tcp", self.name)
-                    if sess.metrics:
-                        sess.count("tcp.idle_restarts", wan=self.route.inter_site)
+                    sess.count("tcp.idle_restarts", wan=self.route.inter_site)
 
             wire = nbytes * WIRE_FACTOR + PER_MESSAGE_WIRE_BYTES
             self.stats.transfers += 1
             self.stats.payload_bytes += nbytes
-            if sess is not None and sess.metrics:
+            if sess is not None:
                 sess.count_key(_K_TRANSFERS[self.inter_site])
                 sess.observe_key(_K_TRANSFER_BYTES[self.inter_site], nbytes)
 
@@ -653,7 +650,7 @@ class _Direction:
                     * self.route.one_way_delay
                 )
                 arrival += jitter
-                if sess is not None and sess.metrics:
+                if sess is not None:
                     sess.count("faults.jitter_draws")
                     sess.count("faults.jitter_seconds", inc=jitter)
             return arrival

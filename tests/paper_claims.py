@@ -20,6 +20,7 @@ artifact keeps its claims.  It needs neither pytest nor numpy.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -123,6 +124,10 @@ def fig9(rows, fast):
     assert 500 <= by_stack["TCP"]["peak_mbps"] <= 640, by_stack["TCP"]  # ~570 ceiling
     # paced GridMPI reaches 500 Mbps before the unpaced stacks
     t500 = {stack: row["t500_s"] for stack, row in by_stack.items()}
+    # At fast scale the unpaced stacks never reach 500 Mbps (inf), so the
+    # comparisons below hold only if TCP and GridMPI really do.
+    assert math.isfinite(t500["TCP"]), t500
+    assert math.isfinite(t500["GridMPI"]), t500
     assert t500["GridMPI"] < t500["MPICH2"], t500
     assert t500["GridMPI"] <= t500["OpenMPI"], t500
 
@@ -175,7 +180,9 @@ def fig13(rows, fast):
 def table6(rows, fast):
     by_cluster = _by(rows, "cluster")
     # Sophia's faster Opterons compute the most rays and Nancy's the fewest,
-    # whichever cluster hosts the master
+    # whichever cluster hosts the master.  At fast scale Nancy ties Rennes
+    # and Toulouse (3,000 rays each), so only the paper-scale run tells
+    # them apart.
     for master in ("nancy", "rennes", "sophia", "toulouse"):
         rays = {cluster: row[f"master_{master}"] for cluster, row in by_cluster.items()}
         others = [count for cluster, count in rays.items() if cluster != "sophia"]

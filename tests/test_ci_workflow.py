@@ -12,8 +12,7 @@ import shutil
 import subprocess
 
 import pytest
-
-yaml = pytest.importorskip("yaml")
+import yaml
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"

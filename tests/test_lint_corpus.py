@@ -246,10 +246,11 @@ CORPUS: tuple[Bug, ...] = (
     Bug(
         "DIM002",
         "experiments/table4.py",
-        '        latencies[("TCP", where)] = to_usec(curve.points[0].one_way_latency)',
-        "        from repro.units import usec\n\n"
-        '        latencies[("TCP", where)] = to_usec(curve.points[0].one_way_latency) '
-        "- usec(12)",
+        "            latencies[(curve.label, where)] = "
+        "to_usec(curve.points[0].one_way_latency)",
+        "            from repro.units import usec\n\n"
+        "            latencies[(curve.label, where)] = "
+        "to_usec(curve.points[0].one_way_latency) - usec(12)",
         "table4",
         ("DIM002",),
         "Table 4 subtracts the stack crossing as `usec(12)` from a value in µs",

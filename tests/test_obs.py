@@ -213,7 +213,7 @@ def test_telemetry_does_not_perturb_a_lossy_window_limited_transfer():
 
 def test_metrics_only_config_skips_spans():
     job = make_grid_job(impl_name="openmpi", nprocs=2)
-    with session(TelemetryConfig(spans=False, metrics=True)) as sess:
+    with session(TelemetryConfig(spans=False)) as sess:
         job.run(_pingpong(1024 * 1024))
     assert sess.span_names() == {}
     assert sess.counter_total("mpi.rndv_handshakes") > 0

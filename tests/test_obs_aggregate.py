@@ -55,7 +55,6 @@ def _begin(impl="openmpi", nprocs=2):
 def _payload(tracks):
     return {
         "schema": 1,
-        "config": {"spans": True, "metrics": True},
         "tracks": {name: {"events": list(events)} for name, events in tracks.items()},
     }
 

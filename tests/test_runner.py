@@ -204,7 +204,7 @@ def test_serial_campaign_runs_a_shared_shard_once(monkeypatch):
 def test_merge_renders_json_round_tripped_payloads_identically():
     """A cached shard payload has been through JSON; merging it must render
     what merging the in-memory payload renders, ``inf`` (a DNF) included."""
-    from repro.experiments import fig10, fig12, fig13, npb_runs, table6, table7
+    from repro.experiments import npb_runs, registry, table6, table7
     from repro.impls import IMPLEMENTATION_ORDER
 
     npb_payloads = {
@@ -214,7 +214,7 @@ def test_merge_renders_json_round_tripped_payloads_identically():
                 for j, name in enumerate(IMPLEMENTATION_ORDER)
             }
         }
-        for placement in ("grid16", "cluster16", "cluster4")
+        for placement in ("grid16", "grid4", "cluster16", "cluster4")
         for i, bench in enumerate(npb_runs.NPB_ORDER)
     }
     ray_payloads = {
@@ -226,23 +226,25 @@ def test_merge_renders_json_round_tripped_payloads_identically():
         }
         for i, site in enumerate(table6.SITES)
     }
+    npb_figures = [registry.MODULES[f"fig{n}"] for n in (10, 11, 12, 13)]
     for modules, payloads in (
-        ((fig10, fig12, fig13), npb_payloads),
+        (npb_figures, npb_payloads),
         ((table6, table7), ray_payloads),
     ):
         round_tripped = json.loads(json.dumps(payloads))
         for module in modules:
             merged = module.merge(payloads, fast=True).text
             assert module.merge(round_tripped, fast=True).text == merged
-    dnf = fig10.merge(npb_payloads, fast=True).rows[2][IMPLEMENTATION_ORDER[3]]
-    assert dnf == 0.0  # the inf time rendered as a DNF
+    for figure in npb_figures[:2]:  # figs 10 and 11: grid16 and grid4
+        dnf = figure.merge(npb_payloads, fast=True).rows[2][IMPLEMENTATION_ORDER[3]]
+        assert dnf == 0.0  # the inf time rendered as a DNF
 
 
 def test_npb_merge_is_identical_to_serial(monkeypatch):
     # Fake the per-point NPB time so neither path simulates anything; the
     # test pins merge() over cached (JSON round-tripped) shard payloads to
     # the serial in-process run, value for value.
-    from repro.experiments import fig10, fig12, npb_runs
+    from repro.experiments import npb_runs, registry
     from repro.impls import IMPLEMENTATION_ORDER
 
     def fake_time(bench, impl_name, placement_kind, **kwargs):
@@ -252,7 +254,8 @@ def test_npb_merge_is_identical_to_serial(monkeypatch):
 
     monkeypatch.setattr(npb_runs, "npb_time", fake_time)
 
-    for experiment_id, module in (("fig10", fig10), ("fig12", fig12)):
+    for experiment_id in ("fig10", "fig12"):
+        module = registry.MODULES[experiment_id]
         payloads = {
             shard.task_id: npb_runs.run_npb_point_shard(fast=True, **shard.params)
             for shard in module.shards(fast=True)
